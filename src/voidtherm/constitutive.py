@@ -1,5 +1,13 @@
-"""Pointwise constitutive maps, energy forms, and the inequality checks
-behind the decay diagnostics.
+"""The constitutive law, its energy forms, and the inequality checks behind
+the decay diagnostics.
+
+The law is coded numerically once, in :func:`field_response`,
+:func:`stored_energy_field`, :func:`entropy_field` and
+:func:`energy_density_parts`.  These act on arrays with any number of
+trailing grid axes; the pointwise maps call them with none.  The only other
+copies are independent oracles: the assembled quadratic form ``Q`` of
+:func:`~voidtherm.material.assemble_quadratic_form` (behind
+:func:`bilinear_form`) and the symbolic law of :mod:`voidtherm.mms`.
 
 Inequality checks return (lhs, rhs) pairs instead of booleans; tolerance
 handling lives in :class:`TolerancePolicy` so that floating-point slack is
@@ -9,11 +17,11 @@ decided in exactly one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .material import spectrum as material_spectrum
+from .material import assemble_quadratic_form, spectrum as material_spectrum
 
 
 class NonPositiveEpsilon(ValueError):
@@ -26,16 +34,12 @@ class TolerancePolicy:
     discretized-PDE checks get resolution-dependent slack."""
 
     proved_rel: float = 1e-10
-    residual_rel: float = 1e-12
     discrete_rel: float = 5e-3
     decay_floor: float = 1e-300
 
     def dominated(self, lhs, rhs, rel=None):
         rel = self.proved_rel if rel is None else rel
         return lhs <= rhs * (1.0 + rel) + rel
-
-    def margin(self, lhs, rhs):
-        return rhs - lhs
 
 
 TOLERANCES = TolerancePolicy()
@@ -157,58 +161,89 @@ class ResponseState:
 
 
 # ---------------------------------------------------------------------------
-# Maps and forms
+# The numeric kernel: every field argument carries its tensor axes first and
+# any number of trailing grid axes (none for a single point).
+
+
+def field_response(e, gamma, kappa, phi, theta, material):
+    """Stress S, equilibrated stress h, intrinsic force G (rate term
+    excluded) and heat flux q; ``kappa=None`` skips the heat flux."""
+    S = (np.einsum("ijrs,rs...->ij...", material.C, e)
+         + np.einsum("ijs,s...->ij...", material.D, gamma)
+         + np.multiply.outer(material.B, phi)
+         - np.multiply.outer(material.M, theta))
+    h = (np.einsum("rsi,rs...->i...", material.D, e)
+         + np.einsum("ij,j...->i...", material.A, gamma)
+         + np.multiply.outer(material.b, phi)
+         - np.multiply.outer(material.aVec, theta))
+    G = (-np.einsum("ij,ij...->...", material.B, e)
+         - np.einsum("i,i...->...", material.b, gamma)
+         - material.xi * phi + material.m * theta)
+    q = None if kappa is None else np.einsum("ij,j...->i...", material.K, kappa)
+    return S, h, G, q
+
+
+def stored_energy_field(e, gamma, phi, material):
+    """Stored energy density W(e, gamma, phi)."""
+    return 0.5 * (np.einsum("ijrs,ij...,rs...->...", material.C, e, e)
+                  + material.xi * phi ** 2
+                  + np.einsum("ij,i...,j...->...", material.A, gamma, gamma)
+                  + 2.0 * np.einsum("ij,ij...->...", material.B, e) * phi
+                  + 2.0 * np.einsum("ijs,ij...,s...->...", material.D, e, gamma)
+                  + 2.0 * np.einsum("i,i...->...", material.b, gamma) * phi)
+
+
+def entropy_field(e, gamma, phi, theta, material):
+    """Entropy rho*eta = M:e + aVec.gamma + m*phi + aHeat*theta; being
+    linear, the same map takes the rates to the entropy rate."""
+    return (np.einsum("ij,ij...->...", material.M, e)
+            + np.einsum("i,i...->...", material.aVec, gamma)
+            + material.m * phi + material.aHeat * theta)
+
+
+def energy_density_parts(e, gamma, kappa, phi, phidot, theta, v, material):
+    """The lambda-independent parts (P, R) of the measure density
+    lambda*P + R: P is the kinetic, void-kinetic, thermal and stored
+    energy, R the rate and conduction terms."""
+    v2 = np.einsum("i...,i...->...", v, v)
+    kq = np.einsum("i...,ij,j...->...", kappa, material.K, kappa)
+    P = 0.5 * (material.rho * v2 + material.rho * material.chi * phidot ** 2
+               + material.aHeat * theta ** 2
+               + 2.0 * stored_energy_field(e, gamma, phi, material))
+    return P, material.tau * phidot ** 2 + kq / material.theta0
+
+
+# ---------------------------------------------------------------------------
+# Pointwise maps and forms
 
 
 def generalized_response(E, material):
     """Constitutive image of a kinematic vector (no thermal terms)."""
-    Shat = (np.einsum("ijrs,rs->ij", material.C, E.E)
-            + np.einsum("ijs,s->ij", material.D, E.pi)
-            + material.B * E.psi)
-    hhat = (np.einsum("rsi,rs->i", material.D, E.E)
-            + material.A @ E.pi + material.b * E.psi)
-    Ghat = -(np.einsum("ij,ij->", material.B, E.E)
-             + material.b @ E.pi + material.xi * E.psi)
+    Shat, hhat, Ghat, _ = field_response(E.E, E.pi, None, E.psi, 0.0, material)
     return GeneralizedStress(Shat=Shat, hhat=hhat, Ghat=float(Ghat))
 
 
 def bilinear_form(Ea, Eb, material):
-    """Symmetric bilinear form whose diagonal is the stored energy."""
-    two_f = (np.einsum("ijrs,ij,rs->", material.C, Ea.E, Eb.E)
-             + material.xi * Ea.psi * Eb.psi
-             + Ea.pi @ material.A @ Eb.pi
-             + np.einsum("ij,ij->", material.B, Ea.E) * Eb.psi
-             + np.einsum("ij,ij->", material.B, Eb.E) * Ea.psi
-             + np.einsum("ijs,ij,s->", material.D, Ea.E, Eb.pi)
-             + np.einsum("ijs,ij,s->", material.D, Eb.E, Ea.pi)
-             + (material.b @ Eb.pi) * Ea.psi
-             + (material.b @ Ea.pi) * Eb.psi)
-    return 0.5 * float(two_f)
+    """Symmetric bilinear form whose diagonal is the stored energy, from the
+    assembled quadratic form (in the material's own chi scaling)."""
+    za, zb = (replace(E, chi1=math.sqrt(material.chi)).scaled_coords() for E in (Ea, Eb))
+    return 0.5 * float(za @ assemble_quadratic_form(material) @ zb)
 
 
 def stored_energy(E, material):
-    """Stored energy of a kinematic vector (one half of the quadratic form)."""
-    return bilinear_form(E, E, material)
+    """Stored energy of a kinematic vector."""
+    return float(stored_energy_field(E.E, E.pi, E.psi, material))
 
 
 def response(state, material):
     """Full pointwise response, anti-dissipative rate sign (the sign the
     time-reflected forward problem carries)."""
-    S = (np.einsum("ijrs,rs->ij", material.C, state.e)
-         + np.einsum("ijs,s->ij", material.D, state.gamma)
-         + material.B * state.phi - material.M * state.theta)
-    h = (np.einsum("rsi,rs->i", material.D, state.e)
-         + material.A @ state.gamma + material.b * state.phi
-         - material.aVec * state.theta)
-    G = float(-(np.einsum("ij,ij->", material.B, state.e)
-                + material.b @ state.gamma + material.xi * state.phi)
-              + material.m * state.theta)
-    g = material.tau * state.phidot + G
-    rhoEta = float(np.einsum("ij,ij->", material.M, state.e)
-                   + material.aVec @ state.gamma
-                   + material.m * state.phi + material.aHeat * state.theta)
-    q = material.K @ state.kappa
-    return ResponseState(S=S, h=h, g=float(g), G=G, rhoEta=rhoEta, q=q)
+    S, h, G, q = field_response(state.e, state.gamma, state.kappa, state.phi,
+                                state.theta, material)
+    G = float(G)
+    rhoEta = float(entropy_field(state.e, state.gamma, state.phi, state.theta, material))
+    return ResponseState(S=S, h=h, g=material.tau * state.phidot + G, G=G,
+                         rhoEta=rhoEta, q=q)
 
 
 # ---------------------------------------------------------------------------

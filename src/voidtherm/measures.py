@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import TOLERANCES
+from .constitutive import TOLERANCES, energy_density_parts, field_response
 from .material import spectrum as material_spectrum, zeta_of_lambda
-from .solver import field_response, kinematics, stored_energy_field
+from .solver import kinematics, trapezoid_weights
 
 
 # ---------------------------------------------------------------------------
@@ -73,46 +73,24 @@ def weighted_energy_density(state, udot, material, lam):
     """Integrand of the measure at one point: the lambda-weighted kinetic,
     void-kinetic, thermal, and stored parts plus the rate and conduction
     terms (nonnegative for admissible materials)."""
-    from .constitutive import stored_energy
-
     udot = np.atleast_1d(np.asarray(udot, dtype=float))
-    wstar = stored_energy(state.kinematic(material.chi), material)
-    quad = (material.rho * udot @ udot
-            + material.rho * material.chi * state.phidot ** 2
-            + material.aHeat * state.theta ** 2 + 2.0 * wstar)
-    return float(0.5 * lam * quad + material.tau * state.phidot ** 2
-                 + (state.kappa @ material.K @ state.kappa) / material.theta0)
-
-
-def _density_field(state, e, gamma, kappa, material, lam):
-    v2 = np.einsum("i...,i...->...", state.v, state.v)
-    kq = np.einsum("i...,ij,j...->...", kappa, material.K, kappa)
-    wstar = stored_energy_field(e, gamma, state.phi, material)
-    return (0.5 * lam * (material.rho * v2 + material.rho * material.chi * state.phidot ** 2
-                         + material.aHeat * state.theta ** 2 + 2.0 * wstar)
-            + material.tau * state.phidot ** 2 + kq / material.theta0)
+    P, R = energy_density_parts(state.e, state.gamma, state.kappa, state.phi,
+                                state.phidot, state.theta, udot, material)
+    return float(lam * P + R)
 
 
 def _lateral_weights(grid):
     """Trapezoid weights over all axes but the first (including spacings)."""
-    if grid.dim == 1:
-        return np.ones(())
-    weights = None
-    for n, h in zip(grid.counts[1:], grid.spacing[1:]):
-        w = np.ones(n)
-        w[0] = w[-1] = 0.5
-        w = w * h
-        weights = w if weights is None else np.multiply.outer(weights, w)
-    return weights
+    return trapezoid_weights(grid.counts[1:], grid.spacing[1:])
 
 
-def _lateral_reduce(dens, grid):
-    """Integrate a grid field over the lateral axes -> profile along x1."""
-    if grid.dim == 1:
-        return dens
-    w = _lateral_weights(grid)
-    return np.tensordot(dens, w, axes=(tuple(range(1, dens.ndim)),
-                                       tuple(range(w.ndim))))
+def _normal_power(S, h, q, state, axis, material, sel=()):
+    """Power S n.v + h.n phidot - q.n theta/theta0 through a face with
+    normal e_axis, at the nodes ``sel`` (an index into the grid axes)."""
+    return (np.einsum("i...,i...->...", S[(slice(None), axis) + sel],
+                      state.v[(slice(None),) + sel])
+            + h[(axis,) + sel] * state.phidot[sel]
+            - q[(axis,) + sel] * state.theta[sel] / material.theta0)
 
 
 def _cumtrapz(times, values, axis=0):
@@ -168,9 +146,12 @@ def compute_measure(trajectory, geometry, material, lam):
 
     nt, n1 = len(times), grid.counts[0]
     prof = np.empty((nt, n1))
+    lateral = _lateral_weights(grid)
     for k, st in enumerate(trajectory.states):
         e, gamma, kappa = kinematics(st, scenario)
-        prof[k] = _lateral_reduce(_density_field(st, e, gamma, kappa, material, lam), grid)
+        P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v,
+                                    material)
+        prof[k] = np.tensordot(lam * P + R, lateral, axes=lateral.ndim)
     weighted = np.exp(lam * times)[:, None] * prof
 
     suffix = np.zeros((nt, n1))
@@ -202,15 +183,12 @@ def surface_power(trajectory, r, material, lam):
     if not 0 <= idx < grid.counts[0]:
         raise ValueError("plane lies outside the grid")
     out = np.empty(len(trajectory.times))
-    mat = material
+    lateral = _lateral_weights(grid)
     for k, st in enumerate(trajectory.states):
         e, gamma, kappa = kinematics(st, scenario)
-        S, h, _, q = field_response(e, gamma, kappa, st.phi, st.theta, mat)
-        integrand = (np.einsum("i...,i...->...", S[:, 0], st.v)
-                     + h[0] * st.phidot - q[0] * st.theta / mat.theta0)
-        plane = integrand[idx]
-        val = plane if grid.dim == 1 else np.sum(plane * _lateral_weights(grid))
-        out[k] = math.exp(lam * st.t) * float(val)
+        S, h, _, q = field_response(e, gamma, kappa, st.phi, st.theta, material)
+        plane = _normal_power(S, h, q, st, 0, material, sel=(idx,))
+        out[k] = math.exp(lam * st.t) * float(np.sum(plane * lateral))
     return out
 
 
@@ -251,24 +229,11 @@ def check_energy_identity(trajectory, region, material, lam):
         if not (0 <= lo < hi < n):
             raise ValueError(f"region {region} not inside the grid")
     box = tuple(slice(lo, hi + 1) for lo, hi in region)
-
-    axis_weights = []
-    for (lo, hi), h in zip(region, grid.spacing):
-        w = np.ones(hi - lo + 1)
-        w[0] = w[-1] = 0.5
-        axis_weights.append(w * h)
-    vol_w = axis_weights[0]
-    for w in axis_weights[1:]:
-        vol_w = np.multiply.outer(vol_w, w)
-
-    def face_weight(axis):
-        ws = [w for j, w in enumerate(axis_weights) if j != axis]
-        if not ws:
-            return np.ones(())
-        out = ws[0]
-        for w in ws[1:]:
-            out = np.multiply.outer(out, w)
-        return out
+    counts = [hi - lo + 1 for lo, hi in region]
+    vol_w = trapezoid_weights(counts, grid.spacing)
+    face_w = [trapezoid_weights(counts[:axis] + counts[axis + 1:],
+                                grid.spacing[:axis] + grid.spacing[axis + 1:])
+              for axis in range(d)]
 
     times = trajectory.times
     mat = material
@@ -280,27 +245,19 @@ def check_energy_identity(trajectory, region, material, lam):
     for k, st in enumerate(trajectory.states):
         e, gamma, kappa = kinematics(st, scenario)
         wgt = math.exp(lam * st.t)
-        dens = _density_field(st, e, gamma, kappa, mat, lam)
-        interior[k] = wgt * float(np.sum(vol_w * dens[box]))
-        v2 = np.einsum("i...,i...->...", st.v, st.v)
-        half = 0.5 * (mat.rho * v2 + mat.rho * mat.chi * st.phidot ** 2
-                      + mat.aHeat * st.theta ** 2
-                      + 2.0 * stored_energy_field(e, gamma, st.phi, mat))
-        energy[k] = wgt * float(np.sum(vol_w * half[box]))
+        P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v, mat)
+        interior[k] = wgt * float(np.sum(vol_w * (lam * P + R)[box]))
+        energy[k] = wgt * float(np.sum(vol_w * P[box]))
 
         S, h, _, q = field_response(e, gamma, kappa, st.phi, st.theta, mat)
         total = 0.0
         for axis in range(d):
-            fw = face_weight(axis)
             for side, sign in (("min", -1.0), ("max", 1.0)):
                 ii = region[axis][0] if side == "min" else region[axis][1]
                 sel = tuple(slice(lo, hi + 1) if j != axis else ii
                             for j, (lo, hi) in enumerate(region))
-                power = (np.einsum("i...,i...->...", S[(slice(None), axis) + sel],
-                                   st.v[(slice(None),) + sel])
-                         + h[(axis,) + sel] * st.phidot[sel]
-                         - q[(axis,) + sel] * st.theta[sel] / mat.theta0)
-                total += sign * float(np.sum(fw * power))
+                power = _normal_power(S, h, q, st, axis, mat, sel=sel)
+                total += sign * float(np.sum(face_w[axis] * power))
         surf[k] = wgt * total
 
         f = scenario.source("f", st.t)

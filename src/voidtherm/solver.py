@@ -10,6 +10,13 @@ central differences with second-order one-sided stencils at boundaries;
 prescribed boundary fluxes (traction, equilibrated-stress flux, heat flux)
 are imposed by overriding the normal derivatives at the face so the nodal
 flux matches the data, which is algebraically the ghost-node construction.
+The heat-flux faces are corrected by one routine, shared by the sampled
+kinematics and the temperature rate; the mechanical update never forms the
+temperature gradient, since stress, equilibrated stress and intrinsic force
+do not depend on it.
+
+The constitutive law comes from :mod:`voidtherm.constitutive`;
+``field_response`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constitutive import energy_density_parts, entropy_field, field_response
 from .material import Material, spectrum as material_spectrum
 
 GROUPS = ("displacement", "void", "thermal")
@@ -461,9 +469,26 @@ def _grad_vector(u, grid):
     return np.stack([_grad_scalar(u[i], grid) for i in range(grid.dim)])
 
 
-def _flux_corrections(du, dphi, dtheta, phi, theta, scenario, t):
-    """Overwrite normal derivatives on flux faces so nodal fluxes match the
-    prescribed data (the ghost-node reconstruction in derivative form)."""
+def _heat_flux_faces(dtheta, scenario, t):
+    """Overwrite the normal temperature derivative on heat-flux faces so the
+    nodal heat flux matches the prescribed data."""
+    mat, d = scenario.material, scenario.grid.dim
+    for (axis, side), groups in scenario.boundary.faces.items():
+        if groups["thermal"].kind != "flux":
+            continue
+        fs = face_slice(axis, side, d)
+        sigma = -1.0 if side == "min" else 1.0
+        acc = sigma * _eval_scalar_bc(groups["thermal"], scenario, axis, side, t)
+        for s in range(d):
+            if s != axis:
+                acc = acc - mat.K[axis, s] * dtheta[(s,) + fs]
+        dtheta[(axis,) + fs] = acc / mat.K[axis, axis]
+
+
+def _flux_corrections(du, dphi, phi, theta, scenario, t):
+    """Overwrite normal displacement and void derivatives on traction and
+    equilibrated-stress flux faces so nodal fluxes match the prescribed data
+    (the ghost-node reconstruction in derivative form)."""
     mat, grid = scenario.material, scenario.grid
     d = grid.dim
     for (axis, side), groups in scenario.boundary.faces.items():
@@ -471,15 +496,6 @@ def _flux_corrections(du, dphi, dtheta, phi, theta, scenario, t):
         sigma = -1.0 if side == "min" else 1.0
         disp_flux = groups["displacement"].kind == "flux"
         void_flux = groups["void"].kind == "flux"
-        therm_flux = groups["thermal"].kind == "flux"
-
-        if therm_flux:
-            qstar = _eval_scalar_bc(groups["thermal"], scenario, axis, side, t)
-            acc = sigma * qstar
-            for s in range(d):
-                if s != axis:
-                    acc = acc - mat.K[axis, s] * dtheta[(s,) + fs]
-            dtheta[(axis,) + fs] = acc / mat.K[axis, axis]
 
         if not (disp_flux or void_flux):
             continue
@@ -534,48 +550,25 @@ def _flux_corrections(du, dphi, dtheta, phi, theta, scenario, t):
             dphi[(axis,) + fs] = sol[n_u].reshape(face_shape)
 
 
-def _kinematics_arrays(u, phi, theta, scenario, t):
+def _strain_and_void_gradient(u, phi, theta, scenario, t):
     grid = scenario.grid
     du = _grad_vector(u, grid)
     dphi = _grad_scalar(phi, grid)
-    dtheta = _grad_scalar(theta, grid)
-    _flux_corrections(du, dphi, dtheta, phi, theta, scenario, t)
-    e = 0.5 * (du + du.swapaxes(0, 1))
-    return e, dphi, dtheta
+    _flux_corrections(du, dphi, phi, theta, scenario, t)
+    return 0.5 * (du + du.swapaxes(0, 1)), dphi
+
+
+def _temperature_gradient(theta, scenario, t):
+    dtheta = _grad_scalar(theta, scenario.grid)
+    _heat_flux_faces(dtheta, scenario, t)
+    return dtheta
 
 
 def kinematics(state, scenario):
     """Strain, void gradient, temperature gradient of a state, with the
     boundary-flux corrections applied as during stepping."""
-    return _kinematics_arrays(state.u, state.phi, state.theta, scenario, state.t)
-
-
-def field_response(e, gamma, kappa, phi, theta, material):
-    """Grid-array version of the pointwise constitutive map (thermal parts
-    included, rate term excluded)."""
-    S = (np.einsum("ijrs,rs...->ij...", material.C, e)
-         + np.einsum("ijs,s...->ij...", material.D, gamma)
-         + np.multiply.outer(material.B, phi)
-         - np.multiply.outer(material.M, theta))
-    h = (np.einsum("rsi,rs...->i...", material.D, e)
-         + np.einsum("ij,j...->i...", material.A, gamma)
-         + np.multiply.outer(material.b, phi)
-         - np.multiply.outer(material.aVec, theta))
-    G = (-np.einsum("ij,ij...->...", material.B, e)
-         - np.einsum("i,i...->...", material.b, gamma)
-         - material.xi * phi + material.m * theta)
-    q = np.einsum("ij,j...->i...", material.K, kappa)
-    return S, h, G, q
-
-
-def stored_energy_field(e, gamma, phi, material):
-    """Stored energy density on the grid."""
-    return 0.5 * (np.einsum("ijrs,ij...,rs...->...", material.C, e, e)
-                  + material.xi * phi ** 2
-                  + np.einsum("ij,i...,j...->...", material.A, gamma, gamma)
-                  + 2.0 * np.einsum("ij,ij...->...", material.B, e) * phi
-                  + 2.0 * np.einsum("ijs,ij...,s...->...", material.D, e, gamma)
-                  + 2.0 * np.einsum("i,i...->...", material.b, gamma) * phi)
+    e, gamma = _strain_and_void_gradient(state.u, state.phi, state.theta, scenario, state.t)
+    return e, gamma, _temperature_gradient(state.theta, scenario, state.t)
 
 
 def _divergence(flux, grid):
@@ -587,16 +580,15 @@ def _divergence(flux, grid):
     return out
 
 
-def volume_weights(grid):
-    """Trapezoidal quadrature weights (including the cell volume)."""
-    w = np.ones(grid.counts[0])
-    w[0] = w[-1] = 0.5
-    weights = w
-    for n in grid.counts[1:]:
-        w = np.ones(n)
-        w[0] = w[-1] = 0.5
+def trapezoid_weights(counts, spacings):
+    """Trapezoidal quadrature weights on a box of nodes: the outer product of
+    one weight vector per axis, spacing included (0-d for no axes)."""
+    weights = np.ones(())
+    for n, h in zip(counts, spacings):
+        w = np.full(n, h)
+        w[0] = w[-1] = 0.5 * h
         weights = np.multiply.outer(weights, w)
-    return weights * np.prod(grid.spacing)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +623,8 @@ def _apply_dirichlet_rates(v, phidot, scenario, t):
 
 def _accelerations(u, phi, theta, phidot_lag, scenario, t, tau_sign):
     mat, grid = scenario.material, scenario.grid
-    e, gamma, kappa = _kinematics_arrays(u, phi, theta, scenario, t)
-    S, h, G, _ = field_response(e, gamma, kappa, phi, theta, mat)
+    e, gamma = _strain_and_void_gradient(u, phi, theta, scenario, t)
+    S, h, G, _ = field_response(e, gamma, None, phi, theta, mat)
     div_s = np.stack([_divergence(S[i], grid) for i in range(grid.dim)])
     div_h = _divergence(h, grid)
     g = tau_sign * mat.tau * phidot_lag + G
@@ -646,26 +638,13 @@ def _theta_rate(v, phidot, theta, scenario, t, thermal_sign):
     anti-dissipative (time-reflected) direction and +1 for the dissipative
     one."""
     mat, grid = scenario.material, scenario.grid
-    dtheta = _grad_scalar(theta, grid)
-    for (axis, side), groups in scenario.boundary.faces.items():
-        if groups["thermal"].kind != "flux":
-            continue
-        fs = face_slice(axis, side, grid.dim)
-        sigma = -1.0 if side == "min" else 1.0
-        qstar = _eval_scalar_bc(groups["thermal"], scenario, axis, side, t)
-        acc = sigma * qstar
-        for s in range(grid.dim):
-            if s != axis:
-                acc = acc - mat.K[axis, s] * dtheta[(s,) + fs]
-        dtheta[(axis,) + fs] = acc / mat.K[axis, axis]
-    q = np.einsum("ij,j...->i...", mat.K, dtheta)
+    q = np.einsum("ij,j...->i...", mat.K, _temperature_gradient(theta, scenario, t))
     div_q = _divergence(q, grid)
     dv = _grad_vector(v, grid)
     edot = 0.5 * (dv + dv.swapaxes(0, 1))
     gammadot = _grad_scalar(phidot, grid)
-    coupling = (np.einsum("ij,ij...->...", mat.M, edot)
-                + np.einsum("i,i...->...", mat.aVec, gammadot)
-                + mat.m * phidot)
+    # entropy rate without its temperature term, which is solved for
+    coupling = entropy_field(edot, gammadot, phidot, 0.0, mat)
     rsrc = scenario.source("r", t)
     return (thermal_sign * (div_q + mat.rho * rsrc) / mat.theta0 - coupling) / mat.aHeat
 
@@ -747,19 +726,17 @@ def run(scenario, n_samples=None, dissipative=False):
         nsteps = stride * math.ceil(nsteps / stride)
         dt = scenario.T / nsteps
 
-    weights = volume_weights(grid)
+    weights = trapezoid_weights(grid.counts, grid.spacing)
 
     def snapshot(t):
         return SimState(t=t, u=u.copy(), v=v.copy(), phi=phi.copy(),
                         phidot=phidot.copy(), theta=theta.copy())
 
     def plain_energy(state):
-        e, gamma, _ = kinematics(state, scenario)
-        dens = (0.5 * mat.rho * np.einsum("i...,i...->...", state.v, state.v)
-                + 0.5 * mat.rho * mat.chi * state.phidot ** 2
-                + 0.5 * mat.aHeat * state.theta ** 2
-                + stored_energy_field(e, gamma, state.phi, mat))
-        return float(np.sum(weights * dens))
+        e, gamma, kappa = kinematics(state, scenario)
+        energy, _ = energy_density_parts(e, gamma, kappa, state.phi, state.phidot,
+                                         state.theta, state.v, mat)
+        return float(np.sum(weights * energy))
 
     states = [snapshot(0.0)]
     energies = [plain_energy(states[0])]
@@ -930,9 +907,7 @@ def pde_residual(trajectory, dissipative=None, boundary_margin=0):
         edot = (e_n - e_p) / (2.0 * dt)
         gammadot = (gam_n - gam_p) / (2.0 * dt)
         thetadot = (nxt.theta - prev.theta) / (2.0 * dt)
-        rho_eta_dot = (np.einsum("ij,ij...->...", mat.M, edot)
-                       + np.einsum("i,i...->...", mat.aVec, gammadot)
-                       + mat.m * cur.phidot + mat.aHeat * thetadot)
+        rho_eta_dot = entropy_field(edot, gammadot, cur.phidot, thetadot, mat)
         res_t = div_q + mat.rho * scenario.source("r", t) - thermal_sign * mat.theta0 * rho_eta_dot
         worst["thermal"] = max(worst["thermal"], interior_max(res_t))
         # the balance is a near-cancellation; scale by the participating terms
@@ -1107,7 +1082,7 @@ def read_scenario_file(path, material=None):
     return scenario
 
 
-def write_trajectory_csv(trajectory, path, t_stride=1, node_stride=1):
+def write_trajectory_csv(trajectory, path, t_stride=1):
     """Field dump: one row per (sample time, node).
 
     Columns: t, x1..xd, u1..ud, v1..vd, phi, phidot, theta; 17 significant
@@ -1116,16 +1091,15 @@ def write_trajectory_csv(trajectory, path, t_stride=1, node_stride=1):
     grid = trajectory.scenario.grid
     d = grid.dim
     X = [x.ravel() for x in trajectory.scenario.mesh()]
-    sel = np.arange(0, X[0].size, node_stride)
     header = (["t"] + [f"x{i+1}" for i in range(d)] + [f"u{i+1}" for i in range(d)]
               + [f"v{i+1}" for i in range(d)] + ["phi", "phidot", "theta"])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for st in trajectory.states[::t_stride]:
-            cols = ([np.full(sel.size, st.t)] + [x[sel] for x in X]
-                    + [st.u[i].ravel()[sel] for i in range(d)]
-                    + [st.v[i].ravel()[sel] for i in range(d)]
-                    + [st.phi.ravel()[sel], st.phidot.ravel()[sel], st.theta.ravel()[sel]])
+            cols = ([np.full(X[0].size, st.t)] + X
+                    + [st.u[i].ravel() for i in range(d)]
+                    + [st.v[i].ravel() for i in range(d)]
+                    + [st.phi.ravel(), st.phidot.ravel(), st.theta.ravel()])
             block = np.column_stack(cols)
             for row in block:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -184,3 +184,48 @@ def test_verify_decay_refinement_study(workdir, tmp_path):
     study = summary["refinement"]
     assert len(study["residuals"]) == 2
     assert study["residuals"][1] < study["residuals"][0]
+
+
+def _asymmetric_k(workdir):
+    m = vt.Material(dim=2, C=np.einsum("ir,js->ijrs", np.eye(2), np.eye(2)),
+                    A=np.eye(2), K=np.eye(2), rho=1.0, chi=1.0, aHeat=1.0,
+                    theta0=1.0, xi=1.0)
+    path = workdir / "asym.mat"
+    vt.write_material_file(m, path)
+    path.write_text(path.read_text().replace("K = 1 0 0 1", "K = 1 0.5 0 1"))
+
+
+def _huge_pulse(workdir):
+    (workdir / "huge.scn").write_text(
+        PULSE_FILE.format(nodes=161).replace("amplitude=0.01", "amplitude=1e307"))
+
+
+# (command line with {d} for the work directory, input set-up, exit code,
+# text the report must contain)
+MALFORMED = [
+    ("check-material --material {d}/none.mat", None, 1, "FileNotFoundError"),
+    ("spectrum --material {d}/none.mat", None, 1, "FileNotFoundError"),
+    ("simulate --scenario {d}/none.scn --out {d}/o", None, 1, "FileNotFoundError"),
+    ("verify-decay --scenario {d}/none.scn --out {d}/o", None, 1, "FileNotFoundError"),
+    ("sweep-lambda --material {d}/none.mat", None, 1, "FileNotFoundError"),
+    ("sweep-lambda --material {d}/ref.mat --scenario {d}/none.scn", None, 1,
+     "FileNotFoundError"),
+    ("simulate --scenario {d}/huge.scn --out {d}/o", _huge_pulse, 1, "NonFiniteField"),
+    ("verify-decay --scenario {d}/huge.scn --out {d}/o", _huge_pulse, 1, "NonFiniteField"),
+    ("sweep-lambda --material {d}/ref.mat --lambda 8 --scenario {d}/huge.scn", _huge_pulse, 1,
+     "NonFiniteField"),
+    ("spectrum --material {d}/asym.mat", _asymmetric_k, 1, "K symmetry"),
+    ("sweep-lambda --material {d}/ref.mat --lambda 0,-1", None, 1, "must be positive"),
+]
+
+
+@pytest.mark.parametrize("command, setup, code, report", MALFORMED,
+                         ids=[f"{row[0].split()[0]}-{i}" for i, row in enumerate(MALFORMED)])
+def test_malformed_input_exit_codes(workdir, capsys, command, setup, code, report):
+    if setup is not None:
+        setup(workdir)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(command.format(d=workdir).split()) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert report in out + err

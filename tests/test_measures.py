@@ -6,7 +6,7 @@ import pytest
 import voidtherm as vt
 from voidtherm import constitutive as cn
 from voidtherm import presets
-from voidtherm.measures import MeasureSeries, _density_field
+from voidtherm.measures import MeasureSeries
 from voidtherm.mms import manufactured_scenario
 from voidtherm.solver import SimState, Trajectory, kinematics
 
@@ -29,16 +29,36 @@ def test_density_nonnegative_for_admissible_material(rng):
         assert vt.weighted_energy_density(st, udot, m, 2.0) >= -1e-12
 
 
-def test_density_field_matches_pointwise(pulse_trajectory, pulse_scenario, rng):
-    mat = pulse_scenario.material
-    st = pulse_trajectory.states[len(pulse_trajectory.states) // 2]
-    e, gamma, kappa = kinematics(st, pulse_scenario)
-    dens = _density_field(st, e, gamma, kappa, mat, 8.0)
-    for idx in rng.integers(0, st.phi.size, size=12):
-        point = cn.PointState(e=e[:, :, idx], gamma=gamma[:, idx], kappa=kappa[:, idx],
-                              phi=st.phi[idx], phidot=st.phidot[idx], theta=st.theta[idx])
-        direct = vt.weighted_energy_density(point, st.v[:, idx], mat, 8.0)
-        assert dens[idx] == pytest.approx(direct, rel=1e-12, abs=1e-300)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_density_field_matches_quadratic_form(dim, rng):
+    # grid density of a random state against 0.5*lam*(... + z^T Q z) + ...,
+    # with Q assembled independently of the constitutive kernel
+    from voidtherm.constitutive import energy_density_parts
+    from voidtherm.solver import BoundaryPartition, Grid, Scenario
+
+    mat = vt.random_material(dim, rng)
+    grid = Grid(extents=(1.0,) * dim, counts=(7,) * dim)
+    scen = Scenario(grid=grid, material=mat, boundary=BoundaryPartition.all_dirichlet_zero(dim),
+                    dt=0.01, T=0.1, support_x0=1.0)
+    shape = grid.counts
+    st = SimState(t=0.0, u=rng.normal(size=(dim,) + shape), v=rng.normal(size=(dim,) + shape),
+                  phi=rng.normal(size=shape), phidot=rng.normal(size=shape),
+                  theta=rng.normal(size=shape))
+    lam = 3.7
+    e, gamma, kappa = kinematics(st, scen)
+    P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v, mat)
+    dens = lam * P + R
+    Q = vt.assemble_quadratic_form(mat)
+    for flat in rng.integers(0, st.phi.size, size=12):
+        idx = np.unravel_index(flat, shape)
+        z = cn.KinematicVector(E=e[(slice(None), slice(None)) + idx],
+                               pi=gamma[(slice(None),) + idx], psi=st.phi[idx],
+                               chi1=math.sqrt(mat.chi)).scaled_coords()
+        v, k = st.v[(slice(None),) + idx], kappa[(slice(None),) + idx]
+        oracle = (0.5 * lam * (mat.rho * v @ v + mat.rho * mat.chi * st.phidot[idx] ** 2
+                               + mat.aHeat * st.theta[idx] ** 2 + z @ Q @ z)
+                  + mat.tau * st.phidot[idx] ** 2 + k @ mat.K @ k / mat.theta0)
+        assert dens[idx] == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
