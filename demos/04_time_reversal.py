@@ -14,7 +14,7 @@ import voidtherm as vt
 from voidtherm import presets
 
 scen = presets.insulated_relaxation_scenario(nodes=201, T=0.4)
-fwd = vt.run_dissipative(scen, n_samples=161)
+fwd = vt.run(scen, n_samples=161, dissipative=True)
 print(f"dissipative run: {fwd.log['nsteps']} steps")
 print(f"  total energy  t=0: {fwd.log['energy'][0]:.6e}")
 print(f"  total energy  t=T: {fwd.log['energy'][-1]:.6e}  (decays)")
@@ -45,7 +45,7 @@ bump = vt.CosineBump(amplitude=0.05, center=(0.6,), width=0.15)
 heat = Scenario(grid=Grid(extents=(1.25,), counts=(201,)), material=cond,
                 boundary=BoundaryPartition.all_dirichlet_zero(1), dt="auto", T=0.4,
                 support_x0=1.25, initial={"theta": bump}, label="conduction")
-damped = vt.run_dissipative(heat, n_samples=81)
+damped = vt.run(heat, n_samples=81, dissipative=True)
 grown = vt.run(heat, n_samples=81)
 print("\nconduction-only temperature bump, both time directions:")
 print(f"  dissipative      {damped.log['energy'][0]:.6e} -> {damped.log['energy'][-1]:.6e}"

@@ -336,8 +336,17 @@ def cmd_selftest(args):
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with the invalid-input code: argparse's own code 2
+    is the infeasible-window code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="voidtherm", description=__doc__)
+    p = _ArgumentParser(prog="voidtherm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("check-material", help="validate a material file and print its spectrum")
@@ -380,7 +389,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (EXIT_INVALID)
+        return exc.code
     try:
         return args.func(args)
     except Exception as exc:

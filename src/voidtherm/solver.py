@@ -10,10 +10,16 @@ central differences with second-order one-sided stencils at boundaries;
 prescribed boundary fluxes (traction, equilibrated-stress flux, heat flux)
 are imposed by overriding the normal derivatives at the face so the nodal
 flux matches the data, which is algebraically the ghost-node construction.
-The heat-flux faces are corrected by one routine, shared by the sampled
-kinematics and the temperature rate; the mechanical update never forms the
-temperature gradient, since stress, equilibrated stress and intrinsic force
-do not depend on it.
+On a face with normal axis a, traction and equilibrated-stress flux are
+one linear solve: the face flux (S[:, a], h[a]) comes from the constitutive
+kernel, and the normal-flux matrix
+N = [[C[:, a, :, a], D[:, a, a]], [D[:, a, a]^T, A[a, a]]], restricted to
+the rows and columns of the groups that carry flux data, serves every
+combination.  The heat-flux faces have a routine of their own, shared by the
+sampled kinematics and the temperature rate; the mechanical update never
+forms the temperature gradient, since stress, equilibrated stress and
+intrinsic force do not depend on it.  One routine reads face data and one
+writes Dirichlet data.
 
 The constitutive law comes from :mod:`voidtherm.constitutive`;
 ``field_response`` is re-exported here.
@@ -225,36 +231,26 @@ class BoundaryPartition:
         return errors
 
 
-def _face_coords(scenario, axis, side):
-    fs = face_slice(axis, side, scenario.grid.dim)
-    return tuple(Xi[fs] for Xi in scenario.mesh())
-
-
-def _face_shape(grid, axis):
-    return tuple(n for j, n in enumerate(grid.counts) if j != axis)
-
-
-def _eval_vector_bc(bc, scenario, axis, side, t, rate=False):
-    d = scenario.grid.dim
-    shape = _face_shape(scenario.grid, axis)
+def _face_data(scenario, face, group, t, rate=False):
+    """Boundary data of one group on one face at time t (``rate=True``: its
+    time derivative), shaped like the face nodes of the group's field:
+    (d, *face) for the displacement, (*face) otherwise."""
+    axis, side = face
+    bc = scenario.boundary.faces[face][group]
+    grid = scenario.grid
+    shape = tuple(n for j, n in enumerate(grid.counts) if j != axis)
+    if group == "displacement":
+        shape = (grid.dim,) + shape
     if bc.fielddata is not None:
         fn = bc.fielddata.rate if rate else bc.fielddata.value
-        out = np.asarray(fn(_face_coords(scenario, axis, side), t), dtype=float)
-        return np.broadcast_to(out, (d,) + shape).copy()
-    out = np.zeros((d,) + shape)
+        coords = tuple(Xi[face_slice(axis, side, grid.dim)] for Xi in scenario.mesh())
+        return np.broadcast_to(np.asarray(fn(coords, t), dtype=float), shape)
     s = bc.signal.rate(t) if rate else bc.signal.value(t)
+    if group != "displacement":
+        return np.full(shape, s)
+    out = np.zeros(shape)
     out[bc.axis] = s
     return out
-
-
-def _eval_scalar_bc(bc, scenario, axis, side, t, rate=False):
-    shape = _face_shape(scenario.grid, axis)
-    if bc.fielddata is not None:
-        fn = bc.fielddata.rate if rate else bc.fielddata.value
-        out = np.asarray(fn(_face_coords(scenario, axis, side), t), dtype=float)
-        return np.broadcast_to(out, shape).copy()
-    s = bc.signal.rate(t) if rate else bc.signal.value(t)
-    return np.full(shape, s)
 
 
 # ---------------------------------------------------------------------------
@@ -397,35 +393,25 @@ def validate_scenario(scenario):
                 if bc.fielddata is None:
                     errors.append(
                         f"face ({axis}, {side}) carries nonzero '{g}' data outside the support slab")
-                else:
-                    worst = 0.0
-                    for t in (0.0, 0.5 * scenario.T, scenario.T):
-                        vals = bc.fielddata.value(_face_coords(scenario, axis, side), float(t))
-                        worst = max(worst, float(np.abs(np.asarray(vals)).max()))
-                    if worst > 1e-14:
-                        errors.append(
-                            f"face ({axis}, {side}) '{g}' field data nonzero outside the support slab")
+                    continue
+                worst = max(float(np.abs(_face_data(scenario, (axis, side), g, float(t))).max())
+                            for t in (0.0, 0.5 * scenario.T, scenario.T))
+                if worst > 1e-14:
+                    errors.append(
+                        f"face ({axis}, {side}) '{g}' field data nonzero outside the support slab")
 
     # zero-jet compatibility at t = 0 (warn only; corners are not rejected)
     if not errors:
         u0, v0, phi0, pdot0, theta0 = initial_arrays(scenario)
         for (axis, side), groups in scenario.boundary.faces.items():
-            fs = face_slice(axis, side, scenario.grid.dim)
-            checks = []
-            if groups["displacement"].kind == "dirichlet":
-                bc_val = _eval_vector_bc(groups["displacement"], scenario, axis, side, 0.0)
-                checks.append(("u", float(np.abs(u0[(slice(None),) + fs] - bc_val).max())))
-            if groups["void"].kind == "dirichlet":
-                bc_val = _eval_scalar_bc(groups["void"], scenario, axis, side, 0.0)
-                checks.append(("phi", float(np.abs(phi0[fs] - bc_val).max())))
-            if groups["thermal"].kind == "dirichlet":
-                bc_val = _eval_scalar_bc(groups["thermal"], scenario, axis, side, 0.0)
-                checks.append(("theta", float(np.abs(theta0[fs] - bc_val).max())))
-            for name, gap in checks:
+            fs = (Ellipsis,) + face_slice(axis, side, scenario.grid.dim)
+            for g, name, arr in zip(GROUPS, ("u", "phi", "theta"), (u0, phi0, theta0)):
+                if groups[g].kind != "dirichlet":
+                    continue
+                gap = float(np.abs(arr[fs] - _face_data(scenario, (axis, side), g, 0.0)).max())
                 if gap > 1e-12:
-                    warnings.append(
-                        f"face ({axis}, {side}): initial '{name}' and boundary data "
-                        f"disagree at t=0 by {gap:.3e}")
+                    warnings.append(f"face ({axis}, {side}): initial '{name}' and boundary data "
+                                    f"disagree at t=0 by {gap:.3e}")
     return errors, warnings
 
 
@@ -478,7 +464,7 @@ def _heat_flux_faces(dtheta, scenario, t):
             continue
         fs = face_slice(axis, side, d)
         sigma = -1.0 if side == "min" else 1.0
-        acc = sigma * _eval_scalar_bc(groups["thermal"], scenario, axis, side, t)
+        acc = sigma * _face_data(scenario, (axis, side), "thermal", t)
         for s in range(d):
             if s != axis:
                 acc = acc - mat.K[axis, s] * dtheta[(s,) + fs]
@@ -487,67 +473,39 @@ def _heat_flux_faces(dtheta, scenario, t):
 
 def _flux_corrections(du, dphi, phi, theta, scenario, t):
     """Overwrite normal displacement and void derivatives on traction and
-    equilibrated-stress flux faces so nodal fluxes match the prescribed data
-    (the ghost-node reconstruction in derivative form)."""
-    mat, grid = scenario.material, scenario.grid
-    d = grid.dim
+    equilibrated-stress flux faces so the nodal face flux (S n, h.n) matches
+    the prescribed data (the ghost-node reconstruction in derivative form).
+
+    The face flux is affine in the normal derivatives x = (du[:, a], dphi[a])
+    with the normal-flux matrix N; the rows of the flux groups are solved
+    for their own entries of x, the other entries are kept."""
+    mat, d = scenario.material, scenario.grid.dim
+    rows = ("displacement",) * d + ("void",)
     for (axis, side), groups in scenario.boundary.faces.items():
-        fs = face_slice(axis, side, d)
-        sigma = -1.0 if side == "min" else 1.0
-        disp_flux = groups["displacement"].kind == "flux"
-        void_flux = groups["void"].kind == "flux"
-
-        if not (disp_flux or void_flux):
+        flux_groups = [g for g in ("displacement", "void") if groups[g].kind == "flux"]
+        if not flux_groups:
             continue
-
-        du_face = du[(slice(None), slice(None)) + fs]          # (d, d, *face)
-        dphi_face = dphi[(slice(None),) + fs]                  # (d, *face)
-        phi_face, theta_face = phi[fs], theta[fs]
-        lam_block = mat.C[:, axis, :, axis]                    # traction vs normal grads
-        dvec = mat.D[:, axis, axis]                            # cross coupling
-        a_nn = mat.A[axis, axis]
-
-        n_u = d if disp_flux else 0
-        n_all = n_u + (1 if void_flux else 0)
-        system = np.zeros((n_all, n_all))
-        rhs_rows = []
-        if disp_flux:
-            system[:d, :d] = lam_block
-            if void_flux:
-                system[:d, d] = dvec
-            sstar = _eval_vector_bc(groups["displacement"], scenario, axis, side, t)
-            s_cur = (np.einsum("irs,rs...->i...", mat.C[:, axis], du_face)
-                     + np.einsum("is,s...->i...", mat.D[:, axis, :], dphi_face)
-                     + np.multiply.outer(mat.B[:, axis], phi_face)
-                     - np.multiply.outer(mat.M[:, axis], theta_face))
-            unknown_cur = np.einsum("ir,r...->i...", lam_block, du_face[:, axis])
-            if void_flux:
-                unknown_cur = unknown_cur + np.multiply.outer(dvec, dphi_face[axis])
-            for i in range(d):
-                rhs_rows.append(sigma * sstar[i] - s_cur[i] + unknown_cur[i])
-        if void_flux:
-            if disp_flux:
-                system[d, :d] = dvec
-                system[d, d] = a_nn
-            else:
-                system[0, 0] = a_nn
-            hstar = _eval_scalar_bc(groups["void"], scenario, axis, side, t)
-            h_cur = (np.einsum("rs,rs...->...", mat.D[:, :, axis], du_face)
-                     + np.einsum("j,j...->...", mat.A[axis], dphi_face)
-                     + mat.b[axis] * phi_face - mat.aVec[axis] * theta_face)
-            unknown_cur = a_nn * dphi_face[axis]
-            if disp_flux:
-                unknown_cur = unknown_cur + np.einsum("r,r...->...", dvec, du_face[:, axis])
-            rhs_rows.append(sigma * hstar - h_cur + unknown_cur)
-
-        face_shape = np.shape(rhs_rows[0])
-        rhs = np.stack([np.ravel(row) for row in rhs_rows])
-        sol = np.linalg.solve(system, rhs)
-        if disp_flux:
-            for r in range(d):
-                du[(r, axis) + fs] = sol[r].reshape(face_shape)
-        if void_flux:
-            dphi[(axis,) + fs] = sol[n_u].reshape(face_shape)
+        sel = [r for r, g in enumerate(rows) if g in flux_groups]
+        fs = face_slice(axis, side, d)
+        du_face = du[(slice(None), slice(None)) + fs]
+        dphi_face = dphi[(slice(None),) + fs]
+        S, h, _, _ = field_response(0.5 * (du_face + du_face.swapaxes(0, 1)), dphi_face,
+                                    None, phi[fs], theta[fs], mat)
+        N = np.empty((d + 1, d + 1))
+        N[:d, :d] = mat.C[:, axis, :, axis]
+        N[:d, d] = N[d, :d] = mat.D[:, axis, axis]
+        N[d, d] = mat.A[axis, axis]
+        sigma = -1.0 if side == "min" else 1.0
+        face_shape = np.shape(phi[fs])
+        data = np.concatenate([
+            np.reshape(_face_data(scenario, (axis, side), g, t), (-1,) + face_shape)
+            for g in flux_groups])
+        resid = sigma * data - np.concatenate([S[:, axis], h[axis][None]])[sel]
+        x = np.concatenate([du_face[:, axis], dphi_face[axis][None]])
+        x[sel] += np.linalg.solve(N[np.ix_(sel, sel)],
+                                  resid.reshape(len(sel), -1)).reshape(resid.shape)
+        du[(slice(None), axis) + fs] = x[:d]
+        dphi[(axis,) + fs] = x[d]
 
 
 def _strain_and_void_gradient(u, phi, theta, scenario, t):
@@ -595,30 +553,15 @@ def trapezoid_weights(counts, spacings):
 # Time stepping
 
 
-def _apply_dirichlet_positions(u, phi, scenario, t):
+def _apply_dirichlet(scenario, t, fields, rate=False):
+    """Write the Dirichlet data at time t (``rate=True``: its time
+    derivative) into the face nodes of ``fields``, a dict from group name to
+    that group's nodal array."""
     for (axis, side), groups in scenario.boundary.faces.items():
-        fs = face_slice(axis, side, scenario.grid.dim)
-        if groups["displacement"].kind == "dirichlet":
-            u[(slice(None),) + fs] = _eval_vector_bc(groups["displacement"], scenario, axis, side, t)
-        if groups["void"].kind == "dirichlet":
-            phi[fs] = _eval_scalar_bc(groups["void"], scenario, axis, side, t)
-
-
-def _apply_dirichlet_theta(theta, scenario, t):
-    for (axis, side), groups in scenario.boundary.faces.items():
-        if groups["thermal"].kind == "dirichlet":
-            fs = face_slice(axis, side, scenario.grid.dim)
-            theta[fs] = _eval_scalar_bc(groups["thermal"], scenario, axis, side, t)
-
-
-def _apply_dirichlet_rates(v, phidot, scenario, t):
-    for (axis, side), groups in scenario.boundary.faces.items():
-        fs = face_slice(axis, side, scenario.grid.dim)
-        if groups["displacement"].kind == "dirichlet":
-            v[(slice(None),) + fs] = _eval_vector_bc(groups["displacement"], scenario, axis, side, t,
-                                                     rate=True)
-        if groups["void"].kind == "dirichlet":
-            phidot[fs] = _eval_scalar_bc(groups["void"], scenario, axis, side, t, rate=True)
+        fs = (Ellipsis,) + face_slice(axis, side, scenario.grid.dim)
+        for g, arr in fields.items():
+            if groups[g].kind == "dirichlet":
+                arr[fs] = _face_data(scenario, (axis, side), g, t, rate)
 
 
 def _accelerations(u, phi, theta, phidot_lag, scenario, t, tau_sign):
@@ -658,19 +601,19 @@ def _advance(t, u, v, phi, phidot, theta, acc_u, acc_p, scenario, dt, dissipativ
     pdot_half = phidot + 0.5 * dt * acc_p
     u1 = u + dt * v_half
     phi1 = phi + dt * pdot_half
-    _apply_dirichlet_positions(u1, phi1, scenario, t1)
+    _apply_dirichlet(scenario, t1, {"displacement": u1, "void": phi1})
 
     tdot0 = _theta_rate(v, phidot, theta, scenario, t, thermal_sign)
     theta_half = theta + 0.5 * dt * tdot0
-    _apply_dirichlet_theta(theta_half, scenario, t_half)
+    _apply_dirichlet(scenario, t_half, {"thermal": theta_half})
     tdot_half = _theta_rate(v_half, pdot_half, theta_half, scenario, t_half, thermal_sign)
     theta1 = theta + dt * tdot_half
-    _apply_dirichlet_theta(theta1, scenario, t1)
+    _apply_dirichlet(scenario, t1, {"thermal": theta1})
 
     acc_u1, acc_p1 = _accelerations(u1, phi1, theta1, pdot_half, scenario, t1, tau_sign)
     v1 = v_half + 0.5 * dt * acc_u1
     pdot1 = pdot_half + 0.5 * dt * acc_p1
-    _apply_dirichlet_rates(v1, pdot1, scenario, t1)
+    _apply_dirichlet(scenario, t1, {"displacement": v1, "void": pdot1}, rate=True)
     return u1, v1, phi1, pdot1, theta1, acc_u1, acc_p1
 
 
@@ -710,9 +653,8 @@ def run(scenario, n_samples=None, dissipative=False):
 
     mat, grid = scenario.material, scenario.grid
     u, v, phi, phidot, theta = initial_arrays(scenario)
-    _apply_dirichlet_positions(u, phi, scenario, 0.0)
-    _apply_dirichlet_theta(theta, scenario, 0.0)
-    _apply_dirichlet_rates(v, phidot, scenario, 0.0)
+    _apply_dirichlet(scenario, 0.0, {"displacement": u, "void": phi, "thermal": theta})
+    _apply_dirichlet(scenario, 0.0, {"displacement": v, "void": phidot}, rate=True)
 
     if scenario.T <= 0.0:
         nsteps = 0
@@ -764,12 +706,6 @@ def run(scenario, n_samples=None, dissipative=False):
            "warnings": warnings}
     return Trajectory(scenario=scenario, times=times, states=states, log=log,
                       dissipative=dissipative)
-
-
-def run_dissipative(scenario, n_samples=None):
-    """Integrate with the standard dissipative signs (for the time-reversal
-    construction)."""
-    return run(scenario, n_samples=n_samples, dissipative=True)
 
 
 def stability_budget(scenario, enforce=True):
@@ -847,20 +783,19 @@ def reverse_time(trajectory):
                       dissipative=not trajectory.dissipative)
 
 
-def pde_residual(trajectory, dissipative=None, boundary_margin=0):
+def pde_residual(trajectory, boundary_margin=0):
     """Max-norm residuals of the three balance equations on the sampled
     trajectory (centred time differences at interior samples), relative to
-    the magnitude of the participating terms.
+    the magnitude of the participating terms, with the signs of the
+    trajectory's own time direction.
 
     ``boundary_margin`` drops that many node layers per side before taking
     the max: the two outermost layers see composed one-sided stencils whose
     truncation is one order lower, while the interior is uniformly second
     order.
     """
-    if dissipative is None:
-        dissipative = trajectory.dissipative
-    thermal_sign = 1.0 if dissipative else -1.0
-    tau_sign = -1.0 if dissipative else 1.0
+    thermal_sign = 1.0 if trajectory.dissipative else -1.0
+    tau_sign = -1.0 if trajectory.dissipative else 1.0
     scenario = trajectory.scenario
     mat, grid = scenario.material, scenario.grid
     times, states = trajectory.times, trajectory.states

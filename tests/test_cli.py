@@ -216,6 +216,8 @@ MALFORMED = [
      "NonFiniteField"),
     ("spectrum --material {d}/asym.mat", _asymmetric_k, 1, "K symmetry"),
     ("sweep-lambda --material {d}/ref.mat --lambda 0,-1", None, 1, "must be positive"),
+    ("simulate", None, 1, "the following arguments are required: --scenario"),
+    ("verify-decay --scenario {d}/pulse.scn --r0 abc", None, 1, "invalid float value: 'abc'"),
 ]
 
 
@@ -229,3 +231,8 @@ def test_malformed_input_exit_codes(workdir, capsys, command, setup, code, repor
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert report in out + err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["simulate", "--help"]) == 0
+    assert "usage: voidtherm simulate" in capsys.readouterr().out

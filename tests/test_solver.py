@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ import voidtherm as vt
 from voidtherm import presets
 from voidtherm.mms import manufactured_scenario, static_equilibrium_scenario
 from voidtherm.solver import (BoundaryCondition, BoundaryPartition, SimState,
-                              Trajectory, initial_arrays, validate_scenario)
+                              Trajectory, face_slice, initial_arrays, validate_scenario)
 
 
 def quiet_scenario(nodes=41, T=0.05, material=None, length=1.25):
@@ -204,7 +206,7 @@ def test_manufactured_truncation_residual_order():
                            phi=exact.phi(X, float(t)), phidot=exact.phidot(X, float(t)),
                            theta=exact.theta(X, float(t))) for t in times]
         traj = Trajectory(scenario=scen, times=times, states=states)
-        vals.append(vt.pde_residual(traj, dissipative=False, boundary_margin=2))
+        vals.append(vt.pde_residual(traj, boundary_margin=2))
     for key in ("momentum", "void", "thermal"):
         ratio = vals[0][key] / vals[1][key]
         assert 3.5 <= ratio <= 4.5, (key, ratio)
@@ -238,6 +240,70 @@ def test_manufactured_2d_smoke():
         traj = vt.run(scen, n_samples=3)
         errs.append(exact.errors(traj.states[-1], scen))
     assert errs[0]["u"] / errs[1]["u"] == pytest.approx(4.0, abs=1.2)
+
+
+def exact_face_flux(profiles, mat, face, group, order):
+    """Face data sigma * (S n, h.n or q.n) of the manufactured fields on one
+    face (time derivative ``order``), from their exact gradients through
+    ``field_response``."""
+    import sympy as sp
+
+    from voidtherm.mms import TIME, space_symbols
+
+    u, phi, theta = profiles
+    xs = tuple(np.atleast_1d(space_symbols(mat.dim)))
+
+    def field(expr):
+        fn = sp.lambdify((*xs, TIME), sp.diff(expr, TIME, order))
+        return lambda X, t: np.broadcast_to(np.asarray(fn(*X, t), dtype=float), np.shape(X[0]))
+
+    du = [[field(sp.diff(ui, x)) for x in xs] for ui in u]
+    gamma, kappa = ([field(sp.diff(f, x)) for x in xs] for f in (phi, theta))
+    phi_t, theta_t = field(phi), field(theta)
+    axis, side = face
+    sigma = -1.0 if side == "min" else 1.0
+
+    def value(X, t):
+        grad = np.array([[f(X, t) for f in row] for row in du])
+        S, h, _, q = vt.solver.field_response(
+            0.5 * (grad + grad.swapaxes(0, 1)), np.array([f(X, t) for f in gamma]),
+            np.array([f(X, t) for f in kappa]), phi_t(X, t), theta_t(X, t), mat)
+        return sigma * {"displacement": S[:, axis], "void": h[axis], "thermal": q[axis]}[group]
+
+    return value
+
+
+@pytest.mark.parametrize("dim, nodes, T, faces", [
+    (1, (101, 201, 401), 0.4, [(0, "max")]),
+    (2, (33, 65), 0.15, [(1, "min"), (1, "max")]),
+])
+def test_manufactured_flux_faces_convergence_order(dim, nodes, T, faces, rng):
+    # flux data in all three groups on the given faces, read off the exact
+    # fields; a random material with small conductivity keeps every coupling
+    # block active (D, B, b, M, aVec) inside the stability budget
+    base = vt.random_material(dim, rng)
+    mat = dataclasses.replace(base, K=1e-6 * base.K)
+    profiles = presets.mms_profiles_1d() if dim == 1 else presets.mms_profiles_2d()
+    errs = []
+    for n in nodes:
+        grid = vt.Grid(extents=(1.0,) * dim, counts=(n,) * dim)
+        scen, exact = manufactured_scenario(*profiles, grid, mat, T=T)
+        for face in faces:
+            for g in vt.solver.GROUPS:
+                scen.boundary.faces[face][g] = BoundaryCondition("flux", fielddata=vt.FieldData(
+                    value=exact_face_flux(profiles, mat, face, g, 0),
+                    rate=exact_face_flux(profiles, mat, face, g, 1)))
+        last = vt.run(scen, n_samples=3).states[-1]
+        # two node layers in: the outer layers see composed one-sided
+        # stencils, whose max-norm ratios are not yet asymptotic at these sizes
+        core = (Ellipsis,) + (slice(2, -2),) * dim
+        X = scen.mesh()
+        errs.append({key: np.abs((getattr(last, attr) - getattr(exact, key)(X, last.t))[core]).max()
+                     for key, attr in (("u", "u"), ("udot", "v"), ("phi", "phi"),
+                                       ("phidot", "phidot"))})
+    for coarse, fine in zip(errs, errs[1:]):
+        for key in coarse:
+            assert 3.5 <= coarse[key] / fine[key] <= 4.5, (key, coarse[key] / fine[key])
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +340,55 @@ def test_heat_flux_boundary_balance():
     scen = vt.Scenario(grid=vt.Grid(extents=(1.0,), counts=(41,)), material=m,
                        boundary=BoundaryPartition(faces=faces), dt="auto", T=0.5,
                        support_x0=1.0)
-    traj = vt.run_dissipative(scen, n_samples=11)
+    traj = vt.run(scen, n_samples=11, dissipative=True)
     last = traj.states[-1]
     _, _, kappa = vt.kinematics(last, scen)
     qstar = vt.RaisedCosinePulse(amplitude=0.01, t_end=4.0).value(last.t)
     assert m.K[0, 0] * kappa[0, -1] == pytest.approx(qstar, rel=1e-9)
     assert traj.log["growth_factor"] > 1e3  # cap waived for the damped direction
     assert last.theta.max() > 0.0
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_face_flux_balance_every_combination(dim):
+    # on every flux face the nodal normal flux of the corrected kinematics
+    # equals the data: sigma S[:, a] = traction, sigma h[a] = void flux,
+    # sigma q[a] = heat flux (sigma = -1 on min faces); checked off edges and
+    # corners, where a second face's correction takes over
+    rng = np.random.default_rng(7 + dim)
+    mat = vt.random_material(dim, rng)
+    grid = vt.Grid(extents=(1.0,) * dim, counts=(7, 6, 5)[:dim])
+    X = grid.mesh()
+    state = SimState(t=0.3, u=rng.normal(size=(dim,) + grid.counts),
+                     v=np.zeros((dim,) + grid.counts), phi=rng.normal(size=grid.counts),
+                     phidot=np.zeros(grid.counts), theta=rng.normal(size=grid.counts))
+    for kinds in itertools.product(("dirichlet", "flux"), repeat=3):
+        faces, data = {}, {}
+        for axis in range(dim):
+            for side in ("min", "max"):
+                face_shape = X[0][face_slice(axis, side, dim)].shape
+                faces[(axis, side)] = {}
+                for g, kind, size in zip(vt.solver.GROUPS, kinds, ((dim,), (), ())):
+                    values = rng.normal(size=size + face_shape)
+                    data[(axis, side, g)] = values
+                    faces[(axis, side)][g] = BoundaryCondition(kind, fielddata=vt.FieldData(
+                        value=lambda X, t, a=values: a, rate=lambda X, t, a=values: 0.0 * a))
+        scen = vt.Scenario(grid=grid, material=mat, boundary=BoundaryPartition(faces=faces),
+                           dt="auto", T=1.0, support_x0=1.0)
+        e, gamma, kappa = vt.kinematics(state, scen)
+        S, h, _, q = vt.solver.field_response(e, gamma, kappa, state.phi, state.theta, mat)
+        for (axis, side), groups in faces.items():
+            sigma = -1.0 if side == "min" else 1.0
+            inner = face_slice(axis, side, dim)
+            inner = tuple(slice(1, -1) if j != axis else ix for j, ix in enumerate(inner))
+            flux = {"displacement": S[(slice(None), axis) + inner],
+                    "void": h[(axis,) + inner], "thermal": q[(axis,) + inner]}
+            for g, bc in groups.items():
+                if bc.kind != "flux":
+                    continue
+                want = data[(axis, side, g)][(Ellipsis,) + (slice(1, -1),) * (dim - 1)]
+                gap = np.abs(sigma * flux[g] - want).max() / np.abs(want).max()
+                assert gap <= 1e-12, (kinds, axis, side, g, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +432,7 @@ def test_incompatible_corner_data_is_flagged_not_rejected():
 
 def test_reversal_is_involution():
     scen = presets.insulated_relaxation_scenario(nodes=101, T=0.2)
-    fwd = vt.run_dissipative(scen, n_samples=21)
+    fwd = vt.run(scen, n_samples=21, dissipative=True)
     back = vt.reverse_time(vt.reverse_time(fwd))
     for a, b in zip(fwd.states, back.states):
         assert np.array_equal(a.u, b.u)
@@ -343,7 +451,7 @@ def test_constant_trajectory_is_reversal_fixed_point():
 
 def test_reversed_run_solves_the_antidissipative_equations():
     scen = presets.insulated_relaxation_scenario(nodes=151, T=0.3)
-    fwd = vt.run_dissipative(scen, n_samples=61)
+    fwd = vt.run(scen, n_samples=61, dissipative=True)
     res_fwd = vt.pde_residual(fwd)  # dissipative residual of the forward run
     rev = vt.reverse_time(fwd)
     assert rev.dissipative is False
