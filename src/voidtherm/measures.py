@@ -20,7 +20,7 @@ import numpy as np
 
 from .constitutive import TOLERANCES, energy_density_parts, field_response
 from .material import spectrum as material_spectrum, zeta_of_lambda
-from .solver import kinematics, trapezoid_weights
+from .solver import _Operator, trapezoid_weights
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,9 @@ def compute_measure(trajectory, geometry, material, lam):
     nt, n1 = len(times), grid.counts[0]
     prof = np.empty((nt, n1))
     lateral = _lateral_weights(grid)
+    kinematics = _Operator(scenario).kinematics
     for k, st in enumerate(trajectory.states):
-        e, gamma, kappa = kinematics(st, scenario)
+        e, gamma, kappa = kinematics(st)
         P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v,
                                     material)
         prof[k] = np.tensordot(lam * P + R, lateral, axes=lateral.ndim)
@@ -184,8 +185,9 @@ def surface_power(trajectory, r, material, lam):
         raise ValueError("plane lies outside the grid")
     out = np.empty(len(trajectory.times))
     lateral = _lateral_weights(grid)
+    kinematics = _Operator(scenario).kinematics
     for k, st in enumerate(trajectory.states):
-        e, gamma, kappa = kinematics(st, scenario)
+        e, gamma, kappa = kinematics(st)
         S, h, _, q = field_response(e, gamma, kappa, st.phi, st.theta, material)
         plane = _normal_power(S, h, q, st, 0, material, sel=(idx,))
         out[k] = math.exp(lam * st.t) * float(np.sum(plane * lateral))
@@ -242,8 +244,9 @@ def check_energy_identity(trajectory, region, material, lam):
     energy = np.empty(nt)
     surf = np.empty(nt)
     work = np.empty(nt)
+    kinematics = _Operator(scenario).kinematics
     for k, st in enumerate(trajectory.states):
-        e, gamma, kappa = kinematics(st, scenario)
+        e, gamma, kappa = kinematics(st)
         wgt = math.exp(lam * st.t)
         P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v, mat)
         interior[k] = wgt * float(np.sum(vol_w * (lam * P + R)[box]))

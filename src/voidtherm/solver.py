@@ -5,21 +5,35 @@ The hyperbolic fields advance by velocity-Verlet, the temperature by an
 explicit midpoint rule riding on the Verlet half-step velocities.  The
 default integration direction carries the anti-dissipative thermal sign of
 the time-reflected forward problem; ``dissipative=True`` selects the
-standard dissipative signs instead.  Spatial derivatives are second-order
-central differences with second-order one-sided stencils at boundaries;
-prescribed boundary fluxes (traction, equilibrated-stress flux, heat flux)
+standard dissipative signs instead.
+
+Spatial derivatives are second-order central differences with second-order
+one-sided stencils at boundaries, all from one routine, ``_difference``: it
+differentiates every field stacked on the leading axis of an array along one
+grid axis, with the arithmetic of ``np.gradient(edge_order=2)``.  The
+stepper, ``kinematics``, ``pde_residual`` and the measures use it and
+nothing else.
+
+``run`` and ``step`` build one private operator per scenario.  It keeps the
+state as one stacked array updated in place, with buffers sized by fields x
+nodes; a face plan per face (node slice, Dirichlet groups, flux groups, the
+restricted normal-flux matrix N_sel inverted once); and the constitutive law
+as one matrix from the stacked derivatives and (phi, theta) to the normal
+fluxes (S[:, j], h[j]) per axis and the intrinsic force, read off the
+constitutive kernel by unit inputs.  Each time level's corrected gradients
+are computed once: the accelerations, the sampled energy and the next
+temperature rate share them.  The coupling term of the temperature rate,
+M:grad v + aVec.grad phidot, is the divergence of M^T v + aVec phidot and
+joins the heat flux in a single divergence.
+
+Prescribed boundary fluxes (traction, equilibrated-stress flux, heat flux)
 are imposed by overriding the normal derivatives at the face so the nodal
 flux matches the data, which is algebraically the ghost-node construction.
-On a face with normal axis a, traction and equilibrated-stress flux are
-one linear solve: the face flux (S[:, a], h[a]) comes from the constitutive
-kernel, and the normal-flux matrix
-N = [[C[:, a, :, a], D[:, a, a]], [D[:, a, a]^T, A[a, a]]], restricted to
-the rows and columns of the groups that carry flux data, serves every
-combination.  The heat-flux faces have a routine of their own, shared by the
-sampled kinematics and the temperature rate; the mechanical update never
-forms the temperature gradient, since stress, equilibrated stress and
-intrinsic force do not depend on it.  One routine reads face data and one
-writes Dirichlet data.
+On a face with normal axis a, traction and equilibrated-stress flux are one
+linear solve with N = [[C[:, a, :, a], D[:, a, a]], [D[:, a, a]^T, A[a, a]]],
+restricted to the rows and columns of the groups that carry flux data.  One
+routine reads face data, once per time level; data that is identically zero
+is not read at all, and absent sources are skipped.
 
 The constitutive law comes from :mod:`voidtherm.constitutive`;
 ``field_response`` is re-exported here.
@@ -27,6 +41,7 @@ The constitutive law comes from :mod:`voidtherm.constitutive`;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -443,99 +458,53 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Derivatives, kinematics, flux corrections
+# Differences
 
 
-def _grad_scalar(f, grid):
-    return np.stack([np.gradient(f, grid.spacing[j], axis=j, edge_order=2)
-                     for j in range(grid.dim)])
+@functools.lru_cache(maxsize=256)
+def _stencil(n, axis, ndim, h):
+    """Index tuples and end weights of the difference along grid axis
+    ``axis`` (``n`` nodes, spacing ``h``) of arrays with ``ndim`` axes, the
+    first of which stacks fields.  The two ends are done together: pair k
+    holds nodes k and n - 3 + k (one node, broadcast, when n = 3)."""
+    lead = (slice(None),) * (axis + 1)
+    pair = ((lambda k: slice(k, k + n - 2, n - 3)) if n > 3 else (lambda k: slice(k, k + 1)))
+    weights = np.array([[-1.5 / h, 0.5 / h], [2.0 / h, -2.0 / h], [-0.5 / h, 1.5 / h]])
+    weights = weights.reshape((3, 2) + (1,) * (ndim - axis - 2))
+    return (lead + (slice(1, -1),), lead + (slice(2, None),), lead + (slice(None, -2),),
+            lead + (slice(0, n, n - 1),), tuple(lead + (pair(k),) for k in range(3)), weights)
 
 
-def _grad_vector(u, grid):
-    return np.stack([_grad_scalar(u[i], grid) for i in range(grid.dim)])
-
-
-def _heat_flux_faces(dtheta, scenario, t):
-    """Overwrite the normal temperature derivative on heat-flux faces so the
-    nodal heat flux matches the prescribed data."""
-    mat, d = scenario.material, scenario.grid.dim
-    for (axis, side), groups in scenario.boundary.faces.items():
-        if groups["thermal"].kind != "flux":
-            continue
-        fs = face_slice(axis, side, d)
-        sigma = -1.0 if side == "min" else 1.0
-        acc = sigma * _face_data(scenario, (axis, side), "thermal", t)
-        for s in range(d):
-            if s != axis:
-                acc = acc - mat.K[axis, s] * dtheta[(s,) + fs]
-        dtheta[(axis,) + fs] = acc / mat.K[axis, axis]
-
-
-def _flux_corrections(du, dphi, phi, theta, scenario, t):
-    """Overwrite normal displacement and void derivatives on traction and
-    equilibrated-stress flux faces so the nodal face flux (S n, h.n) matches
-    the prescribed data (the ghost-node reconstruction in derivative form).
-
-    The face flux is affine in the normal derivatives x = (du[:, a], dphi[a])
-    with the normal-flux matrix N; the rows of the flux groups are solved
-    for their own entries of x, the other entries are kept."""
-    mat, d = scenario.material, scenario.grid.dim
-    rows = ("displacement",) * d + ("void",)
-    for (axis, side), groups in scenario.boundary.faces.items():
-        flux_groups = [g for g in ("displacement", "void") if groups[g].kind == "flux"]
-        if not flux_groups:
-            continue
-        sel = [r for r, g in enumerate(rows) if g in flux_groups]
-        fs = face_slice(axis, side, d)
-        du_face = du[(slice(None), slice(None)) + fs]
-        dphi_face = dphi[(slice(None),) + fs]
-        S, h, _, _ = field_response(0.5 * (du_face + du_face.swapaxes(0, 1)), dphi_face,
-                                    None, phi[fs], theta[fs], mat)
-        N = np.empty((d + 1, d + 1))
-        N[:d, :d] = mat.C[:, axis, :, axis]
-        N[:d, d] = N[d, :d] = mat.D[:, axis, axis]
-        N[d, d] = mat.A[axis, axis]
-        sigma = -1.0 if side == "min" else 1.0
-        face_shape = np.shape(phi[fs])
-        data = np.concatenate([
-            np.reshape(_face_data(scenario, (axis, side), g, t), (-1,) + face_shape)
-            for g in flux_groups])
-        resid = sigma * data - np.concatenate([S[:, axis], h[axis][None]])[sel]
-        x = np.concatenate([du_face[:, axis], dphi_face[axis][None]])
-        x[sel] += np.linalg.solve(N[np.ix_(sel, sel)],
-                                  resid.reshape(len(sel), -1)).reshape(resid.shape)
-        du[(slice(None), axis) + fs] = x[:d]
-        dphi[(axis,) + fs] = x[d]
-
-
-def _strain_and_void_gradient(u, phi, theta, scenario, t):
-    grid = scenario.grid
-    du = _grad_vector(u, grid)
-    dphi = _grad_scalar(phi, grid)
-    _flux_corrections(du, dphi, phi, theta, scenario, t)
-    return 0.5 * (du + du.swapaxes(0, 1)), dphi
-
-
-def _temperature_gradient(theta, scenario, t):
-    dtheta = _grad_scalar(theta, scenario.grid)
-    _heat_flux_faces(dtheta, scenario, t)
-    return dtheta
-
-
-def kinematics(state, scenario):
-    """Strain, void gradient, temperature gradient of a state, with the
-    boundary-flux corrections applied as during stepping."""
-    e, gamma = _strain_and_void_gradient(state.u, state.phi, state.theta, scenario, state.t)
-    return e, gamma, _temperature_gradient(state.theta, scenario, state.t)
-
-
-def _divergence(flux, grid):
-    """Divergence over the trailing grid axes; flux has one leading axis."""
-    out = np.zeros(flux.shape[1:])
-    for j in range(grid.dim):
-        out += np.gradient(flux[j], grid.spacing[j], axis=j + (flux.ndim - 1 - grid.dim),
-                           edge_order=2)
+def _difference(f, axis, h, out=None):
+    """Derivative along grid axis ``axis`` of every field stacked on the
+    leading axis of ``f``: central differences inside, one-sided three-point
+    stencils at the ends, with the arithmetic of
+    ``np.gradient(f, h, axis=axis + 1, edge_order=2)`` bit for bit."""
+    inner, above, below, ends, pairs, weights = _stencil(f.shape[axis + 1], axis, f.ndim, h)
+    if out is None:
+        out = np.empty(f.shape)
+    mid = out[inner]
+    np.subtract(f[above], f[below], out=mid)
+    mid /= 2.0 * h
+    edge = out[ends]
+    np.multiply(weights[0], f[pairs[0]], out=edge)
+    edge += weights[1] * f[pairs[1]]
+    edge += weights[2] * f[pairs[2]]
     return out
+
+
+def _divergence(fluxes, spacing, out=None):
+    """Sum over axes j of the derivative along j of ``fluxes[j]``, which
+    stacks the axis-j components of several fluxes on its leading axis."""
+    out = _difference(fluxes[0], 0, spacing[0], out)
+    for j in range(1, len(spacing)):
+        out += _difference(fluxes[j], j, spacing[j])
+    return out
+
+
+def _strain(grad, d):
+    """Symmetric part of the displacement gradient du[i, j] = d_j u_i."""
+    return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1))
 
 
 def trapezoid_weights(counts, spacings):
@@ -550,90 +519,320 @@ def trapezoid_weights(counts, spacings):
 
 
 # ---------------------------------------------------------------------------
-# Time stepping
+# The stepping operator
 
 
-def _apply_dirichlet(scenario, t, fields, rate=False):
-    """Write the Dirichlet data at time t (``rate=True``: its time
-    derivative) into the face nodes of ``fields``, a dict from group name to
-    that group's nodal array."""
+def _response_matrix(mat):
+    """The constitutive law on stacked differences, one matrix per material:
+    column k is the kernel's response to the k-th unit input, so the matrix
+    holds the packed (Voigt) coefficients and the law stays written once.
+    Rows: per axis j the normal fluxes (S[:, j], h[j]), then the intrinsic
+    force G (rate term excluded).  Columns: the derivatives d_s of
+    (u_0, ..., u_{d-1}, phi) in row-major (field, axis) order, then phi and
+    theta."""
+    d = mat.dim
+    z = np.eye((d + 1) * d + 2)
+    du = z[:d * d].reshape((d, d, -1))
+    S, h, G, _ = field_response(0.5 * (du + du.swapaxes(0, 1)), z[d * d:d * (d + 1)], None,
+                                z[-2], z[-1], mat)
+    flux = np.concatenate([S.swapaxes(0, 1), h[:, None]], axis=1)
+    return np.vstack([flux.reshape(d * (d + 1), -1), G])
+
+
+@dataclass(eq=False)
+class _FacePlan:
+    """What one face does, fixed for a run: its node slice, outward sign and
+    boundary conditions, its Dirichlet groups, and for the traction /
+    equilibrated-stress flux groups the rows of the normal derivatives
+    x = (du[:, a], dphi[a]) they solve for, their (unscaled) response rows
+    and the inverse of the restricted normal-flux matrix N_sel."""
+
+    face: tuple
+    index: tuple
+    sigma: float
+    bcs: dict
+    dirichlet: tuple
+    mechanical: tuple
+    rows: slice
+    flux: np.ndarray | None
+    inverse: np.ndarray | None
+    heat: bool
+
+
+def _face_plans(scenario):
+    d = scenario.grid.dim
+    response = None
+    plans = []
     for (axis, side), groups in scenario.boundary.faces.items():
-        fs = (Ellipsis,) + face_slice(axis, side, scenario.grid.dim)
-        for g, arr in fields.items():
-            if groups[g].kind == "dirichlet":
-                arr[fs] = _face_data(scenario, (axis, side), g, t, rate)
+        mech = tuple(g for g in ("displacement", "void") if groups[g].kind == "flux")
+        rows = slice(0 if "displacement" in mech else d, d + 1 if "void" in mech else d)
+        flux = inverse = None
+        if mech:
+            if response is None:
+                response = _response_matrix(scenario.material)
+            flux = response[axis * (d + 1) + rows.start:axis * (d + 1) + rows.stop]
+            inverse = np.linalg.inv(flux[:, [r * d + axis for r in range(rows.start, rows.stop)]])
+        plans.append(_FacePlan(
+            face=(axis, side), index=face_slice(axis, side, d),
+            sigma=-1.0 if side == "min" else 1.0, bcs=groups,
+            dirichlet=tuple(g for g in GROUPS if groups[g].kind == "dirichlet"),
+            mechanical=mech, rows=rows, flux=flux, inverse=inverse,
+            heat=groups["thermal"].kind == "flux"))
+    return plans
 
 
-def _accelerations(u, phi, theta, phidot_lag, scenario, t, tau_sign):
-    mat, grid = scenario.material, scenario.grid
-    e, gamma = _strain_and_void_gradient(u, phi, theta, scenario, t)
-    S, h, G, _ = field_response(e, gamma, None, phi, theta, mat)
-    div_s = np.stack([_divergence(S[i], grid) for i in range(grid.dim)])
-    div_h = _divergence(h, grid)
-    g = tau_sign * mat.tau * phidot_lag + G
-    acc_u = (div_s + mat.rho * scenario.source("f", t)) / mat.rho
-    acc_p = (div_h + g + mat.rho * scenario.source("ell", t)) / (mat.rho * mat.chi)
-    return acc_u, acc_p
+class _Operator:
+    """The semi-discrete system of one scenario, built once per run.
+
+    The state lives in one array ``Y`` with rows u (d), phi, theta, v (d),
+    phidot, so (u, phi, theta) and (v, phidot) are contiguous blocks; every
+    buffer is sized by fields x nodes.  ``grad[r, s]`` holds the derivative
+    along axis s of field r of (u, phi, theta) at the current time level,
+    corrected on flux faces: the accelerations, the sampled energy and the
+    next temperature rate all read it.
+    """
+
+    def __init__(self, scenario, dissipative=False):
+        self.scenario, self.mat = scenario, scenario.material
+        self.d, self.h = scenario.grid.dim, scenario.grid.spacing
+        self.dissipative = dissipative
+        self.faces = _face_plans(scenario)
+        self.sources = {k for k in ("f", "ell", "r") if scenario.sources.get(k) is not None}
+        self.Y = None
+
+    def _allocate(self):
+        """The stepping coefficients and buffers; ``kinematics`` alone needs
+        none of them."""
+        mat, d, counts = self.mat, self.d, self.scenario.grid.counts
+        response = _response_matrix(mat)
+        scale = np.full(len(response), 1.0 / (mat.rho * mat.chi))
+        scale[[j * (d + 1) + i for j in range(d) for i in range(d)]] = 1.0 / mat.rho
+        response = scale[:, None] * response
+        self.L_grad, self.L_local = response[:, :-2], response[:, -2:]
+        thermal_sign = 1.0 if self.dissipative else -1.0
+        tau_sign = -1.0 if self.dissipative else 1.0
+        # temperature rate = div(K_rate kappa + W_rate (v, phidot)) - m phidot / aHeat
+        self.K_rate = thermal_sign / (mat.theta0 * mat.aHeat) * mat.K
+        self.W_rate = -np.vstack([mat.M, mat.aVec]).T / mat.aHeat
+        self.m_rate = mat.m / mat.aHeat
+        self.r_rate = thermal_sign * mat.rho / (mat.theta0 * mat.aHeat)
+        self.tau_acc = tau_sign * mat.tau / (mat.rho * mat.chi)
+
+        self.Y = Y = np.empty((2 * d + 3,) + counts)
+        self.grad = np.empty((d + 2, d) + counts)
+        self.acc = np.empty((d + 1,) + counts)
+        self.flux = np.empty((d * (d + 1) + 1,) + counts)
+        self.heat = np.empty((d,) + counts)
+        self.kappa_half = np.empty((1, d) + counts)
+        self.theta_half = np.empty(counts)
+        self.rate = np.empty(counts)
+        self.tmp = np.empty((d + 1,) + counts)
+
+        def writes(targets):
+            # in face order, so a later face wins at nodes shared with an earlier one
+            return [(targets[g], (Ellipsis,) + plan.index, plan.face, g, plan.bcs[g].is_zero())
+                    for plan in self.faces for g in plan.dirichlet if g in targets]
+
+        self._positions = writes({"displacement": Y[:d], "void": Y[d]})
+        self._velocities = writes({"displacement": Y[d + 2:2 * d + 2], "void": Y[2 * d + 2]})
+        self._theta = writes({"thermal": Y[d + 1]})
+        self._theta_half = writes({"thermal": self.theta_half})
+
+    # -- boundary ----------------------------------------------------------
+
+    def _data(self, plan, group, t):
+        """Flux data of one group on a face, None where it is identically zero."""
+        if plan.bcs[group].is_zero():
+            return None
+        return _face_data(self.scenario, plan.face, group, t)
+
+    def _dirichlet(self, t, writes, rate=False):
+        """Write Dirichlet data (``rate=True``: its time derivative) at time t
+        into the face nodes listed in ``writes``."""
+        for arr, at, face, group, zero in writes:
+            arr[at] = 0.0 if zero else _face_data(self.scenario, face, group, t, rate)
+
+    def _correct_mechanical(self, grad, F, t):
+        """Overwrite the normal derivatives of u and phi on traction and
+        equilibrated-stress flux faces so the nodal face flux (S n, h.n)
+        matches the data: the flux is affine in x = (du[:, a], dphi[a]), so
+        x_sel += N_sel^-1 (sigma data - flux)."""
+        d = self.d
+        for plan in self.faces:
+            if not plan.mechanical:
+                continue
+            z = np.concatenate([
+                grad[(slice(None, d + 1), slice(None)) + plan.index].reshape(d * (d + 1), -1),
+                F[(slice(d, d + 2),) + plan.index].reshape(2, -1)])
+            resid = -(plan.flux @ z)
+            row = 0
+            for g in plan.mechanical:
+                n = d if g == "displacement" else 1
+                data = self._data(plan, g, t)
+                if data is not None:
+                    resid[row:row + n] += plan.sigma * np.reshape(data, (n, -1))
+                row += n
+            x = grad[(plan.rows, plan.face[0]) + plan.index]
+            x += (plan.inverse @ resid).reshape(x.shape)
+
+    def _correct_heat(self, kappa, t):
+        """Overwrite the normal temperature derivative on heat-flux faces so
+        the nodal heat flux matches the data."""
+        K = self.mat.K
+        for plan in self.faces:
+            if not plan.heat:
+                continue
+            a = plan.face[0]
+            data = self._data(plan, "thermal", t)
+            acc = plan.sigma * (0.0 if data is None else data)
+            for s in range(self.d):
+                if s != a:
+                    acc = acc - K[a, s] * kappa[(s,) + plan.index]
+            kappa[(a,) + plan.index] = acc / K[a, a]
+
+    # -- right-hand side ---------------------------------------------------
+
+    def _gradients(self, F, t, out):
+        """Derivatives out[r, s] = d_s F[r], corrected at time t; F is
+        (u, phi, theta), or theta alone, which has only heat-flux faces."""
+        for j in range(self.d):
+            _difference(F, j, self.h[j], out[:, j])
+        if len(F) > 1:
+            self._correct_mechanical(out, F, t)
+        self._correct_heat(out[-1], t)
+        return out
+
+    def level(self, t, phidot_lag):
+        """Corrected gradients of (u, phi, theta) and the accelerations of
+        (u, phi) at time t, with ``phidot_lag`` in the rate term."""
+        d, Y, flux = self.d, self.Y, self.flux
+        self._gradients(Y[:d + 2], t, self.grad)
+        flat = flux.reshape(len(flux), -1)
+        np.matmul(self.L_grad, self.grad[:d + 1].reshape(d * (d + 1), -1), out=flat)
+        flat += self.L_local @ Y[d:d + 2].reshape(2, -1)
+        _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), self.h, out=self.acc)
+        self.acc[d] += flux[-1]
+        if self.tau_acc:
+            self.acc[d] += self.tau_acc * phidot_lag
+        if "f" in self.sources:
+            self.acc[:d] += self.scenario.source("f", t)
+        if "ell" in self.sources:
+            self.acc[d] += self.scenario.source("ell", t) / self.mat.chi
+
+    def _theta_rate(self, kappa, t, out):
+        """Temperature rate from the entropy balance at the velocities in
+        ``Y``; the coupling M:grad v + aVec.grad phidot is the divergence of
+        M^T v + aVec phidot, so it joins the heat flux in one divergence."""
+        d, Y = self.d, self.Y
+        heat = self.heat.reshape(d, -1)
+        np.matmul(self.K_rate, kappa.reshape(d, -1), out=heat)
+        heat += self.W_rate @ Y[d + 2:].reshape(d + 1, -1)
+        _divergence(self.heat[:, None], self.h, out=out[None])
+        if self.m_rate:
+            out -= self.m_rate * Y[2 * d + 2]
+        if "r" in self.sources:
+            out += self.r_rate * self.scenario.source("r", t)
+        return out
+
+    # -- states ------------------------------------------------------------
+
+    def load(self, state):
+        """Copy a state into ``Y`` (its level is not evaluated)."""
+        if self.Y is None:
+            self._allocate()
+        d, Y = self.d, self.Y
+        Y[:d], Y[d], Y[d + 1] = state.u, state.phi, state.theta
+        Y[d + 2:2 * d + 2], Y[2 * d + 2] = state.v, state.phidot
+
+    def impose(self, t):
+        """Write every Dirichlet value and rate at time t into the state."""
+        self._dirichlet(t, self._positions + self._theta)
+        self._dirichlet(t, self._velocities, rate=True)
+
+    def state(self, t):
+        """A snapshot that owns its memory."""
+        d, Y = self.d, self.Y
+        return SimState(t=t, u=Y[:d].copy(), v=Y[d + 2:2 * d + 2].copy(), phi=Y[d].copy(),
+                        phidot=Y[2 * d + 2].copy(), theta=Y[d + 1].copy())
+
+    def rates(self, state, phidot_lag):
+        """Accelerations of (u, phi), stacked, and the temperature rate at a
+        state, as copies."""
+        self.load(state)
+        self.level(state.t, phidot_lag)
+        return self.acc.copy(), self._theta_rate(self.grad[-1], state.t, self.rate).copy()
+
+    def kinematics(self, state):
+        """Strain, void gradient and temperature gradient of a state."""
+        d = self.d
+        F = np.concatenate([state.u, state.phi[None], state.theta[None]])
+        grad = self._gradients(F, state.t, np.empty((d + 2, d) + F.shape[1:]))
+        return _strain(grad, d), grad[d], grad[d + 1]
+
+    def energy(self, weights):
+        """Total energy of the loaded level (its gradients reused)."""
+        d, Y, grad = self.d, self.Y, self.grad
+        P, _ = energy_density_parts(_strain(grad, d), grad[d], grad[d + 1], Y[d], Y[2 * d + 2],
+                                    Y[d + 1], Y[d + 2:2 * d + 2], self.mat)
+        return float(np.sum(weights * P))
+
+    def check_finite(self, t):
+        """Raise on the first non-finite node, named by field and index."""
+        if np.isfinite(self.Y).all():
+            return
+        st = self.state(t)
+        for name, arr in (("u", st.u), ("udot", st.v), ("phi", st.phi),
+                          ("phidot", st.phidot), ("theta", st.theta)):
+            if not np.isfinite(arr).all():
+                idx = np.argwhere(~np.isfinite(arr))[0]
+                raise NonFiniteField(f"field '{name}' non-finite at node {tuple(idx)}, t = {t:.6g}")
+
+    # -- one step ----------------------------------------------------------
+
+    def advance(self, t, dt):
+        """One step from the loaded level at t (its ``level`` evaluated):
+        velocity-Verlet for (u, phi), the explicit midpoint rule for theta on
+        the half-step velocities."""
+        d, Y, tmp = self.d, self.Y, self.tmp
+        t_half, t1 = t + 0.5 * dt, t + dt
+        theta, W = Y[d + 1], Y[d + 2:]
+
+        self._theta_rate(self.grad[-1], t, self.rate)
+        np.multiply(self.rate, 0.5 * dt, out=self.theta_half)
+        self.theta_half += theta
+        self._dirichlet(t_half, self._theta_half)
+
+        np.multiply(self.acc, 0.5 * dt, out=tmp)
+        W += tmp
+        np.multiply(W, dt, out=tmp)
+        Y[:d + 1] += tmp
+        self._dirichlet(t1, self._positions)
+
+        kappa = self._gradients(self.theta_half[None], t_half, self.kappa_half)[0]
+        np.multiply(self._theta_rate(kappa, t_half, self.rate), dt, out=tmp[0])
+        theta += tmp[0]
+        self._dirichlet(t1, self._theta)
+
+        self.level(t1, Y[2 * d + 2])
+        np.multiply(self.acc, 0.5 * dt, out=tmp)
+        W += tmp
+        self._dirichlet(t1, self._velocities, rate=True)
 
 
-def _theta_rate(v, phidot, theta, scenario, t, thermal_sign):
-    """d(theta)/dt from the entropy balance; thermal_sign is -1 for the
-    anti-dissipative (time-reflected) direction and +1 for the dissipative
-    one."""
-    mat, grid = scenario.material, scenario.grid
-    q = np.einsum("ij,j...->i...", mat.K, _temperature_gradient(theta, scenario, t))
-    div_q = _divergence(q, grid)
-    dv = _grad_vector(v, grid)
-    edot = 0.5 * (dv + dv.swapaxes(0, 1))
-    gammadot = _grad_scalar(phidot, grid)
-    # entropy rate without its temperature term, which is solved for
-    coupling = entropy_field(edot, gammadot, phidot, 0.0, mat)
-    rsrc = scenario.source("r", t)
-    return (thermal_sign * (div_q + mat.rho * rsrc) / mat.theta0 - coupling) / mat.aHeat
-
-
-def _advance(t, u, v, phi, phidot, theta, acc_u, acc_p, scenario, dt, dissipative):
-    thermal_sign = 1.0 if dissipative else -1.0
-    tau_sign = -1.0 if dissipative else 1.0
-    t_half, t1 = t + 0.5 * dt, t + dt
-
-    v_half = v + 0.5 * dt * acc_u
-    pdot_half = phidot + 0.5 * dt * acc_p
-    u1 = u + dt * v_half
-    phi1 = phi + dt * pdot_half
-    _apply_dirichlet(scenario, t1, {"displacement": u1, "void": phi1})
-
-    tdot0 = _theta_rate(v, phidot, theta, scenario, t, thermal_sign)
-    theta_half = theta + 0.5 * dt * tdot0
-    _apply_dirichlet(scenario, t_half, {"thermal": theta_half})
-    tdot_half = _theta_rate(v_half, pdot_half, theta_half, scenario, t_half, thermal_sign)
-    theta1 = theta + dt * tdot_half
-    _apply_dirichlet(scenario, t1, {"thermal": theta1})
-
-    acc_u1, acc_p1 = _accelerations(u1, phi1, theta1, pdot_half, scenario, t1, tau_sign)
-    v1 = v_half + 0.5 * dt * acc_u1
-    pdot1 = pdot_half + 0.5 * dt * acc_p1
-    _apply_dirichlet(scenario, t1, {"displacement": v1, "void": pdot1}, rate=True)
-    return u1, v1, phi1, pdot1, theta1, acc_u1, acc_p1
+def kinematics(state, scenario):
+    """Strain, void gradient, temperature gradient of a state, with the
+    boundary-flux corrections applied as during stepping."""
+    return _Operator(scenario).kinematics(state)
 
 
 def step(state, scenario, dissipative=False):
     """One explicit step of size ``scenario.dt`` from ``state``."""
     dt = scenario.resolve_dt()
-    tau_sign = -1.0 if dissipative else 1.0
-    acc_u, acc_p = _accelerations(state.u, state.phi, state.theta, state.phidot,
-                                  scenario, state.t, tau_sign)
-    out = _advance(state.t, state.u, state.v, state.phi, state.phidot, state.theta,
-                   acc_u, acc_p, scenario, dt, dissipative)
-    u1, v1, phi1, pdot1, theta1, _, _ = out
-    return SimState(t=state.t + dt, u=u1, v=v1, phi=phi1, phidot=pdot1, theta=theta1)
-
-
-def _check_finite(arrays, t):
-    for name, arr in arrays:
-        if not np.isfinite(arr).all():
-            idx = np.argwhere(~np.isfinite(arr))[0]
-            raise NonFiniteField(f"field '{name}' non-finite at node {tuple(idx)}, t = {t:.6g}")
+    op = _Operator(scenario, dissipative)
+    op.load(state)
+    op.level(state.t, state.phidot)
+    op.advance(state.t, dt)
+    return op.state(state.t + dt)
 
 
 def run(scenario, n_samples=None, dissipative=False):
@@ -651,10 +850,11 @@ def run(scenario, n_samples=None, dissipative=False):
     if dt > dt_max * (1.0 + 1e-12):
         raise CflViolation(f"dt = {dt:.6g} exceeds the wave bound {dt_max:.6g}")
 
-    mat, grid = scenario.material, scenario.grid
-    u, v, phi, phidot, theta = initial_arrays(scenario)
-    _apply_dirichlet(scenario, 0.0, {"displacement": u, "void": phi, "thermal": theta})
-    _apply_dirichlet(scenario, 0.0, {"displacement": v, "void": phidot}, rate=True)
+    grid = scenario.grid
+    op = _Operator(scenario, dissipative)
+    op.load(SimState(0.0, *initial_arrays(scenario)))
+    op.impose(0.0)
+    op.level(0.0, op.Y[-1])
 
     if scenario.T <= 0.0:
         nsteps = 0
@@ -669,36 +869,20 @@ def run(scenario, n_samples=None, dissipative=False):
         dt = scenario.T / nsteps
 
     weights = trapezoid_weights(grid.counts, grid.spacing)
+    states = [op.state(0.0)]
+    energies = [op.energy(weights)]
+    theta_max = [float(np.abs(states[0].theta).max())]
 
-    def snapshot(t):
-        return SimState(t=t, u=u.copy(), v=v.copy(), phi=phi.copy(),
-                        phidot=phidot.copy(), theta=theta.copy())
-
-    def plain_energy(state):
-        e, gamma, kappa = kinematics(state, scenario)
-        energy, _ = energy_density_parts(e, gamma, kappa, state.phi, state.phidot,
-                                         state.theta, state.v, mat)
-        return float(np.sum(weights * energy))
-
-    states = [snapshot(0.0)]
-    energies = [plain_energy(states[0])]
-    theta_max = [float(np.abs(theta).max())]
-
-    tau_sign = -1.0 if dissipative else 1.0
-    acc_u, acc_p = _accelerations(u, phi, theta, phidot, scenario, 0.0, tau_sign)
     for k in range(nsteps):
-        t = k * dt
-        u, v, phi, phidot, theta, acc_u, acc_p = _advance(
-            t, u, v, phi, phidot, theta, acc_u, acc_p, scenario, dt, dissipative)
+        op.advance(k * dt, dt)
         t1 = (k + 1) * dt
-        _check_finite((("u", u), ("udot", v), ("phi", phi),
-                       ("phidot", phidot), ("theta", theta)), t1)
+        op.check_finite(t1)
         if (k + 1) % stride == 0 or k + 1 == nsteps:
             if not states or states[-1].t < t1:
-                st = snapshot(t1)
+                st = op.state(t1)
                 states.append(st)
-                energies.append(plain_energy(st))
-                theta_max.append(float(np.abs(theta).max()))
+                energies.append(op.energy(weights))
+                theta_max.append(float(np.abs(st.theta).max()))
 
     times = np.array([s.t for s in states])
     log = {"dt": dt, "nsteps": nsteps, "growth_factor": growth,
@@ -814,15 +998,16 @@ def pde_residual(trajectory, boundary_margin=0):
     def interior_max(arr):
         return float(np.abs(arr[(Ellipsis,) + core]).max())
 
-    kin = [kinematics(st, scenario) for st in states]
+    kin = list(map(_Operator(scenario).kinematics, states))
+    d = grid.dim
     for k in range(1, len(states) - 1):
         prev, cur, nxt = states[k - 1], states[k], states[k + 1]
         t = float(times[k])
         e, gamma, kappa = kin[k]
         S, h, G, q = field_response(e, gamma, kappa, cur.phi, cur.theta, mat)
-        div_s = np.stack([_divergence(S[i], grid) for i in range(grid.dim)])
-        div_h = _divergence(h, grid)
-        div_q = _divergence(q, grid)
+        div = _divergence(np.concatenate([S.swapaxes(0, 1), h[:, None], q[:, None]], axis=1),
+                          grid.spacing)
+        div_s, div_h, div_q = div[:d], div[d], div[d + 1]
 
         ddu = (nxt.u - 2.0 * cur.u + prev.u) / dt ** 2
         res_m = mat.rho * ddu - div_s - mat.rho * scenario.source("f", t)

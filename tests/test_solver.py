@@ -75,6 +75,52 @@ def test_run_determinism():
         assert np.array_equal(sa.theta, sb.theta)
 
 
+def test_states_own_their_memory():
+    # the stepper works in place on its own buffers; a sampled state must not
+    # alias them, another state, or a state of another run
+    scen = presets.pulse_scenario(nodes=61, T=0.05)
+    first = vt.run(scen, n_samples=6)
+    second = vt.run(scen, n_samples=6)
+    fields = ("u", "v", "phi", "phidot", "theta")
+    arrays = [getattr(st, f) for traj in (first, second) for st in traj.states for f in fields]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+    for f in fields:
+        getattr(first.states[-1], f)[...] = np.nan
+        getattr(first.states[0], f)[...] = 1.0
+    third = vt.run(scen, n_samples=6)
+    for sa, sb in zip(second.states, third.states):
+        assert sa.t == sb.t
+        for f in fields:
+            assert np.array_equal(getattr(sa, f), getattr(sb, f))
+    assert np.array_equal(second.log["energy"], third.log["energy"])
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_energy_log_matches_sampled_states(dim):
+    # the energy log reuses the stepper's gradients of each level; recomputed
+    # from the sampled states through kinematics it must be the same number
+    from voidtherm.constitutive import energy_density_parts
+
+    rng = np.random.default_rng(3)
+    mat = dataclasses.replace(vt.random_material(dim, rng), K=1e-3 * np.eye(dim))
+    grid = vt.Grid(extents=(1.0,) * dim, counts=(41, 21)[:dim])
+    faces = BoundaryPartition.all_dirichlet_zero(dim).faces
+    faces[(0, "min")]["displacement"] = BoundaryCondition(
+        "dirichlet", signal=vt.RaisedCosinePulse(amplitude=0.01, t_end=0.1))
+    for g in vt.solver.GROUPS:
+        faces[(0, "max")][g] = BoundaryCondition("flux")
+    scen = vt.Scenario(grid=grid, material=mat, boundary=BoundaryPartition(faces=faces),
+                       dt="auto", T=0.2, support_x0=1.0)
+    traj = vt.run(scen, n_samples=9)
+    weights = vt.solver.trapezoid_weights(grid.counts, grid.spacing)
+    for st, logged in zip(traj.states, traj.log["energy"]):
+        P, _ = energy_density_parts(*vt.kinematics(st, scen), st.phi, st.phidot, st.theta,
+                                    st.v, mat)
+        assert logged == pytest.approx(float(np.sum(weights * P)), rel=1e-12, abs=1e-300)
+    assert traj.log["energy"][-1] > 0.0
+
+
 def test_step_matches_run():
     scen = presets.pulse_scenario(nodes=61, T=0.02)
     dt = scen.resolve_dt()
@@ -240,6 +286,48 @@ def test_manufactured_2d_smoke():
         traj = vt.run(scen, n_samples=3)
         errs.append(exact.errors(traj.states[-1], scen))
     assert errs[0]["u"] / errs[1]["u"] == pytest.approx(4.0, abs=1.2)
+
+
+def mms_profiles_3d():
+    """Smooth 3D manufactured fields exercising every coupling on the unit
+    cube (the benchmark's 3D ladder uses the same fields)."""
+    import sympy as sp
+
+    x1, x2, x3 = sp.symbols("x1 x2 x3", real=True)
+    t = sp.Symbol("t", real=True)
+    pi, F = sp.pi, sp.Float
+    u = [F(0.05) * sp.sin(pi * x1) * sp.cos(pi * x2) * sp.cos(pi * x3) * sp.cos(t),
+         F(0.04) * sp.cos(pi * x1) * sp.sin(pi * x2) * sp.cos(pi * x3) * sp.sin(t),
+         F(0.03) * sp.cos(pi * x1) * sp.cos(pi * x2) * sp.sin(pi * x3) * sp.cos(F(1.2) * t)]
+    phi = F(0.03) * sp.sin(pi * x1) * sp.sin(pi * x2) * sp.sin(pi * x3) * sp.cos(F(0.9) * t)
+    theta = F(0.02) * sp.cos(pi * x1) * sp.cos(pi * x2) * sp.cos(pi * x3) * sp.sin(F(0.8) * t)
+    return u, phi, theta
+
+
+def reference_material_3d():
+    """Isotropic 3D analogue of ``presets.reference_material_2d``."""
+    lam_e, mu_e = 1.0, 0.8
+    eye = np.eye(3)
+    C = (lam_e * np.einsum("ij,rs->ijrs", eye, eye)
+         + mu_e * (np.einsum("ir,js->ijrs", eye, eye) + np.einsum("is,jr->ijrs", eye, eye)))
+    return vt.Material(dim=3, C=C, A=0.8 * eye, K=2e-6 * eye, rho=1.0, chi=1.0,
+                       aHeat=1.0, theta0=1.0, xi=0.9, m=0.05, tau=0.0,
+                       B=0.15 * eye, M=0.1 * eye)
+
+
+def test_manufactured_3d_smoke():
+    # Dirichlet data on every face; temperature reported but not gated (its
+    # order is lower next to Dirichlet faces)
+    mat = reference_material_3d()
+    errs = []
+    for n in (9, 17):
+        grid = vt.Grid(extents=(1.0,) * 3, counts=(n,) * 3)
+        scen, exact = manufactured_scenario(*mms_profiles_3d(), grid, mat,
+                                            dt=0.15 * grid.spacing[0], T=0.25)
+        errs.append(exact.errors(vt.run(scen, n_samples=3).states[-1], scen))
+    for key in ("u", "udot", "phi", "phidot"):
+        ratio = errs[0][key] / errs[1][key]
+        assert 3.5 <= ratio <= 4.5, (key, ratio)
 
 
 def exact_face_flux(profiles, mat, face, group, order):
