@@ -37,8 +37,8 @@ class TolerancePolicy:
     discrete_rel: float = 5e-3
     decay_floor: float = 1e-300
 
-    def dominated(self, lhs, rhs, rel=None):
-        rel = self.proved_rel if rel is None else rel
+    def dominated(self, lhs, rhs):
+        rel = self.proved_rel
         return lhs <= rhs * (1.0 + rel) + rel
 
 
@@ -318,24 +318,21 @@ def check_surface_power_bound(state, udot, normal, material, decay, lam, spec=No
 # Random sampling for the property suites (seeds always explicit)
 
 
-def random_kinematic(material, rng, scale=1.0):
+def random_kinematic(material, rng):
     d = material.dim
-    E = rng.normal(size=(d, d), scale=scale)
+    E = rng.normal(size=(d, d))
     E = 0.5 * (E + E.T)
-    return KinematicVector(E=E, pi=rng.normal(size=d, scale=scale),
-                           psi=float(rng.normal(scale=scale)),
+    return KinematicVector(E=E, pi=rng.normal(size=d), psi=float(rng.normal()),
                            chi1=math.sqrt(material.chi))
 
 
-def random_point_state(material, rng, scale=1.0):
+def random_point_state(material, rng):
     d = material.dim
-    e = rng.normal(size=(d, d), scale=scale)
+    e = rng.normal(size=(d, d))
     e = 0.5 * (e + e.T)
-    return PointState(e=e, gamma=rng.normal(size=d, scale=scale),
-                      kappa=rng.normal(size=d, scale=scale),
-                      phi=float(rng.normal(scale=scale)),
-                      phidot=float(rng.normal(scale=scale)),
-                      theta=float(rng.normal(scale=scale)))
+    return PointState(e=e, gamma=rng.normal(size=d), kappa=rng.normal(size=d),
+                      phi=float(rng.normal()), phidot=float(rng.normal()),
+                      theta=float(rng.normal()))
 
 
 def random_unit_vector(dim, rng):

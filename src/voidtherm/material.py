@@ -438,9 +438,11 @@ def _identity4(dim):
     return 0.5 * (np.einsum("ir,js->ijrs", eye, eye) + np.einsum("is,jr->ijrs", eye, eye))
 
 
-def random_material(dim, rng, ridge=0.25):
+def random_material(dim, rng):
     """Random admissible material: symmetrized Gaussian coefficients with a
-    diagonal shift guaranteeing positive definiteness of both forms."""
+    diagonal shift guaranteeing positive definiteness of both forms (least
+    eigenvalue of the assembled form at least 0.25)."""
+    ridge = 0.25
     d = dim
     C = _sym4(rng.normal(size=(d, d, d, d)))
     D = rng.normal(size=(d, d, d), scale=0.4)

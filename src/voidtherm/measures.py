@@ -47,7 +47,7 @@ class SupportGeometry:
             raise ValueError("r_samples must lie in [0, L]")
 
 
-def support_geometry(scenario, r_stride=1):
+def support_geometry(scenario):
     """Grid-aligned geometry for a scenario's declared support slab.
 
     The last sample stops one cell short of the far end so every B_r keeps
@@ -59,7 +59,7 @@ def support_geometry(scenario, r_stride=1):
     if abs(i0 * h1 - scenario.support_x0) > 1e-9 * h1:
         raise ValueError("support depth x0 must be grid-aligned")
     n1 = grid.counts[0]
-    idx = np.arange(i0, n1 - 1, r_stride)
+    idx = np.arange(i0, n1 - 1)
     return SupportGeometry(x0=scenario.support_x0,
                            L=grid.extents[0] - scenario.support_x0,
                            r_samples=(idx - i0) * h1)
@@ -304,13 +304,13 @@ class DiffInequalityReport:
                 f"worst margin {self.worst_margin:.3e} (slack {self.tol:.1e} * {self.scale:.3e})")
 
 
-def check_diff_inequality(series, decay=None, tol=None):
+def check_diff_inequality(series, tol=None):
     """Check the first-order differential inequality at every (r, t) sample.
 
     The slack is ``tol`` times the largest magnitude among the three terms
     (discretization slack; the inequality is exact in the continuum).
     """
-    decay = series.decay if decay is None else decay
+    decay = series.decay
     tol = TOLERANCES.discrete_rel if tol is None else tol
     lhs = series.E
     term_r = -(decay.zeta / decay.lam) * series.dE_dr

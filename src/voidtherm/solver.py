@@ -11,8 +11,9 @@ Spatial derivatives are second-order central differences with second-order
 one-sided stencils at boundaries, all from one routine, ``_difference``: it
 differentiates every field stacked on the leading axis of an array along one
 grid axis, with the arithmetic of ``np.gradient(edge_order=2)``.  The
-stepper, ``kinematics``, ``pde_residual`` and the measures use it and
-nothing else.
+stepper, ``kinematics`` and the measures use it and nothing else;
+``pde_residual`` measures a trajectory against the operator it was stepped
+with.
 
 ``run`` and ``step`` build one private operator per scenario.  It keeps the
 state as one stacked array updated in place, with buffers sized by fields x
@@ -20,11 +21,12 @@ nodes; a face plan per face (node slice, Dirichlet groups, flux groups, the
 restricted normal-flux matrix N_sel inverted once); and the constitutive law
 as one matrix from the stacked derivatives and (phi, theta) to the normal
 fluxes (S[:, j], h[j]) per axis and the intrinsic force, read off the
-constitutive kernel by unit inputs.  Each time level's corrected gradients
-are computed once: the accelerations, the sampled energy and the next
-temperature rate share them.  The coupling term of the temperature rate,
-M:grad v + aVec.grad phidot, is the divergence of M^T v + aVec phidot and
-joins the heat flux in a single divergence.
+constitutive kernel by unit inputs at most once per operator, and only when
+stepping or a traction / equilibrated-stress flux face needs it.  Each time
+level's corrected gradients are computed once: the accelerations, the
+sampled energy and the next temperature rate share them.  The coupling term
+of the temperature rate, M:grad v + aVec.grad phidot, is the divergence of
+M^T v + aVec phidot and joins the heat flux in a single divergence.
 
 Prescribed boundary fluxes (traction, equilibrated-stress flux, heat flux)
 are imposed by overriding the normal derivatives at the face so the nodal
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import energy_density_parts, entropy_field, field_response
+from .constitutive import energy_density_parts, field_response
 from .material import Material, spectrum as material_spectrum
 
 GROUPS = ("displacement", "void", "thermal")
@@ -559,18 +561,17 @@ class _FacePlan:
     heat: bool
 
 
-def _face_plans(scenario):
+def _face_plans(scenario, response):
+    """One plan per face; ``response()`` gives the response matrix and is
+    called only for faces with traction or equilibrated-stress flux data."""
     d = scenario.grid.dim
-    response = None
     plans = []
     for (axis, side), groups in scenario.boundary.faces.items():
         mech = tuple(g for g in ("displacement", "void") if groups[g].kind == "flux")
         rows = slice(0 if "displacement" in mech else d, d + 1 if "void" in mech else d)
         flux = inverse = None
         if mech:
-            if response is None:
-                response = _response_matrix(scenario.material)
-            flux = response[axis * (d + 1) + rows.start:axis * (d + 1) + rows.stop]
+            flux = response()[axis * (d + 1) + rows.start:axis * (d + 1) + rows.stop]
             inverse = np.linalg.inv(flux[:, [r * d + axis for r in range(rows.start, rows.stop)]])
         plans.append(_FacePlan(
             face=(axis, side), index=face_slice(axis, side, d),
@@ -596,18 +597,21 @@ class _Operator:
         self.scenario, self.mat = scenario, scenario.material
         self.d, self.h = scenario.grid.dim, scenario.grid.spacing
         self.dissipative = dissipative
-        self.faces = _face_plans(scenario)
+        self.faces = _face_plans(scenario, lambda: self.response)
         self.sources = {k for k in ("f", "ell", "r") if scenario.sources.get(k) is not None}
         self.Y = None
+
+    @functools.cached_property
+    def response(self):
+        return _response_matrix(self.mat)
 
     def _allocate(self):
         """The stepping coefficients and buffers; ``kinematics`` alone needs
         none of them."""
         mat, d, counts = self.mat, self.d, self.scenario.grid.counts
-        response = _response_matrix(mat)
-        scale = np.full(len(response), 1.0 / (mat.rho * mat.chi))
+        scale = np.full(len(self.response), 1.0 / (mat.rho * mat.chi))
         scale[[j * (d + 1) + i for j in range(d) for i in range(d)]] = 1.0 / mat.rho
-        response = scale[:, None] * response
+        response = scale[:, None] * self.response
         self.L_grad, self.L_local = response[:, :-2], response[:, -2:]
         thermal_sign = 1.0 if self.dissipative else -1.0
         tau_sign = -1.0 if self.dissipative else 1.0
@@ -826,7 +830,12 @@ def kinematics(state, scenario):
 
 
 def step(state, scenario, dissipative=False):
-    """One explicit step of size ``scenario.dt`` from ``state``."""
+    """One explicit step of size ``scenario.dt`` from ``state``.
+
+    A one-step convenience call: every call builds its operator and resolves
+    ``dt`` (the material spectrum for ``dt = "auto"``), which costs several
+    steps of ``run``.  Loops should call :func:`run`.
+    """
     dt = scenario.resolve_dt()
     op = _Operator(scenario, dissipative)
     op.load(state)
@@ -878,11 +887,10 @@ def run(scenario, n_samples=None, dissipative=False):
         t1 = (k + 1) * dt
         op.check_finite(t1)
         if (k + 1) % stride == 0 or k + 1 == nsteps:
-            if not states or states[-1].t < t1:
-                st = op.state(t1)
-                states.append(st)
-                energies.append(op.energy(weights))
-                theta_max.append(float(np.abs(st.theta).max()))
+            st = op.state(t1)
+            states.append(st)
+            energies.append(op.energy(weights))
+            theta_max.append(float(np.abs(st.theta).max()))
 
     times = np.array([s.t for s in states])
     log = {"dt": dt, "nsteps": nsteps, "growth_factor": growth,
@@ -908,7 +916,7 @@ def stability_budget(scenario, enforce=True):
     dt_max = 0.5 * hmin / vmax
     k_big = max(spec.k_M, 0.0)
     exponent = (k_big * scenario.grid.dim * (math.pi / hmin) ** 2 * scenario.T
-                / (mat.rho * mat.theta0 * mat.aHeat))
+                / (mat.theta0 * mat.aHeat))
     growth = math.exp(exponent) if exponent < 700.0 else math.inf
     if enforce and growth > 1e3:
         raise BudgetExceeded(
@@ -969,73 +977,51 @@ def reverse_time(trajectory):
 
 def pde_residual(trajectory, boundary_margin=0):
     """Max-norm residuals of the three balance equations on the sampled
-    trajectory (centred time differences at interior samples), relative to
-    the magnitude of the participating terms, with the signs of the
-    trajectory's own time direction.
+    trajectory, against the operator it was stepped with: at each interior
+    sample the centred second differences of u and phi are compared with
+    the operator's accelerations, and the centred first difference of theta
+    with its temperature rate, in the trajectory's own time direction.
+
+    Each residual is relative to the participating terms: the larger of the
+    time difference and the rate with its volume source taken out.
 
     ``boundary_margin`` drops that many node layers per side before taking
     the max: the two outermost layers see composed one-sided stencils whose
     truncation is one order lower, while the interior is uniformly second
     order.
     """
-    thermal_sign = 1.0 if trajectory.dissipative else -1.0
-    tau_sign = -1.0 if trajectory.dissipative else 1.0
-    scenario = trajectory.scenario
-    mat, grid = scenario.material, scenario.grid
-    times, states = trajectory.times, trajectory.states
+    scenario, times, states = trajectory.scenario, trajectory.times, trajectory.states
     if len(states) < 3:
         raise ValueError("need at least three samples")
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ValueError("pde_residual needs uniformly sampled trajectories")
     dt = float(dts[0])
-
-    worst = {"momentum": 0.0, "void": 0.0, "thermal": 0.0}
-    scale = {"momentum": 0.0, "void": 0.0, "thermal": 0.0}
     m = int(boundary_margin)
-    core = tuple(slice(m, n - m if m else None) for n in grid.counts)
+    core = (Ellipsis,) + tuple(slice(m, n - m if m else None) for n in scenario.grid.counts)
 
     def interior_max(arr):
-        return float(np.abs(arr[(Ellipsis,) + core]).max())
+        return float(np.abs(arr[core]).max())
 
-    kin = list(map(_Operator(scenario).kinematics, states))
-    d = grid.dim
+    op = _Operator(scenario, trajectory.dissipative)
+    d = op.d
+    worst = dict.fromkeys(("momentum", "void", "thermal"), 0.0)
+    scale = dict.fromkeys(worst, 1e-30)
     for k in range(1, len(states) - 1):
-        prev, cur, nxt = states[k - 1], states[k], states[k + 1]
+        prev, cur, nxt = states[k - 1:k + 2]
         t = float(times[k])
-        e, gamma, kappa = kin[k]
-        S, h, G, q = field_response(e, gamma, kappa, cur.phi, cur.theta, mat)
-        div = _divergence(np.concatenate([S.swapaxes(0, 1), h[:, None], q[:, None]], axis=1),
-                          grid.spacing)
-        div_s, div_h, div_q = div[:d], div[d], div[d + 1]
-
-        ddu = (nxt.u - 2.0 * cur.u + prev.u) / dt ** 2
-        res_m = mat.rho * ddu - div_s - mat.rho * scenario.source("f", t)
-        worst["momentum"] = max(worst["momentum"], interior_max(res_m))
-        scale["momentum"] = max(scale["momentum"], interior_max(mat.rho * ddu),
-                                interior_max(div_s), 1e-30)
-
-        ddphi = (nxt.phi - 2.0 * cur.phi + prev.phi) / dt ** 2
-        g = tau_sign * mat.tau * cur.phidot + G
-        res_v = mat.rho * mat.chi * ddphi - div_h - g - mat.rho * scenario.source("ell", t)
-        worst["void"] = max(worst["void"], interior_max(res_v))
-        scale["void"] = max(scale["void"], interior_max(mat.rho * mat.chi * ddphi),
-                            interior_max(div_h), interior_max(g), 1e-30)
-
-        e_p, gam_p, _ = kin[k - 1]
-        e_n, gam_n, _ = kin[k + 1]
-        edot = (e_n - e_p) / (2.0 * dt)
-        gammadot = (gam_n - gam_p) / (2.0 * dt)
-        thetadot = (nxt.theta - prev.theta) / (2.0 * dt)
-        rho_eta_dot = entropy_field(edot, gammadot, cur.phidot, thetadot, mat)
-        res_t = div_q + mat.rho * scenario.source("r", t) - thermal_sign * mat.theta0 * rho_eta_dot
-        worst["thermal"] = max(worst["thermal"], interior_max(res_t))
-        # the balance is a near-cancellation; scale by the participating terms
-        scale["thermal"] = max(
-            scale["thermal"], interior_max(div_q),
-            mat.theta0 * interior_max(np.einsum("ij,ij...->...", mat.M, edot)),
-            mat.theta0 * interior_max(mat.aHeat * thetadot), 1e-30)
-
+        acc, rate = op.rates(cur, cur.phidot)
+        terms = {
+            "momentum": ((nxt.u - 2.0 * cur.u + prev.u) / dt ** 2, acc[:d],
+                         scenario.source("f", t)),
+            "void": ((nxt.phi - 2.0 * cur.phi + prev.phi) / dt ** 2, acc[d],
+                     scenario.source("ell", t) / op.mat.chi),
+            "thermal": ((nxt.theta - prev.theta) / (2.0 * dt), rate,
+                        op.r_rate * scenario.source("r", t)),
+        }
+        for key, (diff, rhs, source) in terms.items():
+            worst[key] = max(worst[key], interior_max(diff - rhs))
+            scale[key] = max(scale[key], interior_max(diff), interior_max(rhs - source))
     return {key: worst[key] / scale[key] for key in worst}
 
 
@@ -1202,7 +1188,7 @@ def read_scenario_file(path, material=None):
     return scenario
 
 
-def write_trajectory_csv(trajectory, path, t_stride=1):
+def write_trajectory_csv(trajectory, path):
     """Field dump: one row per (sample time, node).
 
     Columns: t, x1..xd, u1..ud, v1..vd, phi, phidot, theta; 17 significant
@@ -1215,7 +1201,7 @@ def write_trajectory_csv(trajectory, path, t_stride=1):
               + [f"v{i+1}" for i in range(d)] + ["phi", "phidot", "theta"])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for st in trajectory.states[::t_stride]:
+        for st in trajectory.states:
             cols = ([np.full(X[0].size, st.t)] + X
                     + [st.u[i].ravel() for i in range(d)]
                     + [st.v[i].ravel() for i in range(d)]

@@ -236,18 +236,22 @@ def test_manufactured_solution_convergence_order():
         assert 3.0 <= ratio <= 5.0, (key, ratio)
 
 
-def test_manufactured_truncation_residual_order():
+@pytest.mark.parametrize("dim, nodes, T", [(1, (51, 101), 0.4), (2, (17, 33), 0.2)],
+                         ids=("1d", "2d"))
+def test_manufactured_truncation_residual_order(dim, nodes, T):
     # residual of the exact fields in the discrete balances: clean order 2
-    mat = presets.reference_material()
-    u, phi, theta = presets.mms_profiles_1d(length=1.0)
+    if dim == 1:
+        mat, (u, phi, theta) = presets.reference_material(), presets.mms_profiles_1d(length=1.0)
+    else:
+        mat, (u, phi, theta) = presets.reference_material_2d(), presets.mms_profiles_2d()
     vals = []
-    for n in (51, 101):
-        grid = vt.Grid(extents=(1.0,), counts=(n,))
+    for n in nodes:
+        grid = vt.Grid(extents=(1.0,) * dim, counts=(n,) * dim)
         h = 1.0 / (n - 1)
-        nsteps = int(round(0.4 / (0.2 * h)))
-        scen, exact = manufactured_scenario(u, phi, theta, grid, mat, dt=0.2 * h, T=0.4)
+        nsteps = int(round(T / (0.2 * h)))
+        scen, exact = manufactured_scenario(u, phi, theta, grid, mat, dt=0.2 * h, T=T)
         X = scen.mesh()
-        times = np.linspace(0.0, 0.4, nsteps + 1)
+        times = np.linspace(0.0, T, nsteps + 1)
         states = [SimState(t=float(t), u=exact.u(X, float(t)), v=exact.udot(X, float(t)),
                            phi=exact.phi(X, float(t)), phidot=exact.phidot(X, float(t)),
                            theta=exact.theta(X, float(t))) for t in times]
@@ -535,6 +539,24 @@ def test_constant_trajectory_is_reversal_fixed_point():
     for a, b in zip(traj.states, rev.states):
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
+
+
+def test_residual_sees_the_time_direction():
+    # demo 04's conduction-only bump: measured against the operator of the
+    # other direction, the temperature rate has the wrong sign
+    cond = vt.Material(dim=1, C=1.0, A=1.0, K=5e-5, rho=1.0, chi=1.0,
+                       aHeat=1.0, theta0=1.0, xi=1.0)
+    heat = vt.Scenario(grid=vt.Grid(extents=(1.25,), counts=(201,)), material=cond,
+                       boundary=BoundaryPartition.all_dirichlet_zero(1), dt="auto", T=0.4,
+                       support_x0=1.25,
+                       initial={"theta": vt.CosineBump(amplitude=0.05, center=(0.6,),
+                                                       width=0.15)})
+    for dissipative in (True, False):
+        traj = vt.run(heat, n_samples=81, dissipative=dissipative)
+        right = vt.pde_residual(traj)["thermal"]
+        traj.dissipative = not dissipative
+        wrong = vt.pde_residual(traj)["thermal"]
+        assert wrong >= 1e3 * right, (dissipative, wrong, right)
 
 
 def test_reversed_run_solves_the_antidissipative_equations():
