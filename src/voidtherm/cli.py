@@ -147,10 +147,11 @@ def verify_decay_pipeline(scenario, lambdas=None, r0=None, t0=None, seed=0):
         t0 = t0_auto if t0 is None else t0
 
     n_samples = min(1601, max(801, int(math.ceil(scenario.T * lam / 0.05))))
-    traj = run(scenario, n_samples=n_samples)
-    series = measures.compute_measure(traj, geometry, material, lam)
+    record = measures.SampleRecord(scenario)
+    traj = run(scenario, n_samples=n_samples, reducers=[record])
+    series = measures.compute_measure(record, geometry, material, lam)
 
-    identity = measures.check_energy_identity(traj, None, material, lam)
+    identity = measures.check_energy_identity(record, None, material, lam)
     identity_tol = ENERGY_IDENTITY_TOL * res_factor
     diff_rep = measures.check_diff_inequality(series, tol=DIFF_INEQ_TOL * res_factor)
     decay_rep = measures.check_decay(series, t0, r0, tol=DECAY_TOL * res_factor)
@@ -206,13 +207,14 @@ def _refinement_study(scenario, lam, levels):
     notes = []
     for level in range(levels + 1):
         refined = _refined_copy(scenario, 2 ** level)
+        record = measures.SampleRecord(refined)
         try:
-            traj = run(refined, n_samples=min(1601, max(401, int(
-                math.ceil(refined.T * lam / 0.05)))))
+            run(refined, n_samples=min(1601, max(401, int(math.ceil(refined.T * lam / 0.05)))),
+                reducers=[record])
         except BudgetExceeded as exc:
             notes.append(f"level {level}: skipped ({exc})")
             break
-        rep = measures.check_energy_identity(traj, None, refined.material, lam)
+        rep = measures.check_energy_identity(record, None, refined.material, lam)
         residuals.append(rep.residual)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
@@ -247,12 +249,13 @@ def cmd_sweep_lambda(args):
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(AUTO_LAMBDAS)
     spec = spectrum(material)
 
-    scenario = traj = geometry = None
+    scenario = record = geometry = None
     if args.scenario:
         scenario = read_scenario_file(args.scenario, material=material)
         geometry = measures.support_geometry(scenario)
         n_samples = min(1601, max(801, int(math.ceil(scenario.T * max(lambdas) / 0.05))))
-        traj = run(scenario, n_samples=n_samples)
+        record = measures.SampleRecord(scenario)
+        run(scenario, n_samples=n_samples, reducers=[record])
 
     rows = []
     for lam in lambdas:
@@ -268,7 +271,7 @@ def cmd_sweep_lambda(args):
             except InfeasibleWindow:
                 feasible = "no"
             if feasible == "yes":
-                series = measures.compute_measure(traj, geometry, material, lam)
+                series = measures.compute_measure(record, geometry, material, lam)
                 rep = measures.check_decay(series, t0, r0)
                 slope = _fmt(rep.slope)
         rows.append((lam, decay.epsilon, decay.zeta, decay.decay_rate,

@@ -8,17 +8,24 @@ slab is x1 <= x0, the body beyond depth r is B_r = {x1 > x0 + r}, and the
 separating cross-section S_r is the grid plane at x1 = x0 + r.  All r
 samples are grid-aligned so no interpolation error enters the surface
 integrals; the inequality margins are the point of the exercise.
+
+The measure density is lambda P + R, so everything the measures need per
+sample is lambda-independent: a :class:`SampleRecord` reduces each sample
+once, while ``run`` steps or by replaying snapshots, and the measure, the
+energy identity and the surface power are read off the record for any
+lambda.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import TOLERANCES, energy_density_parts, field_response
+from .constitutive import TOLERANCES, energy_density_parts
 from .material import spectrum as material_spectrum, zeta_of_lambda
 from .solver import _Operator, trapezoid_weights
 
@@ -79,26 +86,125 @@ def weighted_energy_density(state, udot, material, lam):
     return float(lam * P + R)
 
 
-def _lateral_weights(grid):
-    """Trapezoid weights over all axes but the first (including spacings)."""
-    return trapezoid_weights(grid.counts[1:], grid.spacing[1:])
-
-
-def _normal_power(S, h, q, state, axis, material, sel=()):
-    """Power S n.v + h.n phidot - q.n theta/theta0 through a face with
-    normal e_axis, at the nodes ``sel`` (an index into the grid axes)."""
-    return (np.einsum("i...,i...->...", S[(slice(None), axis) + sel],
-                      state.v[(slice(None),) + sel])
-            + h[(axis,) + sel] * state.phidot[sel]
-            - q[(axis,) + sel] * state.theta[sel] / material.theta0)
-
-
 def _cumtrapz(times, values, axis=0):
     values = np.moveaxis(values, axis, 0)
     dt = np.diff(times)
     inc = 0.5 * dt.reshape((-1,) + (1,) * (values.ndim - 1)) * (values[1:] + values[:-1])
     out = np.concatenate([np.zeros((1,) + values.shape[1:]), np.cumsum(inc, axis=0)])
     return np.moveaxis(out, 0, axis)
+
+
+# ---------------------------------------------------------------------------
+# The per-sample record
+
+
+def _normal_power(op, axis, sel=()):
+    """Power S n.v + h.n phidot - q.n theta/theta0 through a face with normal
+    e_axis, at the nodes ``sel`` (an index into the grid axes) of the level
+    the operator holds: S and h from its fluxes, q from its temperature
+    gradient."""
+    d, mat, Y = op.d, op.mat, op.Y
+    at = (slice(None),) + sel
+    flux = op.flux[axis * (d + 1):(axis + 1) * (d + 1)][at]
+    scale = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
+    q = mat.K[axis] @ op.grad[d + 1][at].reshape(d, -1)
+    power = (scale @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
+             - q * Y[d + 1][sel].reshape(-1) / mat.theta0)
+    return power.reshape(flux.shape[1:])
+
+
+def _region(grid, region):
+    """A grid-aligned box as inclusive (lo, hi) node-index pairs per axis;
+    None is the whole grid."""
+    if region is None:
+        region = tuple((0, n - 1) for n in grid.counts)
+    region = tuple((int(lo), int(hi)) for lo, hi in region)
+    for (lo, hi), n in zip(region, grid.counts):
+        if not (0 <= lo < hi < n):
+            raise ValueError(f"region {region} not inside the grid")
+    return region
+
+
+class SampleRecord:
+    """The lambda-independent reductions of a trajectory, one entry per
+    sample, from which the measure, the energy identity and the surface
+    power follow for any time weight lambda (the density is lambda P + R):
+
+    - ``profiles``: the lateral profiles of P, of R and of the power through
+      the x1-planes, integrated over every axis but the first: one (3, n1)
+      array per sample;
+    - ``box_P``, ``box_R``: the integrals of P and R over the box ``region``;
+    - ``box_power``: the outward power through the box faces;
+    - ``box_work``: the source work over the box.
+
+    A record is a reducer: pass it to ``run(..., reducers=[record])`` to
+    fill it while stepping, or replay a snapshot trajectory into it with
+    :func:`record_trajectory`; both call it on the same operator level.
+    """
+
+    def __init__(self, scenario, region=None):
+        grid = scenario.grid
+        self.scenario = scenario
+        self.region = _region(grid, region)
+        self._box = tuple(slice(lo, hi + 1) for lo, hi in self.region)
+        counts = [hi - lo + 1 for lo, hi in self.region]
+        self._volume = trapezoid_weights(counts, grid.spacing)
+        self._faces = []
+        for axis, (lo, hi) in enumerate(self.region):
+            weights = trapezoid_weights(counts[:axis] + counts[axis + 1:],
+                                        grid.spacing[:axis] + grid.spacing[axis + 1:])
+            for ii, sign in ((lo, -1.0), (hi, 1.0)):
+                sel = self._box[:axis] + (ii,) + self._box[axis + 1:]
+                self._faces.append((axis, sel, sign * weights))
+        self._lateral = trapezoid_weights(grid.counts[1:], grid.spacing[1:]).reshape(-1)
+        self.t, self.profiles = [], []
+        self.box_P, self.box_R, self.box_power, self.box_work = [], [], [], []
+
+    def __call__(self, op, t):
+        P, R = op.energy_parts()
+        mat, Y, d, box, lateral = op.mat, op.Y, op.d, self._box, self._lateral
+        self.t.append(t)
+        fields = np.stack([P, R, _normal_power(op, 0)])
+        self.profiles.append(fields.reshape(3, len(P), -1) @ lateral)
+        self.box_P.append(float(np.sum(self._volume * P[box])))
+        self.box_R.append(float(np.sum(self._volume * R[box])))
+        self.box_power.append(sum(float(np.sum(w * _normal_power(op, axis, sel)))
+                                  for axis, sel, w in self._faces))
+        source, work = self.scenario.source, []
+        if "f" in op.sources:
+            work.append(np.einsum("i...,i...->...", source("f", t), Y[d + 2:2 * d + 2]))
+        if "ell" in op.sources:
+            work.append(source("ell", t) * Y[2 * d + 2])
+        if "r" in op.sources:
+            work.append(-source("r", t) * Y[d + 1] / mat.theta0)
+        self.box_work.append(mat.rho * float(np.sum(self._volume * sum(work)[box])) if work
+                             else 0.0)
+
+
+def record_trajectory(trajectory, region=None):
+    """Replay the snapshots of a trajectory into a :class:`SampleRecord`."""
+    record = SampleRecord(trajectory.scenario, region)
+    op = _Operator(trajectory.scenario)
+    for st in trajectory.states:
+        op.load(st)
+        op.fluxes(st.t)
+        record(op, st.t)
+    return record
+
+
+def _record_of(source, material, region=None):
+    """The record of ``source``: a :class:`SampleRecord` as it is, a
+    snapshot trajectory replayed over ``region``.  The record's densities
+    are those of the scenario's material, so ``material`` must hold the
+    same coefficients."""
+    mine = source.scenario.material
+    if material is not mine and not all(
+            np.array_equal(getattr(material, f.name), getattr(mine, f.name))
+            for f in dataclasses.fields(mine)):
+        raise ValueError("material differs from the scenario's material")
+    if isinstance(source, SampleRecord):
+        return source
+    return record_trajectory(source, region)
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +227,17 @@ class MeasureSeries:
     I: np.ndarray
 
 
-def compute_measure(trajectory, geometry, material, lam):
-    """Measure series of a trajectory for time weight ``lam``.
+def compute_measure(source, geometry, material, lam):
+    """Measure series for time weight ``lam`` of a trajectory or of its
+    :class:`SampleRecord`.
 
     Space integrals are cell-midpoint quadrature with nodal averages
     (trapezoid weights), the time integral is the trapezoid rule on the
     sample times.  Derivatives are computed directly from their own volume
     and surface integrals, not by differencing E.
     """
-    scenario = trajectory.scenario
-    grid = scenario.grid
-    times = trajectory.times
+    grid = source.scenario.grid
+    times = np.asarray(source.t if isinstance(source, SampleRecord) else source.times)
     if len(times) < 2:
         raise ValueError("need at least two samples")
     if lam * float(np.max(np.diff(times))) > 0.25:
@@ -144,18 +250,11 @@ def compute_measure(trajectory, geometry, material, lam):
     if idx[-1] >= grid.counts[0]:
         raise ValueError("geometry reaches outside the grid")
 
-    nt, n1 = len(times), grid.counts[0]
-    prof = np.empty((nt, n1))
-    lateral = _lateral_weights(grid)
-    kinematics = _Operator(scenario).kinematics
-    for k, st in enumerate(trajectory.states):
-        e, gamma, kappa = kinematics(st)
-        P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v,
-                                    material)
-        prof[k] = np.tensordot(lam * P + R, lateral, axes=lateral.ndim)
+    record = _record_of(source, material)
+    prof = np.array([lam * p[0] + p[1] for p in record.profiles])
     weighted = np.exp(lam * times)[:, None] * prof
 
-    suffix = np.zeros((nt, n1))
+    suffix = np.zeros(weighted.shape)
     cell = 0.5 * h1 * (weighted[:, :-1] + weighted[:, 1:])
     suffix[:, :-1] = np.cumsum(cell[:, ::-1], axis=1)[:, ::-1]
 
@@ -172,10 +271,11 @@ def compute_measure(trajectory, geometry, material, lam):
                          E=E, dE_dr=dE_dr, dE_dt=dE_dt, I=I)
 
 
-def surface_power(trajectory, r, material, lam):
+def surface_power(source, r, material, lam):
     """Weighted power through the cross-section at depth r, oriented along
-    +x1 (toward the data-free end), one value per sample time."""
-    scenario = trajectory.scenario
+    +x1 (toward the data-free end), one value per sample time, of a
+    trajectory or of its :class:`SampleRecord`."""
+    scenario = source.scenario
     grid = scenario.grid
     h1 = grid.spacing[0]
     idx = int(round((scenario.support_x0 + r) / h1))
@@ -183,15 +283,8 @@ def surface_power(trajectory, r, material, lam):
         raise ValueError("plane must be grid-aligned")
     if not 0 <= idx < grid.counts[0]:
         raise ValueError("plane lies outside the grid")
-    out = np.empty(len(trajectory.times))
-    lateral = _lateral_weights(grid)
-    kinematics = _Operator(scenario).kinematics
-    for k, st in enumerate(trajectory.states):
-        e, gamma, kappa = kinematics(st)
-        S, h, _, q = field_response(e, gamma, kappa, st.phi, st.theta, material)
-        plane = _normal_power(S, h, q, st, 0, material, sel=(idx,))
-        out[k] = math.exp(lam * st.t) * float(np.sum(plane * lateral))
-    return out
+    record = _record_of(source, material)
+    return np.exp(lam * np.array(record.t)) * np.array([p[2, idx] for p in record.profiles])
 
 
 # ---------------------------------------------------------------------------
@@ -214,65 +307,23 @@ class EnergyIdentityReport:
                 f"residual={self.residual:.3e} (max over time {self.residual_max:.3e})")
 
 
-def check_energy_identity(trajectory, region, material, lam):
-    """Evaluate the weighted energy identity over a grid-aligned box.
+def check_energy_identity(source, region, material, lam):
+    """Evaluate the weighted energy identity over a grid-aligned box, for a
+    trajectory or for a :class:`SampleRecord` filled for that box.
 
     ``region`` is a tuple of inclusive (lo, hi) node-index pairs per axis,
     or None for the whole domain.  The residual converges at second order
     under joint refinement of mesh and step.
     """
-    scenario = trajectory.scenario
-    grid = scenario.grid
-    d = grid.dim
-    if region is None:
-        region = tuple((0, n - 1) for n in grid.counts)
-    region = tuple((int(lo), int(hi)) for lo, hi in region)
-    for (lo, hi), n in zip(region, grid.counts):
-        if not (0 <= lo < hi < n):
-            raise ValueError(f"region {region} not inside the grid")
-    box = tuple(slice(lo, hi + 1) for lo, hi in region)
-    counts = [hi - lo + 1 for lo, hi in region]
-    vol_w = trapezoid_weights(counts, grid.spacing)
-    face_w = [trapezoid_weights(counts[:axis] + counts[axis + 1:],
-                                grid.spacing[:axis] + grid.spacing[axis + 1:])
-              for axis in range(d)]
-
-    times = trajectory.times
-    mat = material
-    nt = len(times)
-    interior = np.empty(nt)
-    energy = np.empty(nt)
-    surf = np.empty(nt)
-    work = np.empty(nt)
-    kinematics = _Operator(scenario).kinematics
-    for k, st in enumerate(trajectory.states):
-        e, gamma, kappa = kinematics(st)
-        wgt = math.exp(lam * st.t)
-        P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v, mat)
-        interior[k] = wgt * float(np.sum(vol_w * (lam * P + R)[box]))
-        energy[k] = wgt * float(np.sum(vol_w * P[box]))
-
-        S, h, _, q = field_response(e, gamma, kappa, st.phi, st.theta, mat)
-        total = 0.0
-        for axis in range(d):
-            for side, sign in (("min", -1.0), ("max", 1.0)):
-                ii = region[axis][0] if side == "min" else region[axis][1]
-                sel = tuple(slice(lo, hi + 1) if j != axis else ii
-                            for j, (lo, hi) in enumerate(region))
-                power = _normal_power(S, h, q, st, axis, mat, sel=sel)
-                total += sign * float(np.sum(face_w[axis] * power))
-        surf[k] = wgt * total
-
-        f = scenario.source("f", st.t)
-        ell = scenario.source("ell", st.t)
-        rsrc = scenario.source("r", st.t)
-        wden = (mat.rho * np.einsum("i...,i...->...", f, st.v)
-                + mat.rho * ell * st.phidot - mat.rho * rsrc * st.theta / mat.theta0)
-        work[k] = wgt * float(np.sum(vol_w * wden[box]))
-
-    lhs_t = _cumtrapz(times, interior)
-    surf_t = _cumtrapz(times, surf)
-    work_t = _cumtrapz(times, work)
+    record = _record_of(source, material, region)
+    if record.region != _region(record.scenario.grid, region):
+        raise ValueError(f"the record integrates over {record.region}, not {region}")
+    times = np.array(record.t)
+    wgt = np.exp(lam * times)
+    energy = wgt * np.array(record.box_P)
+    lhs_t = _cumtrapz(times, wgt * (lam * np.array(record.box_P) + np.array(record.box_R)))
+    surf_t = _cumtrapz(times, wgt * np.array(record.box_power))
+    work_t = _cumtrapz(times, wgt * np.array(record.box_work))
     rhs_t = energy - surf_t - work_t - energy[0]
     scale = max(float(np.max(np.abs(energy))), float(np.max(np.abs(surf_t))),
                 float(np.max(np.abs(work_t))), float(np.max(np.abs(lhs_t))), 1e-30)

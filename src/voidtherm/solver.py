@@ -24,7 +24,8 @@ fluxes (S[:, j], h[j]) per axis and the intrinsic force, read off the
 constitutive kernel by unit inputs at most once per operator, and only when
 stepping or a traction / equilibrated-stress flux face needs it.  Each time
 level's corrected gradients are computed once: the accelerations, the
-sampled energy and the next temperature rate share them.  The coupling term
+sampled energy and the next temperature rate share them; the stored energy is
+the packed form z^T H z / 2, with H read off the same probe.  The coupling term
 of the temperature rate, M:grad v + aVec.grad phidot, is the divergence of
 M^T v + aVec phidot and joins the heat flux in a single divergence.
 
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import energy_density_parts, field_response
+from .constitutive import field_response
 from .material import Material, spectrum as material_spectrum
 
 GROUPS = ("displacement", "void", "thermal")
@@ -504,11 +505,6 @@ def _divergence(fluxes, spacing, out=None):
     return out
 
 
-def _strain(grad, d):
-    """Symmetric part of the displacement gradient du[i, j] = d_j u_i."""
-    return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1))
-
-
 def trapezoid_weights(counts, spacings):
     """Trapezoidal quadrature weights on a box of nodes: the outer product of
     one weight vector per axis, spacing included (0-d for no axes)."""
@@ -599,7 +595,7 @@ class _Operator:
         self.dissipative = dissipative
         self.faces = _face_plans(scenario, lambda: self.response)
         self.sources = {k for k in ("f", "ell", "r") if scenario.sources.get(k) is not None}
-        self.Y = None
+        self.Y = self._parts = None
 
     @functools.cached_property
     def response(self):
@@ -626,11 +622,12 @@ class _Operator:
         self.grad = np.empty((d + 2, d) + counts)
         self.acc = np.empty((d + 1,) + counts)
         self.flux = np.empty((d * (d + 1) + 1,) + counts)
-        self.heat = np.empty((d,) + counts)
-        self.kappa_half = np.empty((1, d) + counts)
-        self.theta_half = np.empty(counts)
-        self.rate = np.empty(counts)
-        self.tmp = np.empty((d + 1,) + counts)
+        # the scratch rows of one step, dead between steps: energy_parts
+        # reuses the first d (d + 1) of them (3 d + 3 >= d (d + 1) for d <= 3)
+        self.scratch = np.empty((3 * d + 3,) + counts)
+        self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
+        self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
+        self.theta_half, self.rate = self.scratch[3 * d + 1], self.scratch[3 * d + 2]
 
         def writes(targets):
             # in face order, so a later face wins at nodes shared with an earlier one
@@ -706,14 +703,23 @@ class _Operator:
         self._correct_heat(out[-1], t)
         return out
 
-    def level(self, t, phidot_lag):
-        """Corrected gradients of (u, phi, theta) and the accelerations of
-        (u, phi) at time t, with ``phidot_lag`` in the rate term."""
+    def fluxes(self, t):
+        """Corrected gradients of (u, phi, theta) at time t and the normal
+        fluxes (S[:, j] / rho, h[j] / (rho chi)) per axis j and the intrinsic
+        force G / (rho chi) of the loaded state."""
         d, Y, flux = self.d, self.Y, self.flux
+        self._parts = None
         self._gradients(Y[:d + 2], t, self.grad)
         flat = flux.reshape(len(flux), -1)
         np.matmul(self.L_grad, self.grad[:d + 1].reshape(d * (d + 1), -1), out=flat)
         flat += self.L_local @ Y[d:d + 2].reshape(2, -1)
+
+    def level(self, t, phidot_lag):
+        """Corrected gradients of (u, phi, theta), the fluxes and the
+        accelerations of (u, phi) at time t, with ``phidot_lag`` in the rate
+        term."""
+        d, flux = self.d, self.flux
+        self.fluxes(t)
         _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), self.h, out=self.acc)
         self.acc[d] += flux[-1]
         if self.tau_acc:
@@ -771,14 +777,39 @@ class _Operator:
         d = self.d
         F = np.concatenate([state.u, state.phi[None], state.theta[None]])
         grad = self._gradients(F, state.t, np.empty((d + 2, d) + F.shape[1:]))
-        return _strain(grad, d), grad[d], grad[d + 1]
+        return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1)), grad[d], grad[d + 1]
 
-    def energy(self, weights):
-        """Total energy of the loaded level (its gradients reused)."""
-        d, Y, grad = self.d, self.Y, self.grad
-        P, _ = energy_density_parts(_strain(grad, d), grad[d], grad[d + 1], Y[d], Y[2 * d + 2],
-                                    Y[d + 1], Y[d + 2:2 * d + 2], self.mat)
-        return float(np.sum(weights * P))
+    @functools.cached_property
+    def energy_matrix(self):
+        """H with 2W = z^T H z for z = (the derivatives of (u, phi) in
+        (field, axis) order, phi): the rows of the response matrix that are
+        the derivatives of W, re-ordered from (axis, field) to (field, axis),
+        and -G; the column of theta is dropped.  H is symmetric, the Hessian
+        of W."""
+        d = self.d
+        rows = [s * (d + 1) + r for r in range(d + 1) for s in range(d)]
+        return np.vstack([self.response[rows], -self.response[-1:]])[:, :-1]
+
+    def energy_parts(self):
+        """The parts (P, R) of the measure density lambda P + R at the level
+        evaluated by ``fluxes``, computed once per level: P is the kinetic,
+        void-kinetic, thermal and stored energy, R the rate and conduction
+        terms."""
+        if self._parts is None:
+            d, Y, mat, H, n = self.d, self.Y, self.mat, self.energy_matrix, self.Y[0].size
+            # z = (g, phi) with g the derivatives; H is symmetric, so
+            # z^T H z = g^T H_gg g + (2 H_phi,g g + H_phi,phi phi) phi
+            g, phi = self.grad[:d + 1].reshape(d * (d + 1), n), Y[d].reshape(n)
+            Hg = np.matmul(H[:-1, :-1], g, out=self.scratch.reshape(-1, n)[:d * (d + 1)])
+            w, kappa = Y[d + 2:].reshape(d + 1, n), self.grad[d + 1].reshape(d, n)
+            P = 0.5 * (mat.rho * np.einsum("kn,kn->n", w[:d], w[:d])
+                       + mat.rho * mat.chi * w[d] ** 2 + mat.aHeat * Y[d + 1].reshape(n) ** 2
+                       + np.einsum("kn,kn->n", g, Hg)
+                       + (2.0 * (H[-1, :-1] @ g) + H[-1, -1] * phi) * phi)
+            Kk = np.matmul(mat.K, kappa, out=Hg[:d])
+            R = mat.tau * w[d] ** 2 + np.einsum("kn,kn->n", kappa, Kk) / mat.theta0
+            self._parts = P.reshape(Y.shape[1:]), R.reshape(Y.shape[1:])
+        return self._parts
 
     def check_finite(self, t):
         """Raise on the first non-finite node, named by field and index."""
@@ -844,12 +875,24 @@ def step(state, scenario, dissipative=False):
     return op.state(state.t + dt)
 
 
-def run(scenario, n_samples=None, dissipative=False):
+def run(scenario, n_samples=None, dissipative=False, reducers=None):
     """Integrate the scenario and return the sampled trajectory.
 
-    The step is rounded so the horizon is an integer number of steps;
-    sampling is read-only and always includes t = 0 and t = T.  Identical
-    inputs give identical trajectories.
+    The step is rounded so the horizon is an integer number of steps.
+    ``n_samples`` caps the number of samples (default: one per step, at most
+    801): the samples are every ``stride = ceil(nsteps / (n_samples - 1))``
+    steps, the step count is padded up to a multiple of the stride, and t = 0
+    and t = T are always sampled, so the samples are uniform in time and at
+    most ``n_samples``.  The log holds the total energy and max |theta| of
+    every sample.  Identical inputs give identical trajectories.
+
+    By default every sample is kept as a snapshot in ``states``.  With
+    ``reducers``, a list of callables, each is called as ``reducer(op, t)``
+    at every sample, with the stepping operator holding the sample's
+    level (``Y``, the corrected gradients ``grad``, ``flux`` and
+    ``energy_parts()``), and ``states`` keeps only the final state: memory
+    then does not grow with the sample count.  ``times`` and the log are the
+    same either way.
     """
     errors, warnings = validate_scenario(scenario)
     if errors:
@@ -878,25 +921,32 @@ def run(scenario, n_samples=None, dissipative=False):
         dt = scenario.T / nsteps
 
     weights = trapezoid_weights(grid.counts, grid.spacing)
-    states = [op.state(0.0)]
-    energies = [op.energy(weights)]
-    theta_max = [float(np.abs(states[0].theta).max())]
+    theta = op.Y[grid.dim + 1]
+    times, states, energies, theta_max = [], [], [], []
 
+    def sample(t):
+        times.append(t)
+        energies.append(float(np.sum(weights * op.energy_parts()[0])))
+        theta_max.append(float(np.abs(theta).max()))
+        if reducers is None:
+            states.append(op.state(t))
+        for reducer in reducers or ():
+            reducer(op, t)
+
+    sample(0.0)
     for k in range(nsteps):
         op.advance(k * dt, dt)
         t1 = (k + 1) * dt
         op.check_finite(t1)
         if (k + 1) % stride == 0 or k + 1 == nsteps:
-            st = op.state(t1)
-            states.append(st)
-            energies.append(op.energy(weights))
-            theta_max.append(float(np.abs(st.theta).max()))
+            sample(t1)
+    if reducers is not None:
+        states.append(op.state(times[-1]))
 
-    times = np.array([s.t for s in states])
     log = {"dt": dt, "nsteps": nsteps, "growth_factor": growth,
            "energy": np.array(energies), "theta_max": np.array(theta_max),
            "warnings": warnings}
-    return Trajectory(scenario=scenario, times=times, states=states, log=log,
+    return Trajectory(scenario=scenario, times=np.array(times), states=states, log=log,
                       dissipative=dissipative)
 
 

@@ -236,3 +236,41 @@ def test_malformed_input_exit_codes(workdir, capsys, command, setup, code, repor
 def test_help_exits_zero(capsys):
     assert main(["simulate", "--help"]) == 0
     assert "usage: voidtherm simulate" in capsys.readouterr().out
+
+
+def test_verify_decay_memory_flat_in_samples(monkeypatch):
+    # verify-decay streams its samples: the traced peak must not grow with
+    # the sample count by more than a few states (snapshots would add one
+    # state per sample: 450 here); what does grow is the lateral profiles
+    # and the measure series, O(samples x n1), small next to a state when the
+    # plate is wide across x1
+    import dataclasses
+    import tracemalloc
+
+    from voidtherm import cli
+    from voidtherm.solver import BoundaryCondition, BoundaryPartition, Grid, Scenario
+
+    mat = dataclasses.replace(presets.reference_material_2d(), K=1e-7 * np.eye(2))
+    faces = BoundaryPartition.all_dirichlet_zero(2).faces
+    faces[(0, "min")]["displacement"] = BoundaryCondition(
+        "dirichlet", signal=vt.RaisedCosinePulse(amplitude=0.01, t_end=0.1), axis=0)
+    grid = Grid(extents=(0.5, 0.5), counts=(6, 241))
+    scen = Scenario(grid=grid, material=mat, boundary=BoundaryPartition(faces=faces),
+                    dt=2.5e-4, T=0.225, support_x0=0.1)
+    state_bytes = (2 * grid.dim + 3) * np.prod(grid.counts) * 8
+    runs = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    peaks = []
+    for lam in (2.0, 256.0):   # 900 steps: 451 and 901 samples
+        tracemalloc.start()
+        try:
+            cli.verify_decay_pipeline(scen, lambdas=[lam])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [len(traj.times) for traj in runs] == [451, 901]
+    assert peaks[1] - peaks[0] < 4 * state_bytes
+    for traj in runs:
+        assert traj.log["nsteps"] == 900 and traj.times[-1] == pytest.approx(scen.T)
+        assert traj.states[-1].t == traj.times[-1] and traj.states[-1].theta.shape == grid.counts

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -343,3 +344,108 @@ def test_two_dimensional_pipeline_smoke():
     assert rep.residual <= 2e-2  # coarse smoke grid
     power = vt.surface_power(traj, 0.2, mat, 8.0)
     assert np.abs(power).max() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one pass per sample: the record filled while stepping equals the replay
+
+
+def _pulse_faces(dim, flux_faces):
+    from voidtherm.solver import BoundaryCondition, BoundaryPartition
+
+    faces = BoundaryPartition.all_dirichlet_zero(dim).faces
+    faces[(0, "min")]["displacement"] = BoundaryCondition(
+        "dirichlet", signal=vt.RaisedCosinePulse(amplitude=0.01, t_end=0.1), axis=0)
+    for face in flux_faces:
+        for g in vt.solver.GROUPS:
+            faces[face][g] = BoundaryCondition("flux")
+    return BoundaryPartition(faces=faces)
+
+
+def _stream_case(name):
+    """(scenario, n_samples, geometry, region) of one equivalence case."""
+    from voidtherm.solver import Grid, Scenario
+
+    if name == "pulse1d":
+        scen = presets.pulse_scenario(nodes=101, T=0.4)
+        return scen, 81, vt.support_geometry(scen), None
+    if name == "plate2d":
+        # traction, equilibrated-stress flux and heat flux on both lateral faces
+        mat = dataclasses.replace(presets.reference_material_2d(), K=1e-4 * np.eye(2))
+        scen = Scenario(grid=Grid(extents=(1.0, 0.5), counts=(21, 11)), material=mat,
+                        boundary=_pulse_faces(2, [(1, "min"), (1, "max")]), dt="auto",
+                        T=0.3, support_x0=0.2, label="plate")
+        return scen, 41, vt.support_geometry(scen), ((2, 15), (1, 9))
+    if name == "box3d":
+        mat = dataclasses.replace(vt.random_material(3, np.random.default_rng(4)),
+                                  K=1e-4 * np.eye(3))
+        scen = Scenario(grid=Grid(extents=(1.0, 0.6, 0.5), counts=(11, 7, 6)), material=mat,
+                        boundary=_pulse_faces(3, [(2, "min"), (2, "max")]), dt="auto",
+                        T=0.2, support_x0=0.2, label="box")
+        return scen, 21, vt.support_geometry(scen), None
+    # manufactured: volume sources f, ell and r, spatially varying Dirichlet data
+    mat = presets.reference_material()
+    grid = vt.Grid(extents=(1.0,), counts=(41,))
+    scen, _ = manufactured_scenario(*presets.mms_profiles_1d(length=1.0), grid, mat,
+                                    dt=0.2 / 40, T=0.3)
+    geom = vt.SupportGeometry(x0=0.25, L=0.75, r_samples=np.arange(0, 29) / 40)
+    return scen, 31, geom, ((3, 36),)
+
+
+def _gap(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+@pytest.mark.parametrize("name", ["pulse1d", "plate2d", "box3d", "manufactured"])
+def test_streamed_record_matches_replay(name):
+    # run(reducers=[record]) fills the record from the level the stepper
+    # holds; replaying the snapshots of a default run must give the same
+    # profiles, identity terms, measure and surface power
+    scen, n_samples, geom, region = _stream_case(name)
+    lam = 4.0
+    records = [vt.SampleRecord(scen), vt.SampleRecord(scen, region)]
+    streamed = vt.run(scen, n_samples=n_samples, reducers=records)
+    snap = vt.run(scen, n_samples=n_samples)
+    assert np.array_equal(streamed.times, snap.times)
+    assert streamed.log["nsteps"] == snap.log["nsteps"]
+    assert np.array_equal(streamed.log["energy"], snap.log["energy"])
+    assert len(streamed.states) == 1
+    for key in ("u", "v", "phi", "phidot", "theta"):
+        assert np.array_equal(getattr(streamed.states[-1], key), getattr(snap.states[-1], key))
+
+    for record, box in zip(records, (None, region)):
+        replayed = vt.record_trajectory(snap, box)
+        for key in ("t", "profiles", "box_P", "box_R", "box_power", "box_work"):
+            assert _gap(getattr(record, key), getattr(replayed, key)) <= 1e-12, key
+        got = vt.check_energy_identity(record, box, scen.material, lam)
+        want = vt.check_energy_identity(snap, box, scen.material, lam)
+        for key in ("lhs", "rhs", "scale"):
+            assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=1e-300)
+        assert got.residual == pytest.approx(want.residual, abs=1e-12)
+        for key, value in want.terms.items():
+            assert got.terms[key] == pytest.approx(value, rel=1e-12, abs=1e-300)
+    if name == "manufactured":
+        assert np.abs(records[0].box_work).max() > 0.0
+
+    got = vt.compute_measure(records[0], geom, scen.material, lam)
+    want = vt.compute_measure(snap, geom, scen.material, lam)
+    for key in ("E", "dE_dr", "dE_dt"):
+        assert _gap(getattr(got, key), getattr(want, key)) <= 1e-12, key
+    assert np.abs(want.E).max() > 0.0
+    h1 = scen.grid.spacing[0]
+    r = (scen.grid.counts[0] // 2) * h1 - scen.support_x0   # a plane inside the grid
+    want = vt.surface_power(snap, r, scen.material, lam)
+    assert _gap(vt.surface_power(records[0], r, scen.material, lam), want) <= 1e-12
+    assert np.abs(want).max() > 0.0
+
+
+def test_record_rejects_another_region_or_material():
+    scen = presets.pulse_scenario(nodes=51, T=0.1)
+    record = vt.SampleRecord(scen)
+    vt.run(scen, n_samples=11, reducers=[record])
+    with pytest.raises(ValueError, match="integrates over"):
+        vt.check_energy_identity(record, ((5, 40),), scen.material, 2.0)
+    other = dataclasses.replace(scen.material, rho=2.0)
+    with pytest.raises(ValueError, match="material"):
+        vt.compute_measure(record, vt.support_geometry(scen), other, 2.0)

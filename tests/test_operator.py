@@ -267,3 +267,42 @@ def test_stability_budget_is_conservative(dim, counts, K, rho):
     exponent = conduction_growth_exponent(scen, T)
     assert exponent > 0.0
     assert np.exp(exponent) <= growth, (np.exp(exponent), growth)
+
+
+# ---------------------------------------------------------------------------
+# the packed energy against the independent quadratic form
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_packed_energy_matches_quadratic_form(dim):
+    # 2W = z^T H z with H read off the response matrix, which lists its rows
+    # in (axis, field) and its columns in (field, axis) order: a transposed
+    # H is exact in 1D only, so 2D and 3D anisotropic materials are the test
+    import math
+
+    from voidtherm.constitutive import KinematicVector
+
+    rng = np.random.default_rng(50 + dim)
+    mat = vt.random_material(dim, rng)
+    grid = vt.Grid(extents=(1.0, 0.8, 1.2)[:dim], counts=(7, 6, 5)[:dim])
+    counts = grid.counts
+    scen = vt.Scenario(grid=grid, material=mat,
+                       boundary=BoundaryPartition(faces=random_faces(dim, grid, ("flux",) * 3, rng)),
+                       dt="auto", T=1.0, support_x0=1.0)
+    state = SimState(t=0.2, u=rng.normal(size=(dim,) + counts), v=rng.normal(size=(dim,) + counts),
+                     phi=rng.normal(size=counts), phidot=rng.normal(size=counts),
+                     theta=rng.normal(size=counts))
+    op = _Operator(scen)
+    op.load(state)
+    op.fluxes(state.t)
+    P, R = op.energy_parts()
+    e, gamma, kappa = op.kinematics(state)
+    Q = vt.assemble_quadratic_form(mat)
+    for idx in np.ndindex(*counts):
+        z = KinematicVector(E=e[(slice(None), slice(None)) + idx], pi=gamma[(slice(None),) + idx],
+                            psi=state.phi[idx], chi1=math.sqrt(mat.chi)).scaled_coords()
+        v, k, pdot = state.v[(slice(None),) + idx], kappa[(slice(None),) + idx], state.phidot[idx]
+        want_P = 0.5 * (mat.rho * v @ v + mat.rho * mat.chi * pdot ** 2
+                        + mat.aHeat * state.theta[idx] ** 2 + z @ Q @ z)
+        assert P[idx] == pytest.approx(want_P, rel=1e-12)
+        assert R[idx] == pytest.approx(mat.tau * pdot ** 2 + k @ mat.K @ k / mat.theta0, rel=1e-12)

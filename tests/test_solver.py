@@ -121,6 +121,28 @@ def test_energy_log_matches_sampled_states(dim):
     assert traj.log["energy"][-1] > 0.0
 
 
+@pytest.mark.parametrize("nodes, T, n_samples, want", [
+    (201, 0.4, 161, 125),   # 372 steps at stride 3: a cap, not a count
+    (201, 0.4, 2, 2),       # the end points only
+    (41, 0.05, 1000, None), # more samples than steps: one per step
+])
+def test_n_samples_is_a_cap(nodes, T, n_samples, want):
+    # stride = ceil(nsteps / (n_samples - 1)), the step count padded to a
+    # multiple of it: at most n_samples uniform samples, t = 0 and t = T
+    # among them
+    scen = presets.insulated_relaxation_scenario(nodes=nodes, T=T)
+    traj = vt.run(scen, n_samples=n_samples, dissipative=True)
+    times, nsteps = traj.times, traj.log["nsteps"]
+    stride = nsteps // (len(times) - 1)
+    assert len(times) <= n_samples
+    assert times[0] == 0.0 and times[-1] == pytest.approx(T, rel=1e-12)
+    assert np.allclose(np.diff(times), stride * traj.log["dt"], rtol=1e-12, atol=0.0)
+    unpadded = max(1, round(T / scen.resolve_dt()))
+    assert stride == math.ceil(unpadded / (n_samples - 1))
+    assert nsteps == stride * math.ceil(unpadded / stride)
+    assert len(times) == (want if want is not None else nsteps + 1)
+
+
 def test_step_matches_run():
     scen = presets.pulse_scenario(nodes=61, T=0.02)
     dt = scen.resolve_dt()
