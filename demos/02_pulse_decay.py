@@ -30,10 +30,11 @@ decay = vt.zeta_of_lambda(spec, mat, lam)
 print(f"time weight lambda = {lam}: epsilon = {decay.epsilon:.5f}, "
       f"zeta = {decay.zeta:.5f}, decay rate = {decay.decay_rate:.3f}")
 
-traj = vt.run(scen, n_samples=801)
+record = vt.SampleRecord(scen)      # filled while run steps: no snapshots kept
+traj = vt.run(scen, n_samples=801, reducers=[record])
 print(f"integrated {traj.log['nsteps']} steps of {traj.log['dt']:.3e}")
 
-series = vt.compute_measure(traj, geom, mat, lam)
+series = vt.compute_measure(record, geom, lam)
 print("\nE(r, T) profile (every 50th depth):")
 for j in range(0, series.r.size, 50):
     print(f"  r = {series.r[j]:.3f}   E = {series.E[j, -1]:.6e}")
@@ -41,7 +42,7 @@ for j in range(0, series.r.size, 50):
 rep = vt.check_diff_inequality(series)
 print(f"\n{rep}")
 
-identity = vt.check_energy_identity(traj, None, mat, lam)
+identity = vt.check_energy_identity(record, lam)
 print(identity)
 
 h1 = scen.grid.spacing[0]

@@ -45,7 +45,7 @@ for n in (101, 201, 401):
                        phi=exact.phi(X, float(t)), phidot=exact.phidot(X, float(t)),
                        theta=exact.theta(X, float(t))) for t in times]
     traj = Trajectory(scenario=scen, times=times, states=states)
-    rep = vt.check_energy_identity(traj, None, mat, lam=2.0)
+    rep = vt.check_energy_identity(vt.record_trajectory(traj), lam=2.0)
     residuals.append(rep.residual)
     print(f"{n:5d} nodes: residual {rep.residual:.3e}")
 print("halving ratios:", [round(residuals[i] / residuals[i + 1], 3) for i in range(2)])

@@ -149,9 +149,9 @@ def verify_decay_pipeline(scenario, lambdas=None, r0=None, t0=None, seed=0):
     n_samples = min(1601, max(801, int(math.ceil(scenario.T * lam / 0.05))))
     record = measures.SampleRecord(scenario)
     traj = run(scenario, n_samples=n_samples, reducers=[record])
-    series = measures.compute_measure(record, geometry, material, lam)
+    series = measures.compute_measure(record, geometry, lam)
 
-    identity = measures.check_energy_identity(record, None, material, lam)
+    identity = measures.check_energy_identity(record, lam)
     identity_tol = ENERGY_IDENTITY_TOL * res_factor
     diff_rep = measures.check_diff_inequality(series, tol=DIFF_INEQ_TOL * res_factor)
     decay_rep = measures.check_decay(series, t0, r0, tol=DECAY_TOL * res_factor)
@@ -214,7 +214,7 @@ def _refinement_study(scenario, lam, levels):
         except BudgetExceeded as exc:
             notes.append(f"level {level}: skipped ({exc})")
             break
-        rep = measures.check_energy_identity(record, None, refined.material, lam)
+        rep = measures.check_energy_identity(record, lam)
         residuals.append(rep.residual)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
@@ -271,7 +271,7 @@ def cmd_sweep_lambda(args):
             except InfeasibleWindow:
                 feasible = "no"
             if feasible == "yes":
-                series = measures.compute_measure(record, geometry, material, lam)
+                series = measures.compute_measure(record, geometry, lam)
                 rep = measures.check_decay(series, t0, r0)
                 slope = _fmt(rep.slope)
         rows.append((lam, decay.epsilon, decay.zeta, decay.decay_rate,

@@ -2,12 +2,11 @@
 the decay diagnostics.
 
 The law is coded numerically once, in :func:`field_response`,
-:func:`stored_energy_field`, :func:`entropy_field` and
-:func:`energy_density_parts`.  These act on arrays with any number of
-trailing grid axes; the pointwise maps call them with none.  The only other
-copies are independent oracles: the assembled quadratic form ``Q`` of
-:func:`~voidtherm.material.assemble_quadratic_form` (behind
-:func:`bilinear_form`) and the symbolic law of :mod:`voidtherm.mms`.
+:func:`stored_energy_field` and :func:`entropy_field`.  These act on arrays
+with any number of trailing grid axes; the pointwise maps call them with
+none.  The only other copies are independent oracles: the assembled
+quadratic form ``Q`` of :func:`~voidtherm.material.assemble_quadratic_form`
+(behind :func:`bilinear_form`) and the symbolic law of :mod:`voidtherm.mms`.
 
 Inequality checks return (lhs, rhs) pairs instead of booleans; tolerance
 handling lives in :class:`TolerancePolicy` so that floating-point slack is
@@ -199,18 +198,6 @@ def entropy_field(e, gamma, phi, theta, material):
     return (np.einsum("ij,ij...->...", material.M, e)
             + np.einsum("i,i...->...", material.aVec, gamma)
             + material.m * phi + material.aHeat * theta)
-
-
-def energy_density_parts(e, gamma, kappa, phi, phidot, theta, v, material):
-    """The lambda-independent parts (P, R) of the measure density
-    lambda*P + R: P is the kinetic, void-kinetic, thermal and stored
-    energy, R the rate and conduction terms."""
-    v2 = np.einsum("i...,i...->...", v, v)
-    kq = np.einsum("i...,ij,j...->...", kappa, material.K, kappa)
-    P = 0.5 * (material.rho * v2 + material.rho * material.chi * phidot ** 2
-               + material.aHeat * theta ** 2
-               + 2.0 * stored_energy_field(e, gamma, phi, material))
-    return P, material.tau * phidot ** 2 + kq / material.theta0
 
 
 # ---------------------------------------------------------------------------

@@ -513,8 +513,10 @@ def write_material_file(material, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_material_file(path):
-    """Parse a material file; rejects missing, duplicate, or unknown keys."""
+def read_key_values(path, error):
+    """The ``key = value`` lines of a file in file order, as a dict key ->
+    (line number, value); ``#`` starts a comment.  A line without ``=`` or a
+    repeated key raises ``error``."""
     entries = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -522,14 +524,21 @@ def read_material_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise MaterialFileError(f"{path}:{lineno}: expected 'key = values'")
+                raise error(f"{path}:{lineno}: expected 'key = value'")
             key, _, rest = line.partition("=")
             key = key.strip()
-            if key not in MATERIAL_KEYS:
-                raise MaterialFileError(f"{path}:{lineno}: unknown key '{key}'")
             if key in entries:
-                raise MaterialFileError(f"{path}:{lineno}: duplicate key '{key}'")
+                raise error(f"{path}:{lineno}: duplicate key '{key}'")
             entries[key] = (lineno, rest.strip())
+    return entries
+
+
+def read_material_file(path):
+    """Parse a material file; rejects missing, duplicate, or unknown keys."""
+    entries = read_key_values(path, MaterialFileError)
+    for key, (lineno, _) in entries.items():
+        if key not in MATERIAL_KEYS:
+            raise MaterialFileError(f"{path}:{lineno}: unknown key '{key}'")
     missing = [k for k in MATERIAL_KEYS if k not in entries]
     if missing:
         raise MaterialFileError(f"{path}: missing keys: {', '.join(missing)}")

@@ -11,21 +11,21 @@ integrals; the inequality margins are the point of the exercise.
 
 The measure density is lambda P + R, so everything the measures need per
 sample is lambda-independent: a :class:`SampleRecord` reduces each sample
-once, while ``run`` steps or by replaying snapshots, and the measure, the
-energy identity and the surface power are read off the record for any
-lambda.
+once, while ``run`` steps (``run(..., reducers=[record])``) or by replaying
+snapshots (:func:`record_trajectory`).  The measure, the energy identity and
+the surface power take the record alone, for any lambda: the material, the
+grid, the box and the sample times are the record's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import TOLERANCES, energy_density_parts
+from .constitutive import TOLERANCES, stored_energy
 from .material import spectrum as material_spectrum, zeta_of_lambda
 from .solver import _Operator, trapezoid_weights
 
@@ -80,9 +80,12 @@ def weighted_energy_density(state, udot, material, lam):
     """Integrand of the measure at one point: the lambda-weighted kinetic,
     void-kinetic, thermal, and stored parts plus the rate and conduction
     terms (nonnegative for admissible materials)."""
+    m = material
     udot = np.atleast_1d(np.asarray(udot, dtype=float))
-    P, R = energy_density_parts(state.e, state.gamma, state.kappa, state.phi,
-                                state.phidot, state.theta, udot, material)
+    P = (0.5 * (m.rho * udot @ udot + m.rho * m.chi * state.phidot ** 2
+                + m.aHeat * state.theta ** 2)
+         + stored_energy(state.kinematic(), m))
+    R = m.tau * state.phidot ** 2 + state.kappa @ m.K @ state.kappa / m.theta0
     return float(lam * P + R)
 
 
@@ -98,33 +101,6 @@ def _cumtrapz(times, values, axis=0):
 # The per-sample record
 
 
-def _normal_power(op, axis, sel=()):
-    """Power S n.v + h.n phidot - q.n theta/theta0 through a face with normal
-    e_axis, at the nodes ``sel`` (an index into the grid axes) of the level
-    the operator holds: S and h from its fluxes, q from its temperature
-    gradient."""
-    d, mat, Y = op.d, op.mat, op.Y
-    at = (slice(None),) + sel
-    flux = op.flux[axis * (d + 1):(axis + 1) * (d + 1)][at]
-    scale = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
-    q = mat.K[axis] @ op.grad[d + 1][at].reshape(d, -1)
-    power = (scale @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
-             - q * Y[d + 1][sel].reshape(-1) / mat.theta0)
-    return power.reshape(flux.shape[1:])
-
-
-def _region(grid, region):
-    """A grid-aligned box as inclusive (lo, hi) node-index pairs per axis;
-    None is the whole grid."""
-    if region is None:
-        region = tuple((0, n - 1) for n in grid.counts)
-    region = tuple((int(lo), int(hi)) for lo, hi in region)
-    for (lo, hi), n in zip(region, grid.counts):
-        if not (0 <= lo < hi < n):
-            raise ValueError(f"region {region} not inside the grid")
-    return region
-
-
 class SampleRecord:
     """The lambda-independent reductions of a trajectory, one entry per
     sample, from which the measure, the energy identity and the surface
@@ -133,19 +109,28 @@ class SampleRecord:
     - ``profiles``: the lateral profiles of P, of R and of the power through
       the x1-planes, integrated over every axis but the first: one (3, n1)
       array per sample;
-    - ``box_P``, ``box_R``: the integrals of P and R over the box ``region``;
+    - ``box_P``, ``box_R``: the integrals of P and R over the box ``region``,
+      a tuple of inclusive (lo, hi) node-index pairs per axis (None: the
+      whole grid);
     - ``box_power``: the outward power through the box faces;
     - ``box_work``: the source work over the box.
 
     A record is a reducer: pass it to ``run(..., reducers=[record])`` to
     fill it while stepping, or replay a snapshot trajectory into it with
-    :func:`record_trajectory`; both call it on the same operator level.
+    :func:`record_trajectory`; both call it on the same operator level and
+    integrate what the operator's ``energy_parts``, ``normal_power`` and
+    ``source_work`` return.
     """
 
     def __init__(self, scenario, region=None):
         grid = scenario.grid
         self.scenario = scenario
-        self.region = _region(grid, region)
+        if region is None:
+            region = tuple((0, n - 1) for n in grid.counts)
+        self.region = tuple((int(lo), int(hi)) for lo, hi in region)
+        if len(self.region) != grid.dim or not all(
+                0 <= lo < hi < n for (lo, hi), n in zip(self.region, grid.counts)):
+            raise ValueError(f"region {self.region} not a box inside the grid")
         self._box = tuple(slice(lo, hi + 1) for lo, hi in self.region)
         counts = [hi - lo + 1 for lo, hi in self.region]
         self._volume = trapezoid_weights(counts, grid.spacing)
@@ -162,23 +147,17 @@ class SampleRecord:
 
     def __call__(self, op, t):
         P, R = op.energy_parts()
-        mat, Y, d, box, lateral = op.mat, op.Y, op.d, self._box, self._lateral
+        box = self._box
         self.t.append(t)
-        fields = np.stack([P, R, _normal_power(op, 0)])
-        self.profiles.append(fields.reshape(3, len(P), -1) @ lateral)
+        fields = np.stack([P, R, op.normal_power(0)])
+        self.profiles.append(fields.reshape(3, len(P), -1) @ self._lateral)
         self.box_P.append(float(np.sum(self._volume * P[box])))
         self.box_R.append(float(np.sum(self._volume * R[box])))
-        self.box_power.append(sum(float(np.sum(w * _normal_power(op, axis, sel)))
+        self.box_power.append(sum(float(np.sum(w * op.normal_power(axis, sel)))
                                   for axis, sel, w in self._faces))
-        source, work = self.scenario.source, []
-        if "f" in op.sources:
-            work.append(np.einsum("i...,i...->...", source("f", t), Y[d + 2:2 * d + 2]))
-        if "ell" in op.sources:
-            work.append(source("ell", t) * Y[2 * d + 2])
-        if "r" in op.sources:
-            work.append(-source("r", t) * Y[d + 1] / mat.theta0)
-        self.box_work.append(mat.rho * float(np.sum(self._volume * sum(work)[box])) if work
-                             else 0.0)
+        work = op.source_work(t)
+        self.box_work.append(0.0 if work is None else
+                             self.scenario.material.rho * float(np.sum(self._volume * work[box])))
 
 
 def record_trajectory(trajectory, region=None):
@@ -190,21 +169,6 @@ def record_trajectory(trajectory, region=None):
         op.fluxes(st.t)
         record(op, st.t)
     return record
-
-
-def _record_of(source, material, region=None):
-    """The record of ``source``: a :class:`SampleRecord` as it is, a
-    snapshot trajectory replayed over ``region``.  The record's densities
-    are those of the scenario's material, so ``material`` must hold the
-    same coefficients."""
-    mine = source.scenario.material
-    if material is not mine and not all(
-            np.array_equal(getattr(material, f.name), getattr(mine, f.name))
-            for f in dataclasses.fields(mine)):
-        raise ValueError("material differs from the scenario's material")
-    if isinstance(source, SampleRecord):
-        return source
-    return record_trajectory(source, region)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +191,16 @@ class MeasureSeries:
     I: np.ndarray
 
 
-def compute_measure(source, geometry, material, lam):
-    """Measure series for time weight ``lam`` of a trajectory or of its
-    :class:`SampleRecord`.
+def compute_measure(record, geometry, lam):
+    """Measure series for time weight ``lam`` of a :class:`SampleRecord`.
 
     Space integrals are cell-midpoint quadrature with nodal averages
     (trapezoid weights), the time integral is the trapezoid rule on the
     sample times.  Derivatives are computed directly from their own volume
     and surface integrals, not by differencing E.
     """
-    grid = source.scenario.grid
-    times = np.asarray(source.t if isinstance(source, SampleRecord) else source.times)
+    grid, material = record.scenario.grid, record.scenario.material
+    times = np.asarray(record.t)
     if len(times) < 2:
         raise ValueError("need at least two samples")
     if lam * float(np.max(np.diff(times))) > 0.25:
@@ -250,7 +213,6 @@ def compute_measure(source, geometry, material, lam):
     if idx[-1] >= grid.counts[0]:
         raise ValueError("geometry reaches outside the grid")
 
-    record = _record_of(source, material)
     prof = np.array([lam * p[0] + p[1] for p in record.profiles])
     weighted = np.exp(lam * times)[:, None] * prof
 
@@ -271,11 +233,11 @@ def compute_measure(source, geometry, material, lam):
                          E=E, dE_dr=dE_dr, dE_dt=dE_dt, I=I)
 
 
-def surface_power(source, r, material, lam):
+def surface_power(record, r, lam):
     """Weighted power through the cross-section at depth r, oriented along
-    +x1 (toward the data-free end), one value per sample time, of a
-    trajectory or of its :class:`SampleRecord`."""
-    scenario = source.scenario
+    +x1 (toward the data-free end), one value per sample time of a
+    :class:`SampleRecord`."""
+    scenario = record.scenario
     grid = scenario.grid
     h1 = grid.spacing[0]
     idx = int(round((scenario.support_x0 + r) / h1))
@@ -283,7 +245,6 @@ def surface_power(source, r, material, lam):
         raise ValueError("plane must be grid-aligned")
     if not 0 <= idx < grid.counts[0]:
         raise ValueError("plane lies outside the grid")
-    record = _record_of(source, material)
     return np.exp(lam * np.array(record.t)) * np.array([p[2, idx] for p in record.profiles])
 
 
@@ -307,17 +268,13 @@ class EnergyIdentityReport:
                 f"residual={self.residual:.3e} (max over time {self.residual_max:.3e})")
 
 
-def check_energy_identity(source, region, material, lam):
-    """Evaluate the weighted energy identity over a grid-aligned box, for a
-    trajectory or for a :class:`SampleRecord` filled for that box.
+def check_energy_identity(record, lam):
+    """Evaluate the weighted energy identity over the box of a
+    :class:`SampleRecord` (its ``region``).
 
-    ``region`` is a tuple of inclusive (lo, hi) node-index pairs per axis,
-    or None for the whole domain.  The residual converges at second order
-    under joint refinement of mesh and step.
+    The residual converges at second order under joint refinement of mesh
+    and step.
     """
-    record = _record_of(source, material, region)
-    if record.region != _region(record.scenario.grid, region):
-        raise ValueError(f"the record integrates over {record.region}, not {region}")
     times = np.array(record.t)
     wgt = np.exp(lam * times)
     energy = wgt * np.array(record.box_P)

@@ -595,7 +595,7 @@ class _Operator:
         self.dissipative = dissipative
         self.faces = _face_plans(scenario, lambda: self.response)
         self.sources = {k for k in ("f", "ell", "r") if scenario.sources.get(k) is not None}
-        self.Y = self._parts = None
+        self.Y = self._energy = None
 
     @functools.cached_property
     def response(self):
@@ -622,8 +622,9 @@ class _Operator:
         self.grad = np.empty((d + 2, d) + counts)
         self.acc = np.empty((d + 1,) + counts)
         self.flux = np.empty((d * (d + 1) + 1,) + counts)
-        # the scratch rows of one step, dead between steps: energy_parts
-        # reuses the first d (d + 1) of them (3 d + 3 >= d (d + 1) for d <= 3)
+        # the scratch rows of one step, dead between steps: energy and
+        # energy_parts reuse the first d (d + 1) of them (3 d + 3 >= d (d + 1)
+        # for d <= 3)
         self.scratch = np.empty((3 * d + 3,) + counts)
         self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
         self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
@@ -708,7 +709,7 @@ class _Operator:
         fluxes (S[:, j] / rho, h[j] / (rho chi)) per axis j and the intrinsic
         force G / (rho chi) of the loaded state."""
         d, Y, flux = self.d, self.Y, self.flux
-        self._parts = None
+        self._energy = None
         self._gradients(Y[:d + 2], t, self.grad)
         flat = flux.reshape(len(flux), -1)
         np.matmul(self.L_grad, self.grad[:d + 1].reshape(d * (d + 1), -1), out=flat)
@@ -790,26 +791,60 @@ class _Operator:
         rows = [s * (d + 1) + r for r in range(d + 1) for s in range(d)]
         return np.vstack([self.response[rows], -self.response[-1:]])[:, :-1]
 
-    def energy_parts(self):
-        """The parts (P, R) of the measure density lambda P + R at the level
-        evaluated by ``fluxes``, computed once per level: P is the kinetic,
-        void-kinetic, thermal and stored energy, R the rate and conduction
-        terms."""
-        if self._parts is None:
+    def energy(self):
+        """The energy density P (kinetic, void-kinetic, thermal and stored) at
+        the level evaluated by ``fluxes``, computed once per level."""
+        if self._energy is None:
             d, Y, mat, H, n = self.d, self.Y, self.mat, self.energy_matrix, self.Y[0].size
             # z = (g, phi) with g the derivatives; H is symmetric, so
             # z^T H z = g^T H_gg g + (2 H_phi,g g + H_phi,phi phi) phi
             g, phi = self.grad[:d + 1].reshape(d * (d + 1), n), Y[d].reshape(n)
             Hg = np.matmul(H[:-1, :-1], g, out=self.scratch.reshape(-1, n)[:d * (d + 1)])
-            w, kappa = Y[d + 2:].reshape(d + 1, n), self.grad[d + 1].reshape(d, n)
+            w = Y[d + 2:].reshape(d + 1, n)
             P = 0.5 * (mat.rho * np.einsum("kn,kn->n", w[:d], w[:d])
                        + mat.rho * mat.chi * w[d] ** 2 + mat.aHeat * Y[d + 1].reshape(n) ** 2
                        + np.einsum("kn,kn->n", g, Hg)
                        + (2.0 * (H[-1, :-1] @ g) + H[-1, -1] * phi) * phi)
-            Kk = np.matmul(mat.K, kappa, out=Hg[:d])
-            R = mat.tau * w[d] ** 2 + np.einsum("kn,kn->n", kappa, Kk) / mat.theta0
-            self._parts = P.reshape(Y.shape[1:]), R.reshape(Y.shape[1:])
-        return self._parts
+            self._energy = P.reshape(Y.shape[1:])
+        return self._energy
+
+    def energy_parts(self):
+        """The parts (P, R) of the measure density lambda P + R at the level
+        evaluated by ``fluxes``: P from :meth:`energy`, R the rate and
+        conduction terms."""
+        d, Y, mat, n = self.d, self.Y, self.mat, self.Y[0].size
+        kappa = self.grad[d + 1].reshape(d, n)
+        Kk = np.matmul(mat.K, kappa, out=self.scratch.reshape(-1, n)[:d])
+        R = mat.tau * Y[2 * d + 2].reshape(n) ** 2 + np.einsum("kn,kn->n", kappa, Kk) / mat.theta0
+        return self.energy(), R.reshape(Y.shape[1:])
+
+    def normal_power(self, axis, sel=()):
+        """Power S n.v + h.n phidot - q.n theta/theta0 through a face with
+        normal e_axis, at the nodes ``sel`` (an index into the grid axes) of
+        the level evaluated by ``fluxes``: S and h from its fluxes, q from its
+        temperature gradient."""
+        d, mat, Y = self.d, self.mat, self.Y
+        at = (slice(None),) + sel
+        flux = self.flux[axis * (d + 1):(axis + 1) * (d + 1)][at]
+        scale = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
+        q = mat.K[axis] @ self.grad[d + 1][at].reshape(d, -1)
+        power = (scale @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
+                 - q * Y[d + 1][sel].reshape(-1) / mat.theta0)
+        return power.reshape(flux.shape[1:])
+
+    def source_work(self, t):
+        """Work of the volume sources per unit mass, f.v + ell phidot -
+        r theta/theta0, at the loaded level and time t; None without
+        sources."""
+        d, Y, source = self.d, self.Y, self.scenario.source
+        work = []
+        if "f" in self.sources:
+            work.append(np.einsum("i...,i...->...", source("f", t), Y[d + 2:2 * d + 2]))
+        if "ell" in self.sources:
+            work.append(source("ell", t) * Y[2 * d + 2])
+        if "r" in self.sources:
+            work.append(-source("r", t) * Y[d + 1] / self.mat.theta0)
+        return sum(work) if work else None
 
     def check_finite(self, t):
         """Raise on the first non-finite node, named by field and index."""
@@ -883,20 +918,25 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     801): the samples are every ``stride = ceil(nsteps / (n_samples - 1))``
     steps, the step count is padded up to a multiple of the stride, and t = 0
     and t = T are always sampled, so the samples are uniform in time and at
-    most ``n_samples``.  The log holds the total energy and max |theta| of
-    every sample.  Identical inputs give identical trajectories.
+    most ``n_samples``, which must be at least 2 when T > 0.  The log holds
+    the total energy and max |theta| of every sample.  Identical inputs give
+    identical trajectories.
 
     By default every sample is kept as a snapshot in ``states``.  With
     ``reducers``, a list of callables, each is called as ``reducer(op, t)``
-    at every sample, with the stepping operator holding the sample's
-    level (``Y``, the corrected gradients ``grad``, ``flux`` and
-    ``energy_parts()``), and ``states`` keeps only the final state: memory
-    then does not grow with the sample count.  ``times`` and the log are the
-    same either way.
+    at every sample, with the stepping operator holding the sample's level:
+    ``op.energy_parts()`` gives the parts (P, R) of the measure density,
+    ``op.normal_power(axis, sel)`` the power through a grid plane and
+    ``op.source_work(t)`` the work of the volume sources.  ``states`` then
+    keeps only the final state, so memory does not grow with the sample
+    count.  ``times`` and the log are the same either way; the log reads
+    only P, so R is computed only for a reducer that asks for it.
     """
     errors, warnings = validate_scenario(scenario)
     if errors:
         raise ValueError("invalid scenario: " + "; ".join(errors))
+    if scenario.T > 0.0 and n_samples is not None and n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 (t = 0 and t = T), got {n_samples}")
     dt_max, growth = stability_budget(scenario, enforce=not dissipative)
     dt = scenario.resolve_dt()
     if dt > dt_max * (1.0 + 1e-12):
@@ -926,7 +966,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
 
     def sample(t):
         times.append(t)
-        energies.append(float(np.sum(weights * op.energy_parts()[0])))
+        energies.append(float(np.sum(weights * op.energy())))
         theta_max.append(float(np.abs(theta).max()))
         if reducers is None:
             states.append(op.state(t))
@@ -1079,108 +1119,76 @@ def pde_residual(trajectory, boundary_margin=0):
 # Scenario files and trajectory dumps
 
 
-_SIGNAL_NAMES = ("zero", "raised_cosine", "windowed_gaussian")
+# signal name -> (class, the parameters its file line must give)
+_SIGNALS = {"zero": (ZeroSignal, ()),
+            "raised_cosine": (RaisedCosinePulse, ("amplitude", "t_end")),
+            "windowed_gaussian": (WindowedGaussianPulse,
+                                  ("amplitude", "center", "sigma", "t_end"))}
 
 
-def _parse_params(tokens, path, lineno):
+def _parse_call(tokens, dim, where):
+    """The name, the name=value parameters and the displacement component
+    ``axis`` of a signal or profile."""
+    if not tokens:
+        raise ScenarioFileError(f"{where}: expected a signal or profile name")
     params = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ScenarioFileError(f"{path}:{lineno}: expected name=value, got '{tok}'")
-        name, _, val = tok.partition("=")
+    for tok in tokens[1:]:
+        name, eq, val = tok.partition("=")
+        if not eq or name in params:
+            raise ScenarioFileError(f"{where}: expected distinct name=value pairs, got '{tok}'")
         params[name] = val
-    return params
+    axis = int(params.pop("axis", 0))
+    if not 0 <= axis < dim:
+        raise ScenarioFileError(f"{where}: axis {axis} outside 0..{dim - 1}")
+    return tokens[0], params, axis
 
 
-def _parse_signal(tokens, path, lineno):
-    name, params = tokens[0], _parse_params(tokens[1:], path, lineno)
+def _parse_signal(tokens, dim, where):
+    name, params, axis = _parse_call(tokens, dim, where)
+    if name not in _SIGNALS:
+        raise ScenarioFileError(f"{where}: unknown signal '{name}' (choose from {list(_SIGNALS)})")
+    cls, keys = _SIGNALS[name]
     try:
-        if name == "zero":
-            return ZeroSignal(), int(params.pop("axis", 0)), params
-        if name == "raised_cosine":
-            sig = RaisedCosinePulse(amplitude=float(params.pop("amplitude")),
-                                    t_end=float(params.pop("t_end")))
-            return sig, int(params.pop("axis", 0)), params
-        if name == "windowed_gaussian":
-            sig = WindowedGaussianPulse(amplitude=float(params.pop("amplitude")),
-                                        center=float(params.pop("center")),
-                                        sigma=float(params.pop("sigma")),
-                                        t_end=float(params.pop("t_end")))
-            return sig, int(params.pop("axis", 0)), params
+        signal = cls(**{key: float(params.pop(key)) for key in keys})
     except KeyError as exc:
-        raise ScenarioFileError(f"{path}:{lineno}: signal '{name}' missing parameter {exc}") from None
-    raise ScenarioFileError(f"{path}:{lineno}: unknown signal '{name}' (choose from {_SIGNAL_NAMES})")
+        raise ScenarioFileError(f"{where}: signal '{name}' missing parameter {exc}") from None
+    if params:
+        raise ScenarioFileError(f"{where}: unknown parameters {sorted(params)}")
+    return signal, axis
 
 
-def _parse_profile(tokens, dim, path, lineno):
-    name, params = tokens[0], _parse_params(tokens[1:], path, lineno)
-    if name == "zero":
-        return None, int(params.pop("axis", 0)), params
+def _parse_profile(tokens, dim, where):
+    name, params, axis = _parse_call(tokens, dim, where)
+    prof = None
     if name == "cosine_bump":
         try:
             center = tuple(float(c) for c in params.pop("center").split(","))
             prof = CosineBump(amplitude=float(params.pop("amplitude")),
                               center=center, width=float(params.pop("width")))
         except KeyError as exc:
-            raise ScenarioFileError(f"{path}:{lineno}: profile missing parameter {exc}") from None
+            raise ScenarioFileError(f"{where}: profile missing parameter {exc}") from None
         if len(prof.center) != dim:
-            raise ScenarioFileError(f"{path}:{lineno}: center needs {dim} components")
-        return prof, int(params.pop("axis", 0)), params
-    raise ScenarioFileError(f"{path}:{lineno}: unknown profile '{name}'")
+            raise ScenarioFileError(f"{where}: center needs {dim} components")
+    elif name != "zero":
+        raise ScenarioFileError(f"{where}: unknown profile '{name}'")
+    if params:
+        raise ScenarioFileError(f"{where}: unknown parameters {sorted(params)}")
+    return prof, axis
 
 
 def read_scenario_file(path, material=None):
     """Parse the documented key-value scenario schema.
 
     The referenced material file is resolved relative to the scenario file
-    unless a material is passed explicitly.
+    unless a material is passed explicitly.  Every key appears at most once.
     """
     import os
 
-    from .material import read_material_file
+    from .material import read_key_values, read_material_file
 
-    entries = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                if "=" not in line:
-                    raise ScenarioFileError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, rest = line.partition("=")
-                entries.append((lineno, key.strip(), rest.strip()))
-
-    plain = {}
-    faces = {}
-    initial = {}
-    sources = {}
-    for lineno, key, rest in entries:
-        if key.startswith("face."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ScenarioFileError(f"{path}:{lineno}: face keys look like face.x1min.void")
-            fname, group = parts[1], parts[2]
-            if group not in GROUPS:
-                raise ScenarioFileError(f"{path}:{lineno}: unknown group '{group}'")
-            if len(fname) != 5 or fname[0] != "x" or fname[2:] not in ("min", "max"):
-                raise ScenarioFileError(f"{path}:{lineno}: face names look like x1min / x2max")
-            axis = int(fname[1]) - 1
-            tokens = rest.split()
-            if len(tokens) < 2 or tokens[0] not in ("dirichlet", "flux"):
-                raise ScenarioFileError(f"{path}:{lineno}: expected '<dirichlet|flux> <signal ...>'")
-            signal, sig_axis, leftover = _parse_signal(tokens[1:], path, lineno)
-            if leftover:
-                raise ScenarioFileError(f"{path}:{lineno}: unknown parameters {sorted(leftover)}")
-            faces.setdefault((axis, fname[2:]), {})[group] = BoundaryCondition(
-                kind=tokens[0], signal=signal, axis=sig_axis)
-        elif key.startswith("initial."):
-            initial[(lineno, key.split(".", 1)[1])] = rest
-        elif key.startswith("source."):
-            sources[(lineno, key.split(".", 1)[1])] = rest
-        else:
-            if key in plain:
-                raise ScenarioFileError(f"{path}:{lineno}: duplicate key '{key}'")
-            plain[key] = (lineno, rest)
-
+    entries = read_key_values(path, ScenarioFileError)
+    plain = {key: value for key, value in entries.items()
+             if not key.startswith(("face.", "initial.", "source."))}
     required = ("dim", "extent", "nodes", "dt", "T", "support_x0")
     known = set(required) | {"material", "label"}
     unknown = set(plain) - known
@@ -1209,28 +1217,41 @@ def read_scenario_file(path, material=None):
     if material.dim != dim:
         raise ScenarioFileError(f"{path}: material dim {material.dim} != scenario dim {dim}")
 
-    init_fns = {}
-    for (lineno, name), rest in initial.items():
-        if name not in ("u", "udot", "phi", "phidot", "theta"):
-            raise ScenarioFileError(f"{path}:{lineno}: unknown initial field '{name}'")
-        prof, axis, leftover = _parse_profile(rest.split(), dim, path, lineno)
-        if leftover:
-            raise ScenarioFileError(f"{path}:{lineno}: unknown parameters {sorted(leftover)}")
-        if prof is not None:
-            init_fns[name] = vector_profile(prof, axis, dim) if name in ("u", "udot") else prof
-
-    src_fns = {}
-    for (lineno, name), rest in sources.items():
-        if name not in ("f", "ell", "r"):
-            raise ScenarioFileError(f"{path}:{lineno}: unknown source '{name}'")
-        if rest.split()[0] != "zero":
-            raise ScenarioFileError(f"{path}:{lineno}: file scenarios support only zero sources")
+    faces, init_fns = {}, {}
+    for key, (lineno, rest) in entries.items():
+        where, tokens, name = f"{path}:{lineno}", rest.split(), key.partition(".")[2]
+        if key.startswith("face."):
+            parts = key.split(".")
+            if len(parts) != 3:
+                raise ScenarioFileError(f"{where}: face keys look like face.x1min.void")
+            fname, group = parts[1], parts[2]
+            if group not in GROUPS:
+                raise ScenarioFileError(f"{where}: unknown group '{group}'")
+            if (len(fname) != 5 or fname[0] != "x" or fname[1] not in "123"
+                    or fname[2:] not in ("min", "max")):
+                raise ScenarioFileError(f"{where}: face names look like x1min / x2max")
+            if len(tokens) < 2 or tokens[0] not in ("dirichlet", "flux"):
+                raise ScenarioFileError(f"{where}: expected '<dirichlet|flux> <signal ...>'")
+            signal, axis = _parse_signal(tokens[1:], dim, where)
+            faces.setdefault((int(fname[1]) - 1, fname[2:]), {})[group] = BoundaryCondition(
+                kind=tokens[0], signal=signal, axis=axis)
+        elif key.startswith("initial."):
+            if name not in ("u", "udot", "phi", "phidot", "theta"):
+                raise ScenarioFileError(f"{where}: unknown initial field '{name}'")
+            prof, axis = _parse_profile(tokens, dim, where)
+            if prof is not None:
+                init_fns[name] = vector_profile(prof, axis, dim) if name in ("u", "udot") else prof
+        elif key.startswith("source."):
+            if name not in ("f", "ell", "r"):
+                raise ScenarioFileError(f"{where}: unknown source '{name}'")
+            if tokens != ["zero"]:
+                raise ScenarioFileError(f"{where}: file scenarios support only zero sources")
 
     scenario = Scenario(grid=grid, material=material,
                         boundary=BoundaryPartition(faces=faces),
                         dt=dt, T=float(plain["T"][1]),
                         support_x0=float(plain["support_x0"][1]),
-                        initial=init_fns, sources=src_fns,
+                        initial=init_fns, sources={},
                         label=plain.get("label", (0, ""))[1])
     errors = scenario.boundary.validate(dim)
     if errors:

@@ -6,11 +6,6 @@ from voidtherm import presets
 
 
 @pytest.fixture(scope="session")
-def ref_material():
-    return presets.reference_material()
-
-
-@pytest.fixture(scope="session")
 def pulse_scenario():
     return presets.pulse_scenario()
 
@@ -18,6 +13,11 @@ def pulse_scenario():
 @pytest.fixture(scope="session")
 def pulse_trajectory(pulse_scenario):
     return vt.run(pulse_scenario, n_samples=801)
+
+
+@pytest.fixture(scope="session")
+def pulse_record(pulse_trajectory):
+    return vt.record_trajectory(pulse_trajectory)
 
 
 @pytest.fixture(scope="session")
@@ -33,9 +33,8 @@ def pulse_lambda(pulse_scenario, pulse_geometry):
 
 
 @pytest.fixture(scope="session")
-def pulse_series(pulse_trajectory, pulse_geometry, pulse_scenario, pulse_lambda):
-    return vt.compute_measure(pulse_trajectory, pulse_geometry,
-                              pulse_scenario.material, pulse_lambda)
+def pulse_series(pulse_record, pulse_geometry, pulse_lambda):
+    return vt.compute_measure(pulse_record, pulse_geometry, pulse_lambda)
 
 
 @pytest.fixture()

@@ -166,7 +166,7 @@ def test_acceptance_4_energy_identity_convergence():
                            phi=exact.phi(X, float(t)), phidot=exact.phidot(X, float(t)),
                            theta=exact.theta(X, float(t))) for t in times]
         traj = Trajectory(scenario=scen, times=times, states=states)
-        residuals.append(vt.check_energy_identity(traj, None, mat, 2.0).residual)
+        residuals.append(vt.check_energy_identity(vt.record_trajectory(traj), 2.0).residual)
     ratios = [residuals[i] / residuals[i + 1] for i in range(2)]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
     elapsed = time.monotonic() - t0
@@ -222,17 +222,13 @@ def test_acceptance_6_decay_estimate(pulse_scenario, pulse_series, pulse_lambda)
     assert elapsed < 120.0
 
 
-def test_acceptance_7_measure_monotonicity(pulse_trajectory, pulse_geometry,
-                                           pulse_scenario, pulse_series):
+def test_acceptance_7_measure_monotonicity(pulse_record, pulse_geometry, pulse_series):
     t0 = time.monotonic()
     ok = True
-    mat = pulse_scenario.material
-    series_list = [pulse_series,
-                   vt.compute_measure(pulse_trajectory, pulse_geometry, mat, 8.0)]
+    series_list = [pulse_series, vt.compute_measure(pulse_record, pulse_geometry, 8.0)]
     insulated = presets.insulated_relaxation_scenario()
-    traj = vt.run(insulated, n_samples=401)
-    series_list.append(vt.compute_measure(traj, vt.support_geometry(insulated),
-                                          insulated.material, 2.0))
+    record = vt.record_trajectory(vt.run(insulated, n_samples=401))
+    series_list.append(vt.compute_measure(record, vt.support_geometry(insulated), 2.0))
     for series in series_list:
         tol = 1e-12 * series.E[0]
         ok &= bool(np.all(np.diff(series.E, axis=0) <= tol[None, :]))

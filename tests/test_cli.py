@@ -200,6 +200,13 @@ def _huge_pulse(workdir):
         PULSE_FILE.format(nodes=161).replace("amplitude=0.01", "amplitude=1e307"))
 
 
+def _edited(old, new):
+    """Set-up writing bad.scn: the coarse pulse file with ``old`` replaced."""
+    def setup(workdir):
+        (workdir / "bad.scn").write_text(PULSE_FILE.format(nodes=161).replace(old, new))
+    return setup
+
+
 # (command line with {d} for the work directory, input set-up, exit code,
 # text the report must contain)
 MALFORMED = [
@@ -218,6 +225,22 @@ MALFORMED = [
     ("sweep-lambda --material {d}/ref.mat --lambda 0,-1", None, 1, "must be positive"),
     ("simulate", None, 1, "the following arguments are required: --scenario"),
     ("verify-decay --scenario {d}/pulse.scn --r0 abc", None, 1, "invalid float value: 'abc'"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("t_end=0.2", "t_end=0.2 axis=4"),
+     1, "axis 4 outside 0..0"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited(
+        "label = cli-pulse", "initial.u = cosine_bump amplitude=1e-3 center=0.1 width=0.1 axis=2"),
+     1, "axis 2 outside 0..0"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("label = cli-pulse", "source.f ="),
+     1, "only zero sources"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited(
+        "face.x1min.void = dirichlet zero",
+        "face.x1min.void = dirichlet zero\nface.x1min.displacement = dirichlet zero"),
+     1, "duplicate key 'face.x1min.displacement'"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited(
+        "label = cli-pulse", "initial.theta = zero\ninitial.theta = zero"),
+     1, "duplicate key 'initial.theta'"),
+    ("simulate --scenario {d}/coarse.scn --samples 0 --out {d}/o", None, 1,
+     "n_samples must be at least 2"),
 ]
 
 

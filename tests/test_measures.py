@@ -32,9 +32,9 @@ def test_density_nonnegative_for_admissible_material(rng):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_density_field_matches_quadratic_form(dim, rng):
-    # grid density of a random state against 0.5*lam*(... + z^T Q z) + ...,
-    # with Q assembled independently of the constitutive kernel
-    from voidtherm.constitutive import energy_density_parts
+    # pointwise density at the nodes of a random grid state against
+    # 0.5*lam*(... + z^T Q z) + ..., with Q assembled independently of the
+    # constitutive kernel
     from voidtherm.solver import BoundaryPartition, Grid, Scenario
 
     mat = vt.random_material(dim, rng)
@@ -47,30 +47,30 @@ def test_density_field_matches_quadratic_form(dim, rng):
                   theta=rng.normal(size=shape))
     lam = 3.7
     e, gamma, kappa = kinematics(st, scen)
-    P, R = energy_density_parts(e, gamma, kappa, st.phi, st.phidot, st.theta, st.v, mat)
-    dens = lam * P + R
     Q = vt.assemble_quadratic_form(mat)
     for flat in rng.integers(0, st.phi.size, size=12):
         idx = np.unravel_index(flat, shape)
-        z = cn.KinematicVector(E=e[(slice(None), slice(None)) + idx],
-                               pi=gamma[(slice(None),) + idx], psi=st.phi[idx],
-                               chi1=math.sqrt(mat.chi)).scaled_coords()
-        v, k = st.v[(slice(None),) + idx], kappa[(slice(None),) + idx]
+        point = cn.PointState(e=e[(slice(None), slice(None)) + idx],
+                              gamma=gamma[(slice(None),) + idx],
+                              kappa=kappa[(slice(None),) + idx], phi=st.phi[idx],
+                              phidot=st.phidot[idx], theta=st.theta[idx])
+        z = point.kinematic(mat.chi).scaled_coords()
+        v, k = st.v[(slice(None),) + idx], point.kappa
         oracle = (0.5 * lam * (mat.rho * v @ v + mat.rho * mat.chi * st.phidot[idx] ** 2
                                + mat.aHeat * st.theta[idx] ** 2 + z @ Q @ z)
                   + mat.tau * st.phidot[idx] ** 2 + k @ mat.K @ k / mat.theta0)
-        assert dens[idx] == pytest.approx(oracle, rel=1e-12)
+        assert vt.weighted_energy_density(point, v, mat, lam) == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # measure series
 
 
-def test_zero_trajectory_gives_zero_series(ref_material):
+def test_zero_trajectory_gives_zero_series():
     scen = presets.pulse_scenario(nodes=51, T=0.1, amplitude=0.0)
     traj = vt.run(scen, n_samples=21)
     geom = vt.support_geometry(scen)
-    series = vt.compute_measure(traj, geom, ref_material, 4.0)
+    series = vt.compute_measure(vt.record_trajectory(traj), geom, 4.0)
     assert not np.any(series.E != 0.0)
     assert not np.any(series.dE_dr != 0.0)
     assert not np.any(series.dE_dt != 0.0)
@@ -98,7 +98,7 @@ def test_derivatives_match_finite_differences():
     scen, _ = manufactured_scenario(u, phi, theta, grid, mat, dt=0.2 * h1, T=0.4)
     traj = vt.run(scen, n_samples=321)
     geom = vt.SupportGeometry(x0=0.25, L=1.0, r_samples=np.arange(0, 160) * h1)
-    series = vt.compute_measure(traj, geom, mat, 3.0)
+    series = vt.compute_measure(vt.record_trajectory(traj), geom, 3.0)
 
     def dr_error(stride):
         fd = (series.E[2 * stride:, :] - series.E[:-2 * stride, :]) / (2 * stride * h1)
@@ -115,13 +115,13 @@ def test_derivatives_match_finite_differences():
     assert dt_error(4) / dt_error(2) == pytest.approx(4.0, rel=0.2)
 
 
-def test_finite_propagation(pulse_trajectory, pulse_scenario):
+def test_finite_propagation(pulse_record, pulse_scenario):
     # before the wave plus the stencil halo can reach depth r, E(r, t) is
     # exactly zero (bitwise); the measured halo at t = 0.02 is 0.27 units
     # beyond the physical cone, asserted with 0.35 for headroom
     mat = pulse_scenario.material
     geom = vt.support_geometry(pulse_scenario)
-    series = vt.compute_measure(pulse_trajectory, geom, mat, 8.0)
+    series = vt.compute_measure(pulse_record, geom, 8.0)
     spec = vt.spectrum(mat)
     vmax = math.sqrt(spec.mu_M * max(1.0 / mat.rho, 1.0 / (mat.rho * mat.chi)))
     k = int(np.argmin(np.abs(series.t - 0.02)))
@@ -133,28 +133,28 @@ def test_finite_propagation(pulse_trajectory, pulse_scenario):
     assert series.E[0, k] > 0.0
 
 
-def test_sampling_pre_check(pulse_trajectory, pulse_scenario):
+def test_sampling_pre_check(pulse_record, pulse_scenario):
     geom = vt.support_geometry(pulse_scenario)
     with pytest.raises(ValueError, match="coarsely"):
-        vt.compute_measure(pulse_trajectory, geom, pulse_scenario.material, 1e4)
+        vt.compute_measure(pulse_record, geom, 1e4)
 
 
-def test_geometry_outside_grid(pulse_trajectory, pulse_scenario):
+def test_geometry_outside_grid(pulse_record, pulse_scenario):
     grid = pulse_scenario.grid
     geom = vt.SupportGeometry(x0=0.25, L=2.0,
                               r_samples=np.arange(0.0, 2.0, grid.spacing[0]))
     with pytest.raises(ValueError, match="outside"):
-        vt.compute_measure(pulse_trajectory, geom, pulse_scenario.material, 8.0)
+        vt.compute_measure(pulse_record, geom, 8.0)
 
 
 # ---------------------------------------------------------------------------
 # energy identity
 
 
-def test_energy_identity_zero_trajectory(ref_material):
+def test_energy_identity_zero_trajectory():
     scen = presets.pulse_scenario(nodes=51, T=0.1, amplitude=0.0)
     traj = vt.run(scen, n_samples=21)
-    rep = vt.check_energy_identity(traj, None, ref_material, 4.0)
+    rep = vt.check_energy_identity(vt.record_trajectory(traj), 4.0)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.residual == 0.0
 
 
@@ -163,14 +163,14 @@ def test_energy_identity_insulated_regression():
     # configuration (401 nodes, half-CFL step, 801 samples): 4.6e-5
     scen = presets.insulated_relaxation_scenario()
     traj = vt.run(scen, n_samples=801)
-    rep = vt.check_energy_identity(traj, None, scen.material, 2.0)
+    rep = vt.check_energy_identity(vt.record_trajectory(traj), 2.0)
     assert rep.residual <= 1e-4
 
 
-def test_energy_identity_subregion(pulse_trajectory, pulse_scenario, pulse_lambda):
+def test_energy_identity_subregion(pulse_trajectory, pulse_lambda):
     # the identity holds on interior boxes, not only on the whole body
-    rep = vt.check_energy_identity(pulse_trajectory, ((120, 380),),
-                                   pulse_scenario.material, pulse_lambda)
+    rep = vt.check_energy_identity(vt.record_trajectory(pulse_trajectory, ((120, 380),)),
+                                   pulse_lambda)
     assert rep.residual <= 5e-4
 
 
@@ -189,7 +189,7 @@ def test_energy_identity_manufactured_convergence():
                            phi=exact.phi(X, float(t)), phidot=exact.phidot(X, float(t)),
                            theta=exact.theta(X, float(t))) for t in times]
         traj = Trajectory(scenario=scen, times=times, states=states)
-        residuals.append(vt.check_energy_identity(traj, None, mat, 2.0).residual)
+        residuals.append(vt.check_energy_identity(vt.record_trajectory(traj), 2.0).residual)
     for a, b in zip(residuals, residuals[1:]):
         assert 3.5 <= a / b <= 4.5
 
@@ -198,11 +198,11 @@ def test_energy_identity_manufactured_convergence():
 # differential inequality and decay
 
 
-def test_diff_inequality_zero_series(ref_material):
+def test_diff_inequality_zero_series():
     scen = presets.pulse_scenario(nodes=51, T=0.1, amplitude=0.0)
     traj = vt.run(scen, n_samples=21)
     geom = vt.support_geometry(scen)
-    series = vt.compute_measure(traj, geom, ref_material, 4.0)
+    series = vt.compute_measure(vt.record_trajectory(traj), geom, 4.0)
     rep = vt.check_diff_inequality(series)
     assert rep.ok
 
@@ -224,11 +224,11 @@ def test_diff_inequality_checker_detects_corruption(pulse_series):
     assert rep.violations
 
 
-def test_decay_zero_series_trivially_satisfied(ref_material):
+def test_decay_zero_series_trivially_satisfied():
     scen = presets.pulse_scenario(nodes=51, T=1.0, amplitude=0.0)
     traj = vt.run(scen, n_samples=101)
     geom = vt.support_geometry(scen)
-    series = vt.compute_measure(traj, geom, ref_material, 4.0)
+    series = vt.compute_measure(vt.record_trajectory(traj), geom, 4.0)
     decay = series.decay
     t0, r0 = scen.T - 0.5 / decay.zeta, 0.5
     rep = vt.check_decay(series, t0, r0)
@@ -267,30 +267,30 @@ def test_decay_infeasible_window_raises(pulse_series):
 # surface power
 
 
-def test_surface_power_zero_trajectory(ref_material):
+def test_surface_power_zero_trajectory():
     scen = presets.pulse_scenario(nodes=51, T=0.1, amplitude=0.0)
     traj = vt.run(scen, n_samples=21)
-    power = vt.surface_power(traj, 0.25, ref_material, 4.0)
+    power = vt.surface_power(vt.record_trajectory(traj), 0.25, 4.0)
     assert not np.any(power != 0.0)
 
 
-def test_surface_power_outside_influence(pulse_trajectory, pulse_scenario):
+def test_surface_power_outside_influence(pulse_trajectory, pulse_record):
     # a plane the wave has not reached carries no power early on
-    power = vt.surface_power(pulse_trajectory, 0.9, pulse_scenario.material, 8.0)
+    power = vt.surface_power(pulse_record, 0.9, 8.0)
     early = pulse_trajectory.times <= 0.05
     assert np.all(power[early] == 0.0)
     assert np.abs(power).max() > 0.0
 
 
-def test_surface_power_dominated_by_weighted_density(pulse_trajectory, pulse_scenario,
-                                                     pulse_lambda):
+def test_surface_power_dominated_by_weighted_density(pulse_trajectory, pulse_record,
+                                                     pulse_scenario, pulse_lambda):
     # pointwise bound integrated over the plane dominates the power series
     mat = pulse_scenario.material
     spec = vt.spectrum(mat)
     decay = vt.zeta_of_lambda(spec, mat, pulse_lambda)
     r = 0.25
     idx = int(round((pulse_scenario.support_x0 + r) / pulse_scenario.grid.spacing[0]))
-    power = vt.surface_power(pulse_trajectory, r, mat, pulse_lambda)
+    power = vt.surface_power(pulse_record, r, pulse_lambda)
     for k in range(0, len(pulse_trajectory.times), 97):
         st = pulse_trajectory.states[k]
         e, gamma, kappa = kinematics(st, pulse_scenario)
@@ -335,14 +335,14 @@ def test_two_dimensional_pipeline_smoke():
     scen = Scenario(grid=Grid(extents=(1.0, 0.5), counts=(81, 41)), material=mat,
                     boundary=BoundaryPartition(faces=faces), dt="auto", T=0.5,
                     support_x0=0.2, label="2d-pulse")
-    traj = vt.run(scen, n_samples=201)
+    record = vt.record_trajectory(vt.run(scen, n_samples=201))
     geom = vt.support_geometry(scen)
-    series = vt.compute_measure(traj, geom, mat, 8.0)
+    series = vt.compute_measure(record, geom, 8.0)
     assert np.all(np.diff(series.E, axis=0) <= 1e-12 * series.E[0][None, :])
     assert vt.check_diff_inequality(series).ok
-    rep = vt.check_energy_identity(traj, None, mat, 8.0)
+    rep = vt.check_energy_identity(record, 8.0)
     assert rep.residual <= 2e-2  # coarse smoke grid
-    power = vt.surface_power(traj, 0.2, mat, 8.0)
+    power = vt.surface_power(record, 0.2, 8.0)
     assert np.abs(power).max() > 0.0
 
 
@@ -397,6 +397,13 @@ def _gap(a, b):
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
 
+@pytest.mark.parametrize("region", [((5, 51),), ((3, 3),), ((5, 40), (0, 1))])
+def test_record_rejects_a_region_outside_the_grid(region):
+    # a box needs one (lo, hi) pair per grid axis with 0 <= lo < hi < n
+    with pytest.raises(ValueError, match="not a box inside the grid"):
+        vt.SampleRecord(presets.pulse_scenario(nodes=51, T=0.1), region)
+
+
 @pytest.mark.parametrize("name", ["pulse1d", "plate2d", "box3d", "manufactured"])
 def test_streamed_record_matches_replay(name):
     # run(reducers=[record]) fills the record from the level the stepper
@@ -418,8 +425,8 @@ def test_streamed_record_matches_replay(name):
         replayed = vt.record_trajectory(snap, box)
         for key in ("t", "profiles", "box_P", "box_R", "box_power", "box_work"):
             assert _gap(getattr(record, key), getattr(replayed, key)) <= 1e-12, key
-        got = vt.check_energy_identity(record, box, scen.material, lam)
-        want = vt.check_energy_identity(snap, box, scen.material, lam)
+        got = vt.check_energy_identity(record, lam)
+        want = vt.check_energy_identity(replayed, lam)
         for key in ("lhs", "rhs", "scale"):
             assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12, abs=1e-300)
         assert got.residual == pytest.approx(want.residual, abs=1e-12)
@@ -428,24 +435,14 @@ def test_streamed_record_matches_replay(name):
     if name == "manufactured":
         assert np.abs(records[0].box_work).max() > 0.0
 
-    got = vt.compute_measure(records[0], geom, scen.material, lam)
-    want = vt.compute_measure(snap, geom, scen.material, lam)
+    replayed = vt.record_trajectory(snap)
+    got = vt.compute_measure(records[0], geom, lam)
+    want = vt.compute_measure(replayed, geom, lam)
     for key in ("E", "dE_dr", "dE_dt"):
         assert _gap(getattr(got, key), getattr(want, key)) <= 1e-12, key
     assert np.abs(want.E).max() > 0.0
     h1 = scen.grid.spacing[0]
     r = (scen.grid.counts[0] // 2) * h1 - scen.support_x0   # a plane inside the grid
-    want = vt.surface_power(snap, r, scen.material, lam)
-    assert _gap(vt.surface_power(records[0], r, scen.material, lam), want) <= 1e-12
+    want = vt.surface_power(replayed, r, lam)
+    assert _gap(vt.surface_power(records[0], r, lam), want) <= 1e-12
     assert np.abs(want).max() > 0.0
-
-
-def test_record_rejects_another_region_or_material():
-    scen = presets.pulse_scenario(nodes=51, T=0.1)
-    record = vt.SampleRecord(scen)
-    vt.run(scen, n_samples=11, reducers=[record])
-    with pytest.raises(ValueError, match="integrates over"):
-        vt.check_energy_identity(record, ((5, 40),), scen.material, 2.0)
-    other = dataclasses.replace(scen.material, rho=2.0)
-    with pytest.raises(ValueError, match="material"):
-        vt.compute_measure(record, vt.support_geometry(scen), other, 2.0)

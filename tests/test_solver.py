@@ -9,7 +9,8 @@ import voidtherm as vt
 from voidtherm import presets
 from voidtherm.mms import manufactured_scenario, static_equilibrium_scenario
 from voidtherm.solver import (BoundaryCondition, BoundaryPartition, SimState,
-                              Trajectory, face_slice, initial_arrays, validate_scenario)
+                              Trajectory, _face_data, face_slice, initial_arrays,
+                              validate_scenario)
 
 
 def quiet_scenario(nodes=41, T=0.05, material=None, length=1.25):
@@ -99,9 +100,7 @@ def test_states_own_their_memory():
 @pytest.mark.parametrize("dim", (1, 2))
 def test_energy_log_matches_sampled_states(dim):
     # the energy log reuses the stepper's gradients of each level; recomputed
-    # from the sampled states through kinematics it must be the same number
-    from voidtherm.constitutive import energy_density_parts
-
+    # from the sampled states by a replay it must be the same number
     rng = np.random.default_rng(3)
     mat = dataclasses.replace(vt.random_material(dim, rng), K=1e-3 * np.eye(dim))
     grid = vt.Grid(extents=(1.0,) * dim, counts=(41, 21)[:dim])
@@ -113,11 +112,9 @@ def test_energy_log_matches_sampled_states(dim):
     scen = vt.Scenario(grid=grid, material=mat, boundary=BoundaryPartition(faces=faces),
                        dt="auto", T=0.2, support_x0=1.0)
     traj = vt.run(scen, n_samples=9)
-    weights = vt.solver.trapezoid_weights(grid.counts, grid.spacing)
-    for st, logged in zip(traj.states, traj.log["energy"]):
-        P, _ = energy_density_parts(*vt.kinematics(st, scen), st.phi, st.phidot, st.theta,
-                                    st.v, mat)
-        assert logged == pytest.approx(float(np.sum(weights * P)), rel=1e-12, abs=1e-300)
+    replayed = vt.record_trajectory(traj).box_P
+    for logged, energy in zip(traj.log["energy"], replayed, strict=True):
+        assert logged == pytest.approx(energy, rel=1e-12, abs=1e-300)
     assert traj.log["energy"][-1] > 0.0
 
 
@@ -141,6 +138,13 @@ def test_n_samples_is_a_cap(nodes, T, n_samples, want):
     assert stride == math.ceil(unpadded / (n_samples - 1))
     assert nsteps == stride * math.ceil(unpadded / stride)
     assert len(times) == (want if want is not None else nsteps + 1)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_n_samples_below_two_raises(n_samples):
+    # t = 0 and t = T are always sampled, so fewer than two cannot be kept
+    with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        vt.run(presets.pulse_scenario(nodes=51, T=0.1), n_samples=n_samples)
 
 
 def test_step_matches_run():
@@ -581,8 +585,15 @@ def test_residual_sees_the_time_direction():
         assert wrong >= 1e3 * right, (dissipative, wrong, right)
 
 
-def test_reversed_run_solves_the_antidissipative_equations():
-    scen = presets.insulated_relaxation_scenario(nodes=151, T=0.3)
+@pytest.mark.parametrize("case", ["insulated", "manufactured"])
+def test_reversed_run_solves_the_antidissipative_equations(case):
+    if case == "insulated":
+        scen = presets.insulated_relaxation_scenario(nodes=151, T=0.3)
+    else:   # volume sources and spatially varying Dirichlet data
+        grid = vt.Grid(extents=(1.0,), counts=(81,))
+        scen, _ = manufactured_scenario(*presets.mms_profiles_1d(length=1.0), grid,
+                                        presets.reference_material(), dt=0.2 / 80, T=0.3,
+                                        dissipative=True)
     fwd = vt.run(scen, n_samples=61, dissipative=True)
     res_fwd = vt.pde_residual(fwd)  # dissipative residual of the forward run
     rev = vt.reverse_time(fwd)
@@ -590,6 +601,15 @@ def test_reversed_run_solves_the_antidissipative_equations():
     res_rev = vt.pde_residual(rev)  # anti-dissipative residual of the image
     for key in res_fwd:
         assert res_rev[key] == pytest.approx(res_fwd[key], rel=1e-9)
+    # the image's data is the reflection: values at T - t, rates negated
+    T = fwd.times[-1]
+    for t in (0.0, 0.3 * T, T):
+        for face, groups in scen.boundary.faces.items():
+            for g, (rate, sign) in itertools.product(groups, ((False, 1.0), (True, -1.0))):
+                assert np.array_equal(_face_data(rev.scenario, face, g, t, rate),
+                                      sign * _face_data(scen, face, g, T - t, rate))
+        for key in ("f", "ell", "r"):
+            assert np.array_equal(rev.scenario.source(key, t), scen.source(key, T - t))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +660,7 @@ def test_scenario_file_errors(tmp_path):
     with pytest.raises(vt.ScenarioFileError, match="missing"):
         vt.read_scenario_file(tmp_path / "a.scn")
 
-    bad = PULSE_FILE + "face.x1min.displacement = dirichlet warble amplitude=1\n"
+    bad = PULSE_FILE.replace("dirichlet raised_cosine", "dirichlet warble")
     (tmp_path / "b.scn").write_text(bad)
     with pytest.raises(vt.ScenarioFileError, match="unknown signal"):
         vt.read_scenario_file(tmp_path / "b.scn")
@@ -649,6 +669,32 @@ def test_scenario_file_errors(tmp_path):
     (tmp_path / "c.scn").write_text(bad)
     with pytest.raises(vt.ScenarioFileError, match="thermal"):
         vt.read_scenario_file(tmp_path / "c.scn")
+
+
+def test_scenario_file_profiles_and_signals_match_python(tmp_path):
+    # a cosine-bump initial field and a windowed-Gaussian face read from a
+    # file step bit for bit like the same scenario built in Python
+    path = write_pulse_files(tmp_path)
+    path.write_text(PULSE_FILE.replace("T = 0.5", "T = 0.2").replace(
+        "face.x1min.void = dirichlet zero",
+        "face.x1min.void = dirichlet windowed_gaussian amplitude=0.002 center=0.05 "
+        "sigma=0.02 t_end=0.1") + "initial.u = cosine_bump amplitude=0.001 center=0.1 width=0.1\n")
+    filed = vt.read_scenario_file(path)
+    faces = BoundaryPartition.all_dirichlet_zero(1).faces
+    faces[(0, "min")]["displacement"] = BoundaryCondition(
+        "dirichlet", signal=vt.RaisedCosinePulse(amplitude=0.01, t_end=0.2))
+    faces[(0, "min")]["void"] = BoundaryCondition(
+        "dirichlet", signal=vt.WindowedGaussianPulse(amplitude=0.002, center=0.05, sigma=0.02,
+                                                     t_end=0.1))
+    bump = vt.CosineBump(amplitude=0.001, center=(0.1,), width=0.1)
+    built = vt.Scenario(grid=vt.Grid(extents=(1.25,), counts=(101,)), material=filed.material,
+                        boundary=BoundaryPartition(faces=faces), dt="auto", T=0.2,
+                        support_x0=0.25, initial={"u": vt.solver.vector_profile(bump, 0, 1)})
+    a, b = vt.run(filed, n_samples=11), vt.run(built, n_samples=11)
+    assert np.abs(a.states[0].u).max() > 0.0 and np.abs(a.states[-1].phi).max() > 0.0
+    for sa, sb in zip(a.states, b.states, strict=True):
+        for key in ("u", "v", "phi", "phidot", "theta"):
+            assert np.array_equal(getattr(sa, key), getattr(sb, key))
 
 
 def test_trajectory_csv_dump(tmp_path):
