@@ -533,6 +533,26 @@ def read_key_values(path, error):
     return entries
 
 
+def read_numbers(text, kind, error, where, count=None):
+    """The numbers of type ``kind`` (``int`` or ``float``) in ``text``: one
+    number, or with ``count`` a tuple of that many separated by blanks.  A
+    malformed or non-finite number or a wrong count raises ``error`` naming
+    ``where`` (``path:line: key``)."""
+    words = [text] if count is None else text.split()
+    try:
+        values = tuple(kind(w) for w in words)
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        noun = "integers" if kind is int else "finite numbers"
+        raise error(f"{where}: expected {noun}, got '{text}'")
+    if count is None:
+        return values[0]
+    if len(values) != count:
+        raise error(f"{where}: expected {count} values, got {len(values)}")
+    return values
+
+
 def read_material_file(path):
     """Parse a material file; rejects missing, duplicate, or unknown keys."""
     entries = read_key_values(path, MaterialFileError)
@@ -543,34 +563,17 @@ def read_material_file(path):
     if missing:
         raise MaterialFileError(f"{path}: missing keys: {', '.join(missing)}")
 
-    lineno, text = entries["dim"]
-    try:
-        dim = int(text)
-    except ValueError:
-        raise MaterialFileError(f"{path}:{lineno}: dim must be an integer") from None
-    if dim not in (1, 2, 3):
-        raise MaterialFileError(f"{path}:{lineno}: dim must be 1, 2 or 3")
+    def number(key, kind=float, count=None):
+        lineno, text = entries[key]
+        return read_numbers(text, kind, MaterialFileError, f"{path}:{lineno}: {key}", count)
 
+    dim = number("dim", int)
+    if dim not in (1, 2, 3):
+        raise MaterialFileError(f"{path}:{entries['dim'][0]}: dim must be 1, 2 or 3")
     shapes = _material_shapes(dim)
-    arrays = {}
-    for key in _ARRAY_KEYS:
-        lineno, text = entries[key]
-        try:
-            values = np.array([float(v) for v in text.split()])
-        except ValueError:
-            raise MaterialFileError(f"{path}:{lineno}: bad float in '{key}'") from None
-        shape = shapes[key]
-        if values.size != int(np.prod(shape)):
-            raise MaterialFileError(
-                f"{path}:{lineno}: '{key}' needs {int(np.prod(shape))} values, got {values.size}")
-        arrays[key] = values.reshape(shape)
-    scalars = {}
-    for key in _SCALAR_KEYS:
-        lineno, text = entries[key]
-        try:
-            scalars[key] = float(text)
-        except ValueError:
-            raise MaterialFileError(f"{path}:{lineno}: bad float in '{key}'") from None
+    arrays = {key: np.reshape(number(key, count=math.prod(shapes[key])), shapes[key])
+              for key in _ARRAY_KEYS}
+    scalars = {key: number(key) for key in _SCALAR_KEYS}
 
     return Material(
         dim=dim,

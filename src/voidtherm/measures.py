@@ -54,6 +54,18 @@ class SupportGeometry:
             raise ValueError("r_samples must lie in [0, L]")
 
 
+def _plane_index(grid, x1, what):
+    """Node index along x1 of the grid plane at x1 (a number or an array):
+    it must be grid-aligned and inside the grid."""
+    h1 = grid.spacing[0]
+    idx = np.round(np.asarray(x1) / h1).astype(int)
+    if np.any(np.abs(idx * h1 - x1) > 1e-9 * h1):
+        raise ValueError(f"{what} must be grid-aligned")
+    if np.any((idx < 0) | (idx >= grid.counts[0])):
+        raise ValueError(f"{what} lies outside the grid")
+    return idx
+
+
 def support_geometry(scenario):
     """Grid-aligned geometry for a scenario's declared support slab.
 
@@ -61,15 +73,11 @@ def support_geometry(scenario):
     at least one interior cell.
     """
     grid = scenario.grid
-    h1 = grid.spacing[0]
-    i0 = int(round(scenario.support_x0 / h1))
-    if abs(i0 * h1 - scenario.support_x0) > 1e-9 * h1:
-        raise ValueError("support depth x0 must be grid-aligned")
-    n1 = grid.counts[0]
-    idx = np.arange(i0, n1 - 1)
+    i0 = _plane_index(grid, scenario.support_x0, "support depth x0")
+    idx = np.arange(i0, grid.counts[0] - 1)
     return SupportGeometry(x0=scenario.support_x0,
                            L=grid.extents[0] - scenario.support_x0,
-                           r_samples=(idx - i0) * h1)
+                           r_samples=(idx - i0) * grid.spacing[0])
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +214,7 @@ def compute_measure(record, geometry, lam):
     if lam * float(np.max(np.diff(times))) > 0.25:
         raise ValueError("trajectory sampled too coarsely for this time weight")
     h1 = grid.spacing[0]
-    i0 = int(round(geometry.x0 / h1))
-    idx = i0 + np.round(geometry.r_samples / h1).astype(int)
-    if np.any(np.abs(idx * h1 - (geometry.x0 + geometry.r_samples)) > 1e-9 * h1):
-        raise ValueError("r_samples must be grid-aligned")
-    if idx[-1] >= grid.counts[0]:
-        raise ValueError("geometry reaches outside the grid")
+    idx = _plane_index(grid, geometry.x0 + geometry.r_samples, "r_samples")
 
     prof = np.array([lam * p[0] + p[1] for p in record.profiles])
     weighted = np.exp(lam * times)[:, None] * prof
@@ -238,13 +241,7 @@ def surface_power(record, r, lam):
     +x1 (toward the data-free end), one value per sample time of a
     :class:`SampleRecord`."""
     scenario = record.scenario
-    grid = scenario.grid
-    h1 = grid.spacing[0]
-    idx = int(round((scenario.support_x0 + r) / h1))
-    if abs(idx * h1 - (scenario.support_x0 + r)) > 1e-9 * h1:
-        raise ValueError("plane must be grid-aligned")
-    if not 0 <= idx < grid.counts[0]:
-        raise ValueError("plane lies outside the grid")
+    idx = int(_plane_index(scenario.grid, scenario.support_x0 + r, "plane"))
     return np.exp(lam * np.array(record.t)) * np.array([p[2, idx] for p in record.profiles])
 
 

@@ -15,19 +15,21 @@ stepper, ``kinematics`` and the measures use it and nothing else;
 ``pde_residual`` measures a trajectory against the operator it was stepped
 with.
 
-``run`` and ``step`` build one private operator per scenario.  It keeps the
-state as one stacked array updated in place, with buffers sized by fields x
-nodes; a face plan per face (node slice, Dirichlet groups, flux groups, the
-restricted normal-flux matrix N_sel inverted once); and the constitutive law
-as one matrix from the stacked derivatives and (phi, theta) to the normal
-fluxes (S[:, j], h[j]) per axis and the intrinsic force, read off the
-constitutive kernel by unit inputs at most once per operator, and only when
-stepping or a traction / equilibrated-stress flux face needs it.  Each time
-level's corrected gradients are computed once: the accelerations, the
-sampled energy and the next temperature rate share them; the stored energy is
-the packed form z^T H z / 2, with H read off the same probe.  The coupling term
-of the temperature rate, M:grad v + aVec.grad phidot, is the divergence of
-M^T v + aVec phidot and joins the heat flux in a single divergence.
+``run`` is the one way to advance a state: after the support, wave-bound and
+thermal-budget checks it builds one private operator per scenario.  It keeps
+the state as one stacked array updated in place, with buffers sized by
+fields x nodes; a face plan per face (node slice, Dirichlet groups, flux
+groups, the restricted normal-flux matrix N_sel inverted once); and the
+constitutive law as one matrix from the stacked derivatives and (phi, theta)
+to the normal fluxes (S[:, j], h[j]) per axis and the intrinsic force, read
+off the constitutive kernel by unit inputs at most once per operator, and
+only when stepping or a traction / equilibrated-stress flux face needs it.
+Each time level's corrected gradients are computed once: the accelerations,
+the sampled energy and the next temperature rate share them; the stored
+energy is the packed form z^T H z / 2, with H read off the same probe.  The
+coupling term of the temperature rate, M:grad v + aVec.grad phidot, is the
+divergence of M^T v + aVec phidot and joins the heat flux in a single
+divergence.
 
 Prescribed boundary fluxes (traction, equilibrated-stress flux, heat flux)
 are imposed by overriding the normal derivatives at the face so the nodal
@@ -46,12 +48,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constitutive import field_response
-from .material import Material, spectrum as material_spectrum
+from .material import (Material, read_key_values, read_material_file, read_numbers,
+                       spectrum as material_spectrum)
 
 GROUPS = ("displacement", "void", "thermal")
 
@@ -342,7 +346,10 @@ class Scenario:
         if self.dt == "auto":
             dt_max, _ = stability_budget(self, enforce=False)
             return 0.5 * dt_max
-        return float(self.dt)
+        dt = float(self.dt)
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"time step dt must be positive and finite, got {self.dt!r}")
+        return dt
 
 
 def initial_arrays(scenario):
@@ -363,70 +370,65 @@ def initial_arrays(scenario):
             build("phidot", False), build("theta", False))
 
 
+def _largest(arrays, where=True):
+    """Largest |value| over ``arrays`` at the nodes that the mask ``where``,
+    broadcast to each array, selects (0 for none)."""
+    return max(float(np.abs(a)[np.broadcast_to(where, a.shape)].max(initial=0.0))
+               for a in arrays)
+
+
 def validate_scenario(scenario):
-    """Support and boundary-table checks.
+    """Horizon, support and boundary-table checks.
 
     Returns (errors, warnings): data outside the declared support slab is an
     error (the decay theory needs a bounded data support); initial/boundary
     incompatibility at t = 0 is flagged as a warning only.
     """
     errors = list(scenario.boundary.validate(scenario.grid.dim))
+    T = scenario.T
+    if not (math.isfinite(T) and T >= 0.0):
+        errors.append(f"horizon T must be finite and nonnegative, got {T}")
+    if errors:
+        return errors, []
     warnings = []
-    if scenario.T < 0:
-        errors.append("horizon T must be nonnegative")
     x0 = scenario.support_x0
-    X = scenario.mesh()
-    outside = X[0] > x0 + 1e-12
-    covers_all = not bool(outside.any())
+    outside = scenario.mesh()[0] > x0 + 1e-12
+    initial = dict(zip(("u", "udot", "phi", "phidot", "theta"), initial_arrays(scenario)))
 
-    if not covers_all:
-        u0, v0, phi0, pdot0, theta0 = initial_arrays(scenario)
-        for name, arr in (("u", u0), ("udot", v0), ("phi", phi0),
-                          ("phidot", pdot0), ("theta", theta0)):
-            mags = np.abs(arr)
-            mask = outside if arr.shape == outside.shape else np.broadcast_to(outside, arr.shape)
-            worst = float(mags[mask].max()) if mask.any() else 0.0
-            if worst > 1e-14 * max(1.0, float(mags.max())):
+    if outside.any():
+        # relative for initial data, absolute for sources and face data
+        for name, arr in initial.items():
+            worst = _largest([arr], outside)
+            if worst > 1e-14 * max(1.0, _largest([arr])):
                 errors.append(f"initial '{name}' nonzero outside the support slab (max {worst:.3e})")
-        sample_times = np.linspace(0.0, scenario.T, 5) if scenario.T > 0 else [0.0]
+        sample_times = np.linspace(0.0, T, 5) if T > 0 else [0.0]
         for key in ("f", "ell", "r"):
             if scenario.sources.get(key) is None:
                 continue
-            worst = 0.0
-            for t in sample_times:
-                arr = np.abs(scenario.source(key, float(t)))
-                mask = outside if arr.shape == outside.shape else np.broadcast_to(outside, arr.shape)
-                if mask.any():
-                    worst = max(worst, float(arr[mask].max()))
+            worst = _largest([scenario.source(key, float(t)) for t in sample_times], outside)
             if worst > 1e-14:
                 errors.append(f"source '{key}' nonzero outside the support slab (max {worst:.3e})")
         for (axis, side), groups in scenario.boundary.faces.items():
-            inside_slab = axis == 0 and side == "min" and x0 >= 0.0
-            if inside_slab:
+            if axis == 0 and side == "min" and x0 >= 0.0:
                 continue
             for g in GROUPS:
-                bc = groups[g]
-                if bc.is_zero():
-                    continue
-                if bc.fielddata is None:
-                    errors.append(
-                        f"face ({axis}, {side}) carries nonzero '{g}' data outside the support slab")
-                    continue
-                worst = max(float(np.abs(_face_data(scenario, (axis, side), g, float(t))).max())
-                            for t in (0.0, 0.5 * scenario.T, scenario.T))
-                if worst > 1e-14:
-                    errors.append(
-                        f"face ({axis}, {side}) '{g}' field data nonzero outside the support slab")
+                bc, at = groups[g], f"face ({axis}, {side})"
+                if bc.fielddata is not None:
+                    data = [_face_data(scenario, (axis, side), g, t) for t in (0.0, 0.5 * T, T)]
+                    if _largest(data) > 1e-14:
+                        errors.append(f"{at} '{g}' field data nonzero outside the support slab")
+                elif not bc.is_zero():
+                    errors.append(f"{at} carries nonzero '{g}' data outside the support slab")
 
     # zero-jet compatibility at t = 0 (warn only; corners are not rejected)
     if not errors:
-        u0, v0, phi0, pdot0, theta0 = initial_arrays(scenario)
         for (axis, side), groups in scenario.boundary.faces.items():
             fs = (Ellipsis,) + face_slice(axis, side, scenario.grid.dim)
-            for g, name, arr in zip(GROUPS, ("u", "phi", "theta"), (u0, phi0, theta0)):
+            for g, name in zip(GROUPS, ("u", "phi", "theta")):
                 if groups[g].kind != "dirichlet":
                     continue
-                gap = float(np.abs(arr[fs] - _face_data(scenario, (axis, side), g, 0.0)).max())
+                data = _face_data(scenario, (axis, side), g, 0.0)
+                gap = float(np.abs(initial[name][fs] - data).max())
                 if gap > 1e-12:
                     warnings.append(f"face ({axis}, {side}): initial '{name}' and boundary data "
                                     f"disagree at t=0 by {gap:.3e}")
@@ -895,25 +897,11 @@ def kinematics(state, scenario):
     return _Operator(scenario).kinematics(state)
 
 
-def step(state, scenario, dissipative=False):
-    """One explicit step of size ``scenario.dt`` from ``state``.
-
-    A one-step convenience call: every call builds its operator and resolves
-    ``dt`` (the material spectrum for ``dt = "auto"``), which costs several
-    steps of ``run``.  Loops should call :func:`run`.
-    """
-    dt = scenario.resolve_dt()
-    op = _Operator(scenario, dissipative)
-    op.load(state)
-    op.level(state.t, state.phidot)
-    op.advance(state.t, dt)
-    return op.state(state.t + dt)
-
-
 def run(scenario, n_samples=None, dissipative=False, reducers=None):
     """Integrate the scenario and return the sampled trajectory.
 
-    The step is rounded so the horizon is an integer number of steps.
+    The step is rounded so the horizon is an integer number of steps, and
+    the wave bound is checked on the step taken.
     ``n_samples`` caps the number of samples (default: one per step, at most
     801): the samples are every ``stride = ceil(nsteps / (n_samples - 1))``
     steps, the step count is padded up to a multiple of the stride, and t = 0
@@ -939,19 +927,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
         raise ValueError(f"n_samples must be at least 2 (t = 0 and t = T), got {n_samples}")
     dt_max, growth = stability_budget(scenario, enforce=not dissipative)
     dt = scenario.resolve_dt()
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CflViolation(f"dt = {dt:.6g} exceeds the wave bound {dt_max:.6g}")
-
-    grid = scenario.grid
-    op = _Operator(scenario, dissipative)
-    op.load(SimState(0.0, *initial_arrays(scenario)))
-    op.impose(0.0)
-    op.level(0.0, op.Y[-1])
-
-    if scenario.T <= 0.0:
-        nsteps = 0
-    else:
-        nsteps = max(1, int(round(scenario.T / dt)))
+    nsteps = max(1, int(round(scenario.T / dt))) if scenario.T > 0.0 else 0
     if n_samples is None:
         n_samples = min(nsteps + 1, 801)
     stride = max(1, math.ceil(nsteps / max(1, n_samples - 1))) if nsteps else 1
@@ -959,6 +935,15 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
         # pad so the stride divides the step count: samples stay uniform
         nsteps = stride * math.ceil(nsteps / stride)
         dt = scenario.T / nsteps
+    if dt > dt_max * (1.0 + 1e-12):
+        raise CflViolation(f"step {dt:.6g} (from dt = {scenario.dt}) exceeds the wave bound "
+                           f"{dt_max:.6g}")
+
+    grid = scenario.grid
+    op = _Operator(scenario, dissipative)
+    op.load(SimState(0.0, *initial_arrays(scenario)))
+    op.impose(0.0)
+    op.level(0.0, op.Y[-1])
 
     weights = trapezoid_weights(grid.counts, grid.spacing)
     theta = op.Y[grid.dim + 1]
@@ -1119,73 +1104,61 @@ def pde_residual(trajectory, boundary_margin=0):
 # Scenario files and trajectory dumps
 
 
-# signal name -> (class, the parameters its file line must give)
-_SIGNALS = {"zero": (ZeroSignal, ()),
-            "raised_cosine": (RaisedCosinePulse, ("amplitude", "t_end")),
-            "windowed_gaussian": (WindowedGaussianPulse,
-                                  ("amplitude", "center", "sigma", "t_end"))}
+def _real(text, where, dim):
+    return read_numbers(text, float, ScenarioFileError, where)
 
 
-def _parse_call(tokens, dim, where):
-    """The name, the name=value parameters and the displacement component
-    ``axis`` of a signal or profile."""
-    if not tokens:
-        raise ScenarioFileError(f"{where}: expected a signal or profile name")
-    params = {}
-    for tok in tokens[1:]:
-        name, eq, val = tok.partition("=")
-        if not eq or name in params:
-            raise ScenarioFileError(f"{where}: expected distinct name=value pairs, got '{tok}'")
-        params[name] = val
-    axis = int(params.pop("axis", 0))
+def _point(text, where, dim):
+    return read_numbers(text.replace(",", " "), float, ScenarioFileError, where, count=dim)
+
+
+def _axis(text, where, dim):
+    axis = read_numbers(text, int, ScenarioFileError, where)
     if not 0 <= axis < dim:
         raise ScenarioFileError(f"{where}: axis {axis} outside 0..{dim - 1}")
-    return tokens[0], params, axis
+    return axis
 
 
-def _parse_signal(tokens, dim, where):
-    name, params, axis = _parse_call(tokens, dim, where)
-    if name not in _SIGNALS:
-        raise ScenarioFileError(f"{where}: unknown signal '{name}' (choose from {list(_SIGNALS)})")
-    cls, keys = _SIGNALS[name]
-    try:
-        signal = cls(**{key: float(params.pop(key)) for key in keys})
-    except KeyError as exc:
-        raise ScenarioFileError(f"{where}: signal '{name}' missing parameter {exc}") from None
-    if params:
-        raise ScenarioFileError(f"{where}: unknown parameters {sorted(params)}")
-    return signal, axis
+# name -> (constructor, {parameter: converter(text, where, dim)}); every
+# parameter is required, and any line may add the displacement component axis
+_SIGNALS = {"zero": (ZeroSignal, {}),
+            "raised_cosine": (RaisedCosinePulse, {"amplitude": _real, "t_end": _real}),
+            "windowed_gaussian": (WindowedGaussianPulse, dict.fromkeys(
+                ("amplitude", "center", "sigma", "t_end"), _real))}
+_PROFILES = {"zero": (lambda: None, {}),
+             "cosine_bump": (CosineBump, {"amplitude": _real, "center": _point, "width": _real})}
 
 
-def _parse_profile(tokens, dim, where):
-    name, params, axis = _parse_call(tokens, dim, where)
-    prof = None
-    if name == "cosine_bump":
-        try:
-            center = tuple(float(c) for c in params.pop("center").split(","))
-            prof = CosineBump(amplitude=float(params.pop("amplitude")),
-                              center=center, width=float(params.pop("width")))
-        except KeyError as exc:
-            raise ScenarioFileError(f"{where}: profile missing parameter {exc}") from None
-        if len(prof.center) != dim:
-            raise ScenarioFileError(f"{where}: center needs {dim} components")
-    elif name != "zero":
-        raise ScenarioFileError(f"{where}: unknown profile '{name}'")
-    if params:
-        raise ScenarioFileError(f"{where}: unknown parameters {sorted(params)}")
-    return prof, axis
+def _read_call(kind, table, tokens, dim, where):
+    """The object that a ``name key=value ...`` line builds from ``table``,
+    and its displacement component ``axis``."""
+    name = tokens[0] if tokens else ""
+    if name not in table:
+        raise ScenarioFileError(f"{where}: unknown {kind} '{name}' (choose from {list(table)})")
+    make, required = table[name]
+    converters = {**required, "axis": _axis}
+    params = {}
+    for tok in tokens[1:]:
+        key, eq, text = tok.partition("=")
+        if not eq or key in params or key not in converters:
+            raise ScenarioFileError(f"{where}: expected distinct name=value pairs of "
+                                    f"{list(converters)}, got '{tok}'")
+        params[key] = converters[key](text, f"{where}: {key}", dim)
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise ScenarioFileError(f"{where}: {kind} '{name}' missing parameters {missing}")
+    axis = params.pop("axis", 0)
+    return make(**params), axis
 
 
 def read_scenario_file(path, material=None):
     """Parse the documented key-value scenario schema.
 
     The referenced material file is resolved relative to the scenario file
-    unless a material is passed explicitly.  Every key appears at most once.
+    unless a material is passed explicitly.  Every key appears at most once;
+    every malformed entry raises :class:`ScenarioFileError` naming its
+    ``path:line``.
     """
-    import os
-
-    from .material import read_key_values, read_material_file
-
     entries = read_key_values(path, ScenarioFileError)
     plain = {key: value for key, value in entries.items()
              if not key.startswith(("face.", "initial.", "source."))}
@@ -1198,14 +1171,19 @@ def read_scenario_file(path, material=None):
     if missing:
         raise ScenarioFileError(f"{path}: missing keys: {missing}")
 
-    dim = int(plain["dim"][1])
-    extents = tuple(float(v) for v in plain["extent"][1].split())
-    counts = tuple(int(v) for v in plain["nodes"][1].split())
-    if len(extents) != dim or len(counts) != dim:
-        raise ScenarioFileError(f"{path}: extent/nodes need {dim} entries")
-    grid = Grid(extents=extents, counts=counts)
-    dt_text = plain["dt"][1]
-    dt = "auto" if dt_text == "auto" else float(dt_text)
+    def number(key, kind=float, count=None):
+        lineno, text = plain[key]
+        return read_numbers(text, kind, ScenarioFileError, f"{path}:{lineno}: {key}", count)
+
+    dim = number("dim", int)
+    if dim not in (1, 2, 3):
+        raise ScenarioFileError(f"{path}:{plain['dim'][0]}: dim must be 1, 2 or 3")
+    extents, counts = number("extent", count=dim), number("nodes", int, dim)
+    try:
+        grid = Grid(extents=extents, counts=counts)
+    except ValueError as exc:
+        raise ScenarioFileError(f"{path}:{plain['nodes'][0]}: {exc}") from None
+    dt = "auto" if plain["dt"][1] == "auto" else number("dt")
 
     if material is None:
         if "material" not in plain:
@@ -1217,28 +1195,25 @@ def read_scenario_file(path, material=None):
     if material.dim != dim:
         raise ScenarioFileError(f"{path}: material dim {material.dim} != scenario dim {dim}")
 
+    face_names = {f"x{a + 1}{side}": (a, side) for a in range(dim) for side in ("min", "max")}
     faces, init_fns = {}, {}
     for key, (lineno, rest) in entries.items():
         where, tokens, name = f"{path}:{lineno}", rest.split(), key.partition(".")[2]
         if key.startswith("face."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ScenarioFileError(f"{where}: face keys look like face.x1min.void")
-            fname, group = parts[1], parts[2]
-            if group not in GROUPS:
-                raise ScenarioFileError(f"{where}: unknown group '{group}'")
-            if (len(fname) != 5 or fname[0] != "x" or fname[1] not in "123"
-                    or fname[2:] not in ("min", "max")):
-                raise ScenarioFileError(f"{where}: face names look like x1min / x2max")
+            fname, _, group = name.partition(".")
+            if fname not in face_names or group not in GROUPS:
+                raise ScenarioFileError(
+                    f"{where}: face keys look like face.<face>.<group> with <face> in "
+                    f"{list(face_names)} and <group> in {list(GROUPS)}")
             if len(tokens) < 2 or tokens[0] not in ("dirichlet", "flux"):
                 raise ScenarioFileError(f"{where}: expected '<dirichlet|flux> <signal ...>'")
-            signal, axis = _parse_signal(tokens[1:], dim, where)
-            faces.setdefault((int(fname[1]) - 1, fname[2:]), {})[group] = BoundaryCondition(
+            signal, axis = _read_call("signal", _SIGNALS, tokens[1:], dim, where)
+            faces.setdefault(face_names[fname], {})[group] = BoundaryCondition(
                 kind=tokens[0], signal=signal, axis=axis)
         elif key.startswith("initial."):
             if name not in ("u", "udot", "phi", "phidot", "theta"):
                 raise ScenarioFileError(f"{where}: unknown initial field '{name}'")
-            prof, axis = _parse_profile(tokens, dim, where)
+            prof, axis = _read_call("profile", _PROFILES, tokens, dim, where)
             if prof is not None:
                 init_fns[name] = vector_profile(prof, axis, dim) if name in ("u", "udot") else prof
         elif key.startswith("source."):
@@ -1248,10 +1223,8 @@ def read_scenario_file(path, material=None):
                 raise ScenarioFileError(f"{where}: file scenarios support only zero sources")
 
     scenario = Scenario(grid=grid, material=material,
-                        boundary=BoundaryPartition(faces=faces),
-                        dt=dt, T=float(plain["T"][1]),
-                        support_x0=float(plain["support_x0"][1]),
-                        initial=init_fns, sources={},
+                        boundary=BoundaryPartition(faces=faces), dt=dt, T=number("T"),
+                        support_x0=number("support_x0"), initial=init_fns, sources={},
                         label=plain.get("label", (0, ""))[1])
     errors = scenario.boundary.validate(dim)
     if errors:

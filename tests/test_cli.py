@@ -207,6 +207,14 @@ def _edited(old, new):
     return setup
 
 
+def _material_edited(old, new):
+    """Set-up writing bad.mat: the reference material file with ``old``
+    replaced."""
+    def setup(workdir):
+        (workdir / "bad.mat").write_text((workdir / "ref.mat").read_text().replace(old, new))
+    return setup
+
+
 # (command line with {d} for the work directory, input set-up, exit code,
 # text the report must contain)
 MALFORMED = [
@@ -241,6 +249,34 @@ MALFORMED = [
      1, "duplicate key 'initial.theta'"),
     ("simulate --scenario {d}/coarse.scn --samples 0 --out {d}/o", None, 1,
      "n_samples must be at least 2"),
+    # every malformed value is reported with its file and line
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("T = 1.0", "T = abc"),
+     1, "bad.scn:5: T: expected finite numbers, got 'abc'"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("T = 1.0", "T = nan"),
+     1, "bad.scn:5: T: expected finite numbers, got 'nan'"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("dim = 1", "dim = x"),
+     1, "bad.scn:1: dim: expected integers, got 'x'"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("amplitude=0.01", "amplitude=abc"),
+     1, "bad.scn:9: amplitude: expected finite numbers, got 'abc'"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("t_end=0.2", "t_end=0.2 axis=q"),
+     1, "bad.scn:9: axis: expected integers, got 'q'"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited(
+        "label = cli-pulse", "face.x3max.void = dirichlet zero"), 1, "bad.scn:8: face keys"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("nodes = 161", "nodes = 2"),
+     1, "bad.scn:3: need at least 3 nodes per axis"),
+    ("check-material --material {d}/bad.mat", _material_edited("rho = 1", "rho = abc"),
+     1, "bad.mat:14: rho: expected finite numbers, got 'abc'"),
+    ("check-material --material {d}/bad.mat", _material_edited("K = ", "K = 1 "),
+     1, "bad.mat:9: K: expected 1 values, got 2"),
+    ("check-material --material {d}/bad.mat", _material_edited("dim = 1", "dim = 4"),
+     1, "bad.mat:1: dim must be 1, 2 or 3"),
+    # time steps that are not positive: no ZeroDivisionError, no one-step run
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("dt = auto", "dt = 0"),
+     1, "dt must be positive and finite, got 0.0"),
+    ("simulate --scenario {d}/bad.scn --out {d}/o", _edited("dt = auto", "dt = -0.001"),
+     1, "dt must be positive and finite, got -0.001"),
+    ("verify-decay --scenario {d}/bad.scn --out {d}/o", _edited("dt = auto", "dt = 0"),
+     1, "dt must be positive and finite"),
 ]
 
 

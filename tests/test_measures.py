@@ -147,6 +147,27 @@ def test_geometry_outside_grid(pulse_record, pulse_scenario):
         vt.compute_measure(pulse_record, geom, 8.0)
 
 
+@pytest.mark.parametrize("call, report", [
+    (lambda rec, scen, h: vt.support_geometry(dataclasses.replace(scen, support_x0=0.25 + h / 3)),
+     "support depth x0 must be grid-aligned"),
+    (lambda rec, scen, h: vt.support_geometry(dataclasses.replace(scen, support_x0=1.25 + h)),
+     "support depth x0 lies outside the grid"),
+    (lambda rec, scen, h: vt.compute_measure(
+        rec, vt.SupportGeometry(x0=0.25, L=1.0, r_samples=[0.0, h / 3]), 8.0),
+     "r_samples must be grid-aligned"),
+    (lambda rec, scen, h: vt.surface_power(rec, 0.5 + h / 2, 8.0), "plane must be grid-aligned"),
+    (lambda rec, scen, h: vt.surface_power(rec, 1.0 + h, 8.0), "plane lies outside the grid"),
+    (lambda rec, scen, h: vt.surface_power(rec, -0.25 - h, 8.0), "plane lies outside the grid"),
+], ids=["support-aligned", "support-inside", "measure-aligned", "plane-aligned",
+        "plane-inside", "plane-below"])
+def test_depth_to_plane_errors(pulse_record, pulse_scenario, call, report):
+    # every depth becomes a grid plane x1 = x0 + r through one check: aligned
+    # with the nodes and inside the grid (r_samples beyond the grid:
+    # test_geometry_outside_grid)
+    with pytest.raises(ValueError, match=report):
+        call(pulse_record, pulse_scenario, pulse_scenario.grid.spacing[0])
+
+
 # ---------------------------------------------------------------------------
 # energy identity
 

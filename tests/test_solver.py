@@ -147,19 +147,6 @@ def test_n_samples_below_two_raises(n_samples):
         vt.run(presets.pulse_scenario(nodes=51, T=0.1), n_samples=n_samples)
 
 
-def test_step_matches_run():
-    scen = presets.pulse_scenario(nodes=61, T=0.02)
-    dt = scen.resolve_dt()
-    nsteps = max(1, round(scen.T / dt))
-    scen.dt = scen.T / nsteps
-    traj = vt.run(scen, n_samples=nsteps + 1)
-    u0, v0, phi0, pdot0, theta0 = initial_arrays(scen)
-    state = SimState(t=0.0, u=u0, v=v0, phi=phi0, phidot=pdot0, theta=theta0)
-    state = vt.step(state, scen)
-    assert np.allclose(state.u, traj.states[1].u, atol=1e-15)
-    assert np.allclose(state.theta, traj.states[1].theta, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # stability policy
 
@@ -198,6 +185,32 @@ def test_cfl_violation_raises():
     dt_max, _ = vt.stability_budget(scen)
     scen.dt = 2.0 * dt_max
     with pytest.raises(vt.CflViolation):
+        vt.run(scen)
+
+
+@pytest.mark.parametrize("fraction", [0.9, 0.99])
+def test_cfl_checks_the_step_taken(fraction):
+    # T = 1.45 dt rounds to one step of size T, above the wave bound although
+    # the requested dt is below it
+    scen = presets.pulse_scenario(nodes=101)
+    dt_max, _ = vt.stability_budget(scen)
+    scen.dt = fraction * dt_max
+    scen.T = 1.45 * scen.dt
+    with pytest.raises(vt.CflViolation, match="exceeds the wave bound"):
+        vt.run(scen)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_bad_time_step_raises(dt):
+    scen = presets.pulse_scenario(nodes=101, dt=dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        vt.run(scen)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -0.1])
+def test_bad_horizon_raises(T):
+    scen = presets.pulse_scenario(nodes=101, T=T)
+    with pytest.raises(ValueError, match="horizon T must be finite and nonnegative"):
         vt.run(scen)
 
 
@@ -528,6 +541,35 @@ def test_support_check_rejects_far_face_data():
         "dirichlet", signal=vt.RaisedCosinePulse(amplitude=0.1, t_end=0.2))
     errors, _ = validate_scenario(scen)
     assert any("support" in e for e in errors)
+
+
+def test_support_check_rejects_source_outside_slab():
+    # a body force beyond x0 that is zero at t = 0 and switches on later: the
+    # check samples the source over the horizon, not only at t = 0
+    scen = presets.pulse_scenario(nodes=41, T=0.2)
+    scen.sources = {"f": lambda X, t: np.where(X[0] > 0.5, t > 0.05, 0.0)[None] * 1e-3}
+    errors, _ = validate_scenario(scen)
+    assert errors == ["source 'f' nonzero outside the support slab (max 1.000e-03)"]
+    with pytest.raises(ValueError, match="source 'f' nonzero outside"):
+        vt.run(scen)
+    scen.sources = {"f": lambda X, t: np.where(X[0] < 0.2, 1e-3, 0.0)[None]}
+    assert validate_scenario(scen)[0] == []
+
+
+def test_support_check_rejects_far_face_field_data():
+    # spatially varying data on a lateral face of a 2D plate: nonzero only
+    # at t = T / 2 and only at nodes beyond the slab
+    plate = vt.Scenario(grid=vt.Grid(extents=(1.25, 0.5), counts=(41, 9)),
+                        material=presets.reference_material_2d(),
+                        boundary=BoundaryPartition.all_dirichlet_zero(2), dt="auto",
+                        T=0.2, support_x0=0.25)
+    bump = vt.FieldData(value=lambda X, t: np.where(X[0] > 0.5, 0.1 * (t == 0.1), 0.0),
+                        rate=lambda X, t: np.zeros(np.shape(X[0])))
+    plate.boundary.faces[(1, "max")]["void"] = BoundaryCondition("dirichlet", fielddata=bump)
+    errors, _ = validate_scenario(plate)
+    assert errors == ["face (1, max) 'void' field data nonzero outside the support slab"]
+    with pytest.raises(ValueError, match="field data nonzero outside"):
+        vt.run(plate)
 
 
 def test_incompatible_corner_data_is_flagged_not_rejected():
