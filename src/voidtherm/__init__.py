@@ -66,7 +66,6 @@ from .solver import (
     validate_scenario,
     write_trajectory_csv,
 )
-from .mms import manufactured_scenario, static_equilibrium_scenario
 from .measures import (
     DecayReport,
     DiffInequalityReport,
@@ -86,3 +85,11 @@ from .measures import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the manufactured solutions need sympy; import it on first use only
+    if name in ("manufactured_scenario", "static_equilibrium_scenario"):
+        from . import mms
+        return getattr(mms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -198,7 +198,7 @@ def _refined_copy(scenario, factor):
 
     grid = solver.Grid(extents=scenario.grid.extents,
                        counts=tuple((n - 1) * factor + 1 for n in scenario.grid.counts))
-    return dataclasses.replace(scenario, grid=grid, dt="auto", _mesh_cache=None)
+    return dataclasses.replace(scenario, grid=grid, dt="auto")
 
 
 def _refinement_study(scenario, lam, levels):

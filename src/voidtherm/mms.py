@@ -5,6 +5,8 @@ measurement."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ def _as_tuple(x):
 
 @dataclass(eq=False)
 class ExactSolution:
-    """Lambdified exact fields of a manufactured run."""
+    """Exact fields of a manufactured run: callables (X, t) -> array."""
 
     dim: int
     u: object
@@ -48,23 +50,87 @@ class ExactSolution:
         }
 
 
-def _lambdify_scalar(expr, xs):
-    fn = sp.lambdify((*xs, TIME), expr, "numpy")
-
-    def wrapped(X, t):
-        out = np.asarray(fn(*X, t), dtype=float)
-        return np.broadcast_to(out, np.shape(X[0])).copy()
-
-    return wrapped
+# Coordinate tuples whose basis values one scenario keeps: the mesh and the
+# 2 d faces of its grid, with room to spare.
+_BASIS_CACHE = 16
 
 
-def _lambdify_vector(exprs, xs):
-    fns = [_lambdify_scalar(e, xs) for e in exprs]
+class _Basis:
+    """The spatial monomials of one manufactured scenario, shared by all its
+    fields.  ``values(X)`` evaluates them on a coordinate tuple, as a
+    (monomials, nodes) array and the nodes' shape, and keeps the result,
+    keyed by the tuple's id, for the last ``_BASIS_CACHE`` tuples; the tuple
+    is kept with it, so its id cannot be reused while the entry lives.  The
+    arrays of a cached tuple must not be changed in place."""
 
-    def wrapped(X, t):
-        return np.stack([f(X, t) for f in fns])
+    def __init__(self, xs):
+        self.xs, self.monomials, self._fn, self._cache = xs, {}, None, {}
 
-    return wrapped
+    def values(self, X):
+        hit = self._cache.get(id(X))
+        if hit is None:
+            if self._fn is None:
+                self._fn = sp.lambdify(self.xs, list(self.monomials), "numpy")
+            shape = np.broadcast_shapes(*(np.shape(x) for x in X))
+            vals = np.empty((len(self.monomials), math.prod(shape)))
+            for m, v in enumerate(self._fn(*X)):
+                vals[m].reshape(shape)[...] = v
+            if len(self._cache) >= _BASIS_CACHE:
+                del self._cache[next(iter(self._cache))]
+            hit = self._cache[id(X)] = (X, vals, shape)
+        return hit[1:]
+
+
+def _split(expr, basis):
+    """``expr`` expanded as {(time factor, monomial index): coefficient} plus
+    a remainder: the terms whose time factor still holds a space symbol."""
+    terms, remainder = {}, sp.Integer(0)
+    for term in sp.Add.make_args(sp.expand(expr)):
+        if term == 0:
+            continue
+        spatial, time = term.as_independent(TIME, as_Add=False)
+        if time.has(*basis.xs):
+            remainder += term
+            continue
+        const, monomial = spatial.as_independent(*basis.xs, as_Add=False)
+        key = (time, basis.monomials.setdefault(monomial, len(basis.monomials)))
+        terms[key] = terms.get(key, 0.0) + float(const)
+    return terms, remainder
+
+
+class _Field:
+    """A field (X, t) -> array of shape (*nodes), or (components, *nodes)
+    for a vector field: sum over k of tau_k(t) * sum over m of W[c, m, k] *
+    basis[m](X), plus the remainder evaluated directly."""
+
+    def __init__(self, parts, basis, vector):
+        times = list(dict.fromkeys(time for terms, _ in parts for time, _ in terms))
+        self.W = np.zeros((len(parts), len(basis.monomials), len(times)))
+        for c, (terms, _) in enumerate(parts):
+            for (time, m), coef in terms.items():
+                self.W[c, m, times.index(time)] = coef
+        self.tau = sp.lambdify(TIME, times, "math")
+        rest = [r for _, r in parts]
+        self.remainder = (sp.lambdify((*basis.xs, TIME), rest, "numpy")
+                          if any(r != 0 for r in rest) else None)
+        self.basis, self.vector = basis, vector
+
+    def __call__(self, X, t):
+        B, shape = self.basis.values(X)
+        coef = self.W @ np.array(self.tau(t), dtype=float)
+        out = (coef @ B).reshape(coef.shape[:1] + shape)
+        if self.remainder is not None:
+            for c, r in enumerate(self.remainder(*X, t)):
+                out[c] += r
+        return out if self.vector else out[0]
+
+
+def _fields(exprs, xs):
+    """One callable per entry of ``exprs`` (name -> expression, or list of
+    expressions for a vector field), all on one spatial basis."""
+    basis = _Basis(xs)
+    parts = {name: [_split(e, basis) for e in _as_tuple(ex)] for name, ex in exprs.items()}
+    return {name: _Field(p, basis, isinstance(exprs[name], list)) for name, p in parts.items()}
 
 
 def manufactured_scenario(u_exprs, phi_expr, theta_expr, grid, material,
@@ -126,43 +192,29 @@ def manufactured_scenario(u_exprs, phi_expr, theta_expr, grid, material,
     r_expr = (thermal_sign * material.theta0 * sp.diff(rho_eta, TIME)
               - dsum(lambda i: sp.diff(q[i], xs[i]))) / material.rho
 
-    u_fns = _lambdify_vector(u_exprs, xs)
-    udot_fns = _lambdify_vector([sp.diff(e_, TIME) for e_ in u_exprs], xs)
-    phi_fn = _lambdify_scalar(phi_expr, xs)
-    phidot_fn = _lambdify_scalar(sp.diff(phi_expr, TIME), xs)
-    theta_fn = _lambdify_scalar(theta_expr, xs)
-    exact = ExactSolution(dim=d, u=u_fns, udot=udot_fns, phi=phi_fn,
-                          phidot=phidot_fn, theta=theta_fn)
-
-    f_fn = _lambdify_vector(f_exprs, xs)
-    ell_fn = _lambdify_scalar(ell_expr, xs)
-    r_fn = _lambdify_scalar(r_expr, xs)
+    fns = _fields({
+        "u": u_exprs, "udot": [sp.diff(e_, TIME) for e_ in u_exprs],
+        "phi": phi_expr, "phidot": sp.diff(phi_expr, TIME),
+        "theta": theta_expr, "thetadot": sp.diff(theta_expr, TIME),
+        "f": f_exprs, "ell": ell_expr, "r": r_expr}, xs)
+    exact = ExactSolution(dim=d, u=fns["u"], udot=fns["udot"], phi=fns["phi"],
+                          phidot=fns["phidot"], theta=fns["theta"])
 
     faces = {}
     for axis in range(d):
         for side in ("min", "max"):
             faces[(axis, side)] = {
-                "displacement": BoundaryCondition(
-                    "dirichlet", fielddata=FieldData(value=u_fns, rate=udot_fns)),
-                "void": BoundaryCondition(
-                    "dirichlet", fielddata=FieldData(value=phi_fn, rate=phidot_fn)),
-                "thermal": BoundaryCondition(
-                    "dirichlet",
-                    fielddata=FieldData(value=theta_fn,
-                                        rate=_lambdify_scalar(sp.diff(theta_expr, TIME), xs))),
-            }
+                group: BoundaryCondition(
+                    "dirichlet", fielddata=FieldData(value=fns[name], rate=fns[name + "dot"]))
+                for group, name in (("displacement", "u"), ("void", "phi"),
+                                    ("thermal", "theta"))}
 
     scenario = Scenario(
         grid=grid, material=material, boundary=BoundaryPartition(faces=faces),
         dt=dt, T=float(T), support_x0=float(grid.extents[0]),
-        initial={
-            "u": lambda X: u_fns(X, 0.0),
-            "udot": lambda X: udot_fns(X, 0.0),
-            "phi": lambda X: phi_fn(X, 0.0),
-            "phidot": lambda X: phidot_fn(X, 0.0),
-            "theta": lambda X: theta_fn(X, 0.0),
-        },
-        sources={"f": f_fn, "ell": ell_fn, "r": r_fn},
+        initial={name: functools.partial(fns[name], t=0.0)
+                 for name in ("u", "udot", "phi", "phidot", "theta")},
+        sources={key: fns[key] for key in ("f", "ell", "r")},
         label="manufactured",
     )
     return scenario, exact

@@ -257,16 +257,14 @@ def _face_data(scenario, face, group, t, rate=False):
     """Boundary data of one group on one face at time t (``rate=True``: its
     time derivative), shaped like the face nodes of the group's field:
     (d, *face) for the displacement, (*face) otherwise."""
-    axis, side = face
     bc = scenario.boundary.faces[face][group]
     grid = scenario.grid
-    shape = tuple(n for j, n in enumerate(grid.counts) if j != axis)
+    shape = tuple(n for j, n in enumerate(grid.counts) if j != face[0])
     if group == "displacement":
         shape = (grid.dim,) + shape
     if bc.fielddata is not None:
         fn = bc.fielddata.rate if rate else bc.fielddata.value
-        coords = tuple(Xi[face_slice(axis, side, grid.dim)] for Xi in scenario.mesh())
-        return np.broadcast_to(np.asarray(fn(coords, t), dtype=float), shape)
+        return np.broadcast_to(np.asarray(fn(scenario.mesh(face), t), dtype=float), shape)
     s = bc.signal.rate(t) if rate else bc.signal.value(t)
     if group != "displacement":
         return np.full(shape, s)
@@ -326,12 +324,15 @@ class Scenario:
     initial: dict = field(default_factory=dict)
     sources: dict = field(default_factory=dict)
     label: str = ""
-    _mesh_cache: tuple | None = field(default=None, repr=False, compare=False)
+    _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def mesh(self):
-        if self._mesh_cache is None:
-            self._mesh_cache = self.grid.mesh()
-        return self._mesh_cache
+    def mesh(self, face=None):
+        """Node coordinates, one tuple of arrays per grid (``face=(axis,
+        side)``: per face), built once, so callers may key caches on it."""
+        if face not in self._meshes:
+            self._meshes[face] = (self.grid.mesh() if face is None else tuple(
+                Xi[face_slice(*face, self.grid.dim)] for Xi in self.mesh()))
+        return self._meshes[face]
 
     def source(self, key, t):
         fn = self.sources.get(key)
@@ -342,9 +343,12 @@ class Scenario:
         out = np.asarray(fn(self.mesh(), t), dtype=float)
         return np.broadcast_to(out, shape)
 
-    def resolve_dt(self):
+    def resolve_dt(self, dt_max=None):
+        """The step asked for; ``dt = "auto"`` is half the wave bound
+        ``dt_max`` (computed here when not given)."""
         if self.dt == "auto":
-            dt_max, _ = stability_budget(self, enforce=False)
+            if dt_max is None:
+                dt_max, _ = stability_budget(self, enforce=False)
             return 0.5 * dt_max
         dt = float(self.dt)
         if not (math.isfinite(dt) and dt > 0.0):
@@ -926,7 +930,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     if scenario.T > 0.0 and n_samples is not None and n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 (t = 0 and t = T), got {n_samples}")
     dt_max, growth = stability_budget(scenario, enforce=not dissipative)
-    dt = scenario.resolve_dt()
+    dt = scenario.resolve_dt(dt_max)
     nsteps = max(1, int(round(scenario.T / dt))) if scenario.T > 0.0 else 0
     if n_samples is None:
         n_samples = min(nsteps + 1, 801)

@@ -1,0 +1,160 @@
+"""The manufactured-data evaluator against a test-held reference.
+
+``manufactured_scenario`` evaluates every field it builds (the exact fields
+and their rates, which are also the Dirichlet and initial data, and the
+sources f, ell and r) from one cached spatial basis per scenario.  The
+reference here is a direct ``sympy.lambdify`` of each expression the
+scenario was built from, evaluated on the mesh and on every face.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+import sympy as sp
+
+import voidtherm as vt
+from voidtherm import mms, presets
+from voidtherm.solver import _face_data
+
+from test_solver import mms_profiles_3d, reference_material_3d
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+T = 0.8
+GROUPS = (("displacement", "u"), ("void", "phi"), ("thermal", "theta"))
+
+
+def travelling_profiles():
+    """2D fields in which some terms cannot be split into a time factor
+    times a spatial monomial, so the remainder path is needed."""
+    x1, x2 = mms.space_symbols(2)
+    t = mms.TIME
+    u = [sp.Float(0.05) * sp.sin(sp.pi * (x1 - sp.Float(0.6) * t)) * sp.cos(sp.pi * x2),
+         sp.Float(0.04) * sp.cos(sp.pi * x1) * sp.sin(sp.pi * x2) * sp.sin(t)]
+    phi = sp.Float(0.03) * sp.sin(sp.pi * (x1 + x2 - t)) + sp.Float(0.01) * x1 * x2 * t
+    theta = sp.Float(0.02) * sp.cos(sp.pi * x1) * sp.cos(sp.pi * x2) * sp.sin(sp.Float(0.8) * t)
+    return u, phi, theta
+
+
+CASES = {
+    "1d": (presets.mms_profiles_1d, presets.reference_material, 1),
+    "2d": (presets.mms_profiles_2d, presets.reference_material_2d, 2),
+    "3d": (mms_profiles_3d, reference_material_3d, 3),
+    "travelling": (travelling_profiles, presets.reference_material_2d, 2),
+}
+
+
+def build(case, monkeypatch):
+    """The scenario of one case, its exact solution, and the expressions
+    (name -> expression or list of expressions) it was built from."""
+    profiles, material, dim = CASES[case]
+    seen = {}
+    split = mms._fields
+
+    def spy(exprs, xs):
+        seen.update(exprs)
+        return split(exprs, xs)
+
+    monkeypatch.setattr(mms, "_fields", spy)
+    grid = vt.Grid(extents=(1.0, 0.8, 0.6)[:dim], counts=(9, 7, 6)[:dim])
+    scen, exact = mms.manufactured_scenario(*profiles(), grid, material(), T=T)
+    return scen, exact, seen
+
+
+def reference(expr, X, t):
+    """Direct lambdify of an expression (a list: a vector field) on X."""
+    xs = mms.space_symbols(len(X))
+    xs = xs if isinstance(xs, tuple) else (xs,)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in X))
+    parts = expr if isinstance(expr, list) else [expr]
+    vals = [np.broadcast_to(sp.lambdify((*xs, mms.TIME), e, "numpy")(*X, t), shape)
+            for e in parts]
+    return np.stack(vals) if isinstance(expr, list) else vals[0]
+
+
+def assert_close(got, want, scale, what):
+    got = np.asarray(got)
+    assert got.shape == want.shape, (what, got.shape, want.shape)
+    gap = float(np.abs(got - want).max(initial=0.0))
+    assert gap <= 1e-13 * scale, (what, gap, scale)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_fields_match_direct_lambdify(case, monkeypatch):
+    scen, exact, exprs = build(case, monkeypatch)
+    assert set(exprs) == {"u", "udot", "phi", "phidot", "theta", "thetadot", "f", "ell", "r"}
+    # the committed profiles separate completely; the travelling wave does not
+    assert (scen.sources["f"].remainder is not None) == (case == "travelling")
+    faces = list(scen.boundary.faces)
+    fields = {"u": exact.u, "udot": exact.udot, "phi": exact.phi, "phidot": exact.phidot,
+              "theta": exact.theta, "thetadot": scen.boundary.faces[faces[0]]["thermal"]
+              .fielddata.rate, **scen.sources}
+    X = scen.mesh()
+    times = (0.0, 0.37, T)
+    scale = {name: max(float(np.abs(reference(e, X, t)).max()) for t in times)
+             for name, e in exprs.items()}
+    for t in times:
+        for name, expr in exprs.items():
+            for coords in [X] + [scen.mesh(face) for face in faces]:
+                assert_close(fields[name](coords, t), reference(expr, coords, t),
+                             scale[name], (name, t))
+        for key in ("f", "ell", "r"):
+            assert_close(scen.source(key, t), reference(exprs[key], X, t), scale[key], (key, t))
+        # the solver's face reader, on the scenario's cached face coordinates
+        for face in faces:
+            for group, name in GROUPS:
+                for rate, field_name in ((False, name), (True, name + "dot")):
+                    want = reference(exprs[field_name], scen.mesh(face), t)
+                    assert_close(_face_data(scen, face, group, t, rate), want,
+                                 scale[field_name], (face, group, rate, t))
+    for name in ("u", "udot", "phi", "phidot", "theta"):
+        assert_close(scen.initial[name](X), reference(exprs[name], X, 0.0), scale[name], name)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_zero_profile_sources_are_zero_with_shape(dim):
+    zero = sp.Integer(0)
+    counts = (9, 7, 6)[:dim]
+    mat = {1: presets.reference_material, 2: presets.reference_material_2d,
+           3: reference_material_3d}[dim]()
+    scen, exact = mms.manufactured_scenario([zero] * dim, zero, zero,
+                                            vt.Grid(extents=(1.0,) * dim, counts=counts),
+                                            mat, T=T)
+    X = scen.mesh()
+    for key, shape in (("f", (dim,) + counts), ("ell", counts), ("r", counts)):
+        got = scen.sources[key](X, 0.37)
+        assert got.shape == shape and not np.any(got), key
+    assert exact.u(X, 0.37).shape == (dim,) + counts and not np.any(exact.u(X, 0.37))
+    assert exact.theta(X, 0.37).shape == counts and not np.any(exact.theta(X, 0.37))
+
+
+def test_basis_cache_is_bounded():
+    grid = vt.Grid(extents=(1.0, 1.0), counts=(9, 7))
+    scen, _ = mms.manufactured_scenario(*presets.mms_profiles_2d(), grid,
+                                        presets.reference_material_2d(), T=T)
+    f = scen.sources["f"]
+    X = scen.mesh()
+    want = f(X, 0.37)
+    for _ in range(50):
+        fresh = tuple(x.copy() for x in X)
+        np.testing.assert_array_equal(f(fresh, 0.37), want)
+    assert len(f.basis._cache) == mms._BASIS_CACHE
+    # the mesh's entry was evicted; evaluating there again still agrees
+    np.testing.assert_array_equal(f(X, 0.37), want)
+    assert len(f.basis._cache) == mms._BASIS_CACHE
+
+
+def test_import_leaves_sympy_unloaded():
+    code = ("import sys, voidtherm, voidtherm.cli\n"
+            "assert 'sympy' not in sys.modules, 'sympy loaded by import voidtherm'\n"
+            "assert callable(voidtherm.manufactured_scenario)\n"
+            "assert callable(voidtherm.static_equilibrium_scenario)\n"
+            "assert 'sympy' in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

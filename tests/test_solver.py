@@ -180,6 +180,24 @@ def test_budget_exceeded_raises():
         vt.run(scen)
 
 
+def test_run_computes_the_spectrum_once(monkeypatch):
+    # dt = "auto" takes its step from the wave bound that the gate computed
+    from voidtherm import solver
+
+    calls = []
+    spectrum = solver.material_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "material_spectrum", counted)
+    scen = quiet_scenario()
+    assert scen.dt == "auto"
+    vt.run(scen, n_samples=3)
+    assert len(calls) == 1
+
+
 def test_cfl_violation_raises():
     scen = quiet_scenario()
     dt_max, _ = vt.stability_budget(scen)
