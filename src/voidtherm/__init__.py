@@ -55,11 +55,13 @@ from .solver import (
     ScenarioFileError,
     SimState,
     Trajectory,
+    TrajectoryCsvWriter,
     WindowedGaussianPulse,
     ZeroSignal,
     kinematics,
     pde_residual,
     read_scenario_file,
+    replay,
     reverse_time,
     run,
     stability_budget,

@@ -22,8 +22,9 @@ from . import measures, solver
 from .material import (InfeasibleWindow, MaterialFileError, NoFeasibleLambda,
                        NotPositiveDefinite, optimize_lambda, read_material_file,
                        spectrum, validate, zeta_of_lambda)
+# write_trajectory_csv is unused here: bench/run.py traces it by this name
 from .solver import (BudgetExceeded, CflViolation, NonFiniteField, ScenarioFileError,
-                     read_scenario_file, run, write_trajectory_csv)
+                     TrajectoryCsvWriter, read_scenario_file, run, write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -106,11 +107,20 @@ def cmd_spectrum(args):
 
 def cmd_simulate(args):
     scenario = read_scenario_file(args.scenario)
-    traj = run(scenario, n_samples=args.samples)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "trajectory.csv")
-    write_trajectory_csv(traj, path)
+    # stream into a temporary file, renamed once run returns: no partial output
+    partial = os.path.join(outdir, f".trajectory.csv.{os.getpid()}.tmp")
+    fh = open(partial, "w")
+    try:
+        with fh:
+            traj = run(scenario, n_samples=args.samples,
+                       reducers=[TrajectoryCsvWriter(scenario, fh)])
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
     log = {"dt": traj.log["dt"], "nsteps": traj.log["nsteps"],
            "growth_factor": traj.log["growth_factor"],
            "samples": int(traj.times.size),

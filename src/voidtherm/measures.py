@@ -27,7 +27,7 @@ import numpy as np
 
 from .constitutive import TOLERANCES, stored_energy
 from .material import spectrum as material_spectrum, zeta_of_lambda
-from .solver import _Operator, trapezoid_weights
+from .solver import replay, trapezoid_weights
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +171,7 @@ class SampleRecord:
 def record_trajectory(trajectory, region=None):
     """Replay the snapshots of a trajectory into a :class:`SampleRecord`."""
     record = SampleRecord(trajectory.scenario, region)
-    op = _Operator(trajectory.scenario)
-    for st in trajectory.states:
-        op.load(st)
-        op.fluxes(st.t)
-        record(op, st.t)
+    replay(trajectory, [record])
     return record
 
 
@@ -411,14 +407,18 @@ def check_decay(series, t0, r0, tol=None):
 
 def write_measure_csv(series, path, r_stride=1, t_stride=1):
     """CSV dump with columns r, t, E, dE_dr, dE_dt, I (17 significant
-    digits, r-major row order)."""
+    digits, r-major row order): one ``%``-string per r, over a block of
+    the six columns at the strided times."""
+    block = np.empty((series.t[::t_stride].size, 6))
+    block[:, 1] = series.t[::t_stride]
+    rows = (",".join(["%.17g"] * 6) + "\n") * len(block)
     with open(path, "w") as fh:
         fh.write("r,t,E,dE_dr,dE_dt,I\n")
         for j in range(0, series.r.size, r_stride):
-            for k in range(0, series.t.size, t_stride):
-                fh.write(",".join(f"{v:.17g}" for v in (
-                    series.r[j], series.t[k], series.E[j, k],
-                    series.dE_dr[j, k], series.dE_dt[j, k], series.I[j, k])) + "\n")
+            block[:, 0] = series.r[j]
+            for col, a in enumerate((series.E, series.dE_dr, series.dE_dt, series.I), 2):
+                block[:, col] = a[j, ::t_stride]
+            fh.write(rows % tuple(block.ravel().tolist()))
 
 
 def write_summary_json(path, summary):

@@ -901,6 +901,18 @@ def kinematics(state, scenario):
     return _Operator(scenario).kinematics(state)
 
 
+def replay(trajectory, reducers):
+    """Call each reducer as ``reducer(op, t)`` on every snapshot of a
+    trajectory, with an operator holding the snapshot's level, as
+    :func:`run` calls them while stepping."""
+    op = _Operator(trajectory.scenario, trajectory.dissipative)
+    for st in trajectory.states:
+        op.load(st)
+        op.fluxes(st.t)
+        for reducer in reducers:
+            reducer(op, st.t)
+
+
 def run(scenario, n_samples=None, dissipative=False, reducers=None):
     """Integrate the scenario and return the sampled trajectory.
 
@@ -914,15 +926,16 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     the total energy and max |theta| of every sample.  Identical inputs give
     identical trajectories.
 
-    By default every sample is kept as a snapshot in ``states``.  With
-    ``reducers``, a list of callables, each is called as ``reducer(op, t)``
-    at every sample, with the stepping operator holding the sample's level:
-    ``op.energy_parts()`` gives the parts (P, R) of the measure density,
-    ``op.normal_power(axis, sel)`` the power through a grid plane and
-    ``op.source_work(t)`` the work of the volume sources.  ``states`` then
-    keeps only the final state, so memory does not grow with the sample
-    count.  ``times`` and the log are the same either way; the log reads
-    only P, so R is computed only for a reducer that asks for it.
+    Every reader of a sample is a reducer: a callable of ``reducers``,
+    called as ``reducer(op, t)`` at every sample, with the stepping operator
+    holding the sample's level: ``op.Y`` the state, ``op.energy_parts()``
+    the parts (P, R) of the measure density, ``op.normal_power(axis, sel)``
+    the power through a grid plane and ``op.source_work(t)`` the work of the
+    volume sources.  The default reducer keeps a copy of every sample in
+    ``states``; given reducers, ``states`` keeps only the final state, so
+    memory does not grow with the sample count.  ``times`` and the log are
+    the same either way; the log reads only P, so R is computed only for a
+    reducer that asks for it.
     """
     errors, warnings = validate_scenario(scenario)
     if errors:
@@ -952,14 +965,13 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     weights = trapezoid_weights(grid.counts, grid.spacing)
     theta = op.Y[grid.dim + 1]
     times, states, energies, theta_max = [], [], [], []
+    reducers = reducers or [lambda op, t: states.append(op.state(t))]
 
     def sample(t):
         times.append(t)
         energies.append(float(np.sum(weights * op.energy())))
         theta_max.append(float(np.abs(theta).max()))
-        if reducers is None:
-            states.append(op.state(t))
-        for reducer in reducers or ():
+        for reducer in reducers:
             reducer(op, t)
 
     sample(0.0)
@@ -969,8 +981,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
         op.check_finite(t1)
         if (k + 1) % stride == 0 or k + 1 == nsteps:
             sample(t1)
-    if reducers is not None:
-        states.append(op.state(times[-1]))
+    states = states or [op.state(times[-1])]
 
     log = {"dt": dt, "nsteps": nsteps, "growth_factor": growth,
            "energy": np.array(energies), "theta_max": np.array(theta_max),
@@ -1236,24 +1247,31 @@ def read_scenario_file(path, material=None):
     return scenario
 
 
-def write_trajectory_csv(trajectory, path):
-    """Field dump: one row per (sample time, node).
+class TrajectoryCsvWriter:
+    """Reducer that writes the field dump to an open text file: columns t,
+    x1..xd, u1..ud, v1..vd, phi, phidot, theta with 17 significant digits,
+    one row per (sample time, node), time-major, nodes row-major.  Each
+    sample's block is one ``%``-string over its fields gathered from
+    ``op.Y``, with the coordinates formatted once per run."""
 
-    Columns: t, x1..xd, u1..ud, v1..vd, phi, phidot, theta; 17 significant
-    digits, row order is time-major then node index row-major.
-    """
-    grid = trajectory.scenario.grid
-    d = grid.dim
-    X = [x.ravel() for x in trajectory.scenario.mesh()]
-    header = (["t"] + [f"x{i+1}" for i in range(d)] + [f"u{i+1}" for i in range(d)]
-              + [f"v{i+1}" for i in range(d)] + ["phi", "phidot", "theta"])
+    def __init__(self, scenario, fh):
+        d = scenario.grid.dim
+        # rows of the operator state in column order: u, v, phi, phidot, theta
+        self.rows = [*range(d), *range(d + 2, 2 * d + 2), d, 2 * d + 2, d + 1]
+        fields = ",%.17g" * len(self.rows) + "\n"
+        nodes = np.stack([x.ravel() for x in scenario.mesh()], axis=1).tolist()
+        self.tails = [",".join(["%.17g" % x for x in node]) + fields for node in nodes]
+        self.fh = fh
+        fh.write(",".join(["t"] + [f"{c}{i + 1}" for c in "xuv" for i in range(d)]
+                          + ["phi", "phidot", "theta"]) + "\n")
+
+    def __call__(self, op, t):
+        lead = "%.17g," % t
+        block = op.Y[self.rows].reshape(len(self.rows), -1).T
+        self.fh.write((lead + lead.join(self.tails)) % tuple(block.ravel().tolist()))
+
+
+def write_trajectory_csv(trajectory, path):
+    """Replay a snapshot trajectory through a :class:`TrajectoryCsvWriter`."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for st in trajectory.states:
-            cols = ([np.full(X[0].size, st.t)] + X
-                    + [st.u[i].ravel() for i in range(d)]
-                    + [st.v[i].ravel() for i in range(d)]
-                    + [st.phi.ravel(), st.phidot.ravel(), st.theta.ravel()])
-            block = np.column_stack(cols)
-            for row in block:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        replay(trajectory, [TrajectoryCsvWriter(trajectory.scenario, fh)])

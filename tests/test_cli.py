@@ -25,9 +25,36 @@ face.x1max.thermal = dirichlet zero
 """
 
 
+# a non-square 2D grid, so that a row-major slip in the dump shows
+PLATE_FILE = """\
+dim = 2
+extent = 1.0 0.75
+nodes = 5 4
+dt = auto
+T = 0.3
+support_x0 = 0.25
+material = ref2.mat
+label = cli-plate
+face.x1min.displacement = dirichlet raised_cosine amplitude=0.01 t_end=0.2 axis=0
+face.x1min.void = dirichlet zero
+face.x1min.thermal = dirichlet zero
+face.x1max.displacement = dirichlet zero
+face.x1max.void = dirichlet zero
+face.x1max.thermal = dirichlet zero
+face.x2min.displacement = flux zero
+face.x2min.void = flux zero
+face.x2min.thermal = flux zero
+face.x2max.displacement = flux zero
+face.x2max.void = flux zero
+face.x2max.thermal = flux zero
+"""
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     vt.write_material_file(presets.reference_material(), tmp_path / "ref.mat")
+    vt.write_material_file(presets.reference_material_2d(), tmp_path / "ref2.mat")
+    (tmp_path / "plate.scn").write_text(PLATE_FILE)
     (tmp_path / "pulse.scn").write_text(PULSE_FILE.format(nodes=501))
     (tmp_path / "coarse.scn").write_text(PULSE_FILE.format(nodes=161))
     # horizon too short for any wave to cross the bar: no admissible window
@@ -79,6 +106,53 @@ def test_simulate(workdir, tmp_path, capsys):
     assert (out / "trajectory.csv").exists()
     log = json.loads((out / "run_log.json").read_text())
     assert log["nsteps"] > 0
+
+
+def _reference_trajectory_csv(traj, header):
+    # one f-string per value, one row per (sample, node), nodes in row-major
+    # index order
+    scen = traj.scenario
+    d, X = scen.grid.dim, scen.mesh()
+    lines = [header]
+    for st in traj.states:
+        for idx in np.ndindex(*scen.grid.counts):
+            row = ([st.t] + [x[idx] for x in X] + [st.u[(i,) + idx] for i in range(d)]
+                   + [st.v[(i,) + idx] for i in range(d)]
+                   + [st.phi[idx], st.phidot[idx], st.theta[idx]])
+            lines.append(",".join(f"{v:.17g}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("name, header", [
+    ("coarse.scn", "t,x1,u1,v1,phi,phidot,theta"),
+    ("plate.scn", "t,x1,x2,u1,u2,v1,v2,phi,phidot,theta"),
+], ids=["1d", "2d-5x4"])
+def test_trajectory_csv_byte_pinned(workdir, tmp_path, capsys, name, header):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(workdir / name), "--out", str(out),
+                 "--samples", "4"]) == 0
+    streamed = (out / "trajectory.csv").read_bytes()
+    traj = vt.run(vt.read_scenario_file(workdir / name), n_samples=4)
+    assert len(traj.states) == 4 and np.abs(traj.states[-1].u[0]).max() > 0.0
+    if traj.scenario.grid.dim == 2:
+        # the fields vary along both axes: a transposed block would not match
+        assert np.ptp(traj.states[-1].u[0], axis=1).max() > 0.0
+    vt.write_trajectory_csv(traj, tmp_path / "replayed.csv")
+    assert (tmp_path / "replayed.csv").read_bytes() == streamed
+    assert streamed == _reference_trajectory_csv(traj, header)
+
+
+@pytest.mark.parametrize("r_stride, t_stride", [(3, 5), (1, 16)])
+def test_measure_csv_byte_pinned(tmp_path, pulse_series, r_stride, t_stride):
+    s = pulse_series
+    path = tmp_path / "measures.csv"
+    vt.write_measure_csv(s, path, r_stride=r_stride, t_stride=t_stride)
+    lines = ["r,t,E,dE_dr,dE_dt,I"]
+    for j in range(0, s.r.size, r_stride):
+        for k in range(0, s.t.size, t_stride):
+            lines.append(",".join(f"{v:.17g}" for v in (
+                s.r[j], s.t[k], s.E[j, k], s.dE_dr[j, k], s.dE_dt[j, k], s.I[j, k])))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_verify_decay_reference(workdir, tmp_path, capsys):
@@ -290,6 +364,9 @@ def test_malformed_input_exit_codes(workdir, capsys, command, setup, code, repor
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert report in out + err
+    # no partial output: no trajectory.csv, run_log.json or temporary file
+    outdir = workdir / "o"
+    assert not outdir.exists() or not list(outdir.iterdir())
 
 
 def test_help_exits_zero(capsys):
@@ -333,3 +410,35 @@ def test_verify_decay_memory_flat_in_samples(monkeypatch):
     for traj in runs:
         assert traj.log["nsteps"] == 900 and traj.times[-1] == pytest.approx(scen.T)
         assert traj.states[-1].t == traj.times[-1] and traj.states[-1].theta.shape == grid.counts
+
+
+def test_simulate_memory_flat_in_samples(workdir, tmp_path, monkeypatch):
+    # simulate streams its samples into trajectory.csv: the traced peak must
+    # not grow with the sample count by more than a few states (snapshots
+    # would add one state per sample: 36 here); what does grow is the times
+    # and the energy and theta_max logs, a few floats per sample
+    import tracemalloc
+
+    from voidtherm import cli
+
+    grid = vt.read_scenario_file(workdir / "coarse.scn").grid
+    state_bytes = (2 * grid.dim + 3) * np.prod(grid.counts) * 8
+    runs = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    peaks = []
+    for samples in (5, 41):
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--scenario", str(workdir / "coarse.scn"),
+                             "--out", str(tmp_path / f"s{samples}"),
+                             "--samples", str(samples)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [len(traj.times) for traj in runs] == [5, 41]
+    assert peaks[1] - peaks[0] < 4 * state_bytes
+    for traj, samples in zip(runs, (5, 41)):
+        assert len(traj.states) == 1 and traj.states[-1].t == traj.times[-1]
+        lines = (tmp_path / f"s{samples}" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + samples * grid.counts[0]
