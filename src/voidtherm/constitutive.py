@@ -1,12 +1,17 @@
 """The constitutive law, its energy forms, and the inequality checks behind
 the decay diagnostics.
 
-The law is coded numerically once, in :func:`field_response`,
-:func:`stored_energy_field` and :func:`entropy_field`.  These act on arrays
-with any number of trailing grid axes; the pointwise maps call them with
-none.  The only other copies are independent oracles: the assembled
-quadratic form ``Q`` of :func:`~voidtherm.material.assemble_quadratic_form`
-(behind :func:`bilinear_form`) and the symbolic law of :mod:`voidtherm.mms`.
+The law is coded numerically once, in :func:`field_response` and
+:func:`entropy_field`.  These act on arrays with any number of trailing grid
+axes; the pointwise maps call them with none.  The stored energy W is not
+written again: :func:`response_matrix` reads the packed law off
+:func:`field_response` by unit inputs, and W is the quadratic form
+z^T H z / 2 of its symmetric part :func:`energy_matrix`, both at a point
+(:func:`stored_energy`) and on the solver's grid.  Both matrices are cached
+per material, so the kernel is probed once per material.  The only other
+copies are independent oracles: the assembled quadratic form ``Q`` of
+:func:`~voidtherm.material.assemble_quadratic_form` (behind
+:func:`bilinear_form`) and the symbolic law of :mod:`voidtherm.mms`.
 
 Inequality checks return (lhs, rhs) pairs instead of booleans; tolerance
 handling lives in :class:`TolerancePolicy` so that floating-point slack is
@@ -15,12 +20,13 @@ decided in exactly one place.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .material import assemble_quadratic_form, spectrum as material_spectrum
+from .material import assemble_quadratic_form, spectrum as material_spectrum, symmetric_basis
 
 
 class NonPositiveEpsilon(ValueError):
@@ -81,15 +87,10 @@ class KinematicVector:
         return float(np.sum(self.E ** 2) + self.chi1 ** 2 * self.pi @ self.pi + self.psi ** 2)
 
     def scaled_coords(self):
-        """Coordinate vector z with z^T Q z = twice the stored energy."""
-        from .material import voigt_pairs
-        pairs = voigt_pairs(self.dim)
-        z = np.empty(len(pairs) + self.dim + 1)
-        for a, (i, j) in enumerate(pairs):
-            z[a] = self.E[i, i] if i == j else math.sqrt(2.0) * self.E[i, j]
-        z[len(pairs):len(pairs) + self.dim] = self.chi1 * self.pi
-        z[-1] = self.psi
-        return z
+        """Coordinate vector z with z^T Q z = twice the stored energy, in the
+        basis that ``Q`` is assembled in."""
+        return np.concatenate([np.einsum("aij,ij->a", symmetric_basis(self.dim), self.E),
+                               self.chi1 * self.pi, [self.psi]])
 
     @classmethod
     def zero(cls, dim, chi=1.0):
@@ -182,22 +183,50 @@ def field_response(e, gamma, kappa, phi, theta, material):
     return S, h, G, q
 
 
-def stored_energy_field(e, gamma, phi, material):
-    """Stored energy density W(e, gamma, phi)."""
-    return 0.5 * (np.einsum("ijrs,ij...,rs...->...", material.C, e, e)
-                  + material.xi * phi ** 2
-                  + np.einsum("ij,i...,j...->...", material.A, gamma, gamma)
-                  + 2.0 * np.einsum("ij,ij...->...", material.B, e) * phi
-                  + 2.0 * np.einsum("ijs,ij...,s...->...", material.D, e, gamma)
-                  + 2.0 * np.einsum("i,i...->...", material.b, gamma) * phi)
-
-
 def entropy_field(e, gamma, phi, theta, material):
     """Entropy rho*eta = M:e + aVec.gamma + m*phi + aHeat*theta; being
     linear, the same map takes the rates to the entropy rate."""
     return (np.einsum("ij,ij...->...", material.M, e)
             + np.einsum("i,i...->...", material.aVec, gamma)
             + material.m * phi + material.aHeat * theta)
+
+
+@functools.lru_cache
+def response_matrix(material):
+    """The constitutive law on stacked differences, one matrix per material:
+    column k is the kernel's response to the k-th unit input, so the matrix
+    holds the packed (Voigt) coefficients and the law stays written once.
+    Rows: per axis j the normal fluxes (S[:, j], h[j]), then the intrinsic
+    force G (rate term excluded).  Columns: the derivatives d_s of
+    (u_0, ..., u_{d-1}, phi) in row-major (field, axis) order, then phi and
+    theta.
+
+    Cached per material (a :class:`~voidtherm.material.Material` is frozen
+    and hashed by identity; it is not changed in place), so the kernel is
+    probed once per material; the matrix is read-only."""
+    d = material.dim
+    z = np.eye((d + 1) * d + 2)
+    du = z[:d * d].reshape((d, d, -1))
+    S, h, G, _ = field_response(0.5 * (du + du.swapaxes(0, 1)), z[d * d:d * (d + 1)], None,
+                                z[-2], z[-1], material)
+    flux = np.concatenate([S.swapaxes(0, 1), h[:, None]], axis=1)
+    R = np.vstack([flux.reshape(d * (d + 1), -1), G])
+    R.flags.writeable = False
+    return R
+
+
+@functools.lru_cache
+def energy_matrix(material):
+    """H with 2W = z^T H z for z = (the derivatives of (u, phi) in
+    (field, axis) order, phi): the rows of :func:`response_matrix` that are
+    the derivatives of W, re-ordered from (axis, field) to (field, axis),
+    and -G; the column of theta is dropped.  H is symmetric, the Hessian of
+    W.  Cached per material like :func:`response_matrix`; read-only."""
+    d, R = material.dim, response_matrix(material)
+    rows = [s * (d + 1) + r for r in range(d + 1) for s in range(d)]
+    H = np.vstack([R[rows], -R[-1:]])[:, :-1]
+    H.flags.writeable = False
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +247,10 @@ def bilinear_form(Ea, Eb, material):
 
 
 def stored_energy(E, material):
-    """Stored energy of a kinematic vector."""
-    return float(stored_energy_field(E.E, E.pi, E.psi, material))
+    """Stored energy of a kinematic vector, z^T H z / 2 with H the
+    :func:`energy_matrix` and z = (E, pi, psi) (E flattened row-major)."""
+    z = np.concatenate([E.E.ravel(), E.pi, [E.psi]])
+    return 0.5 * float(z @ energy_matrix(material) @ z)
 
 
 def response(state, material):

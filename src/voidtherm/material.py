@@ -17,7 +17,7 @@ slot is the void fraction itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -153,12 +153,8 @@ class Material:
 
     def scaled(self, factor):
         """Material with all stored-energy coefficients multiplied by ``factor``."""
-        return Material(
-            dim=self.dim, C=factor * self.C, A=factor * self.A, K=self.K,
-            rho=self.rho, chi=self.chi, aHeat=self.aHeat, theta0=self.theta0,
-            xi=factor * self.xi, m=self.m, tau=self.tau, D=factor * self.D,
-            B=factor * self.B, b=factor * self.b, M=self.M, aVec=self.aVec,
-        )
+        return replace(self, C=factor * self.C, A=factor * self.A, xi=factor * self.xi,
+                       D=factor * self.D, B=factor * self.B, b=factor * self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +465,8 @@ def random_material(dim, rng):
         # shifting C, A, xi this way adds exactly (ridge - mu_min) to every
         # eigenvalue of the assembled form
         shift = ridge - mu_min
-        mat = Material(
-            dim=d, C=mat.C + shift * _identity4(d), A=mat.A + shift * mat.chi * np.eye(d),
-            K=mat.K, rho=mat.rho, chi=mat.chi, aHeat=mat.aHeat, theta0=mat.theta0,
-            xi=mat.xi + shift, m=mat.m, tau=mat.tau, D=mat.D, B=mat.B, b=mat.b,
-            M=mat.M, aVec=mat.aVec,
-        )
+        mat = replace(mat, C=mat.C + shift * _identity4(d),
+                      A=mat.A + shift * mat.chi * np.eye(d), xi=mat.xi + shift)
     return mat
 
 

@@ -21,12 +21,14 @@ the state as one stacked array updated in place, with buffers sized by
 fields x nodes; a face plan per face (node slice, Dirichlet groups, flux
 groups, the restricted normal-flux matrix N_sel inverted once); and the
 constitutive law as one matrix from the stacked derivatives and (phi, theta)
-to the normal fluxes (S[:, j], h[j]) per axis and the intrinsic force, read
-off the constitutive kernel by unit inputs at most once per operator, and
-only when stepping or a traction / equilibrated-stress flux face needs it.
-Each time level's corrected gradients are computed once: the accelerations,
-the sampled energy and the next temperature rate share them; the stored
-energy is the packed form z^T H z / 2, with H read off the same probe.  The
+to the normal fluxes (S[:, j], h[j]) per axis and the intrinsic force,
+``constitutive.response_matrix``, read off the constitutive kernel by unit
+inputs once per material (it is cached), and only when stepping or a
+traction / equilibrated-stress flux face needs it.  Each time level's
+corrected gradients are computed once: the accelerations, the sampled
+energy and the next temperature rate share them; the stored energy is the
+packed form z^T H z / 2 with H = ``constitutive.energy_matrix``, the same
+form that gives the pointwise ``stored_energy``.  The
 coupling term of the temperature rate, M:grad v + aVec.grad phidot, is the
 divergence of M^T v + aVec phidot and joins the heat flux in a single
 divergence.
@@ -49,11 +51,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import field_response
+from .constitutive import energy_matrix, field_response, response_matrix
 from .material import (Material, read_key_values, read_material_file, read_numbers,
                        spectrum as material_spectrum)
 
@@ -526,23 +528,6 @@ def trapezoid_weights(counts, spacings):
 # The stepping operator
 
 
-def _response_matrix(mat):
-    """The constitutive law on stacked differences, one matrix per material:
-    column k is the kernel's response to the k-th unit input, so the matrix
-    holds the packed (Voigt) coefficients and the law stays written once.
-    Rows: per axis j the normal fluxes (S[:, j], h[j]), then the intrinsic
-    force G (rate term excluded).  Columns: the derivatives d_s of
-    (u_0, ..., u_{d-1}, phi) in row-major (field, axis) order, then phi and
-    theta."""
-    d = mat.dim
-    z = np.eye((d + 1) * d + 2)
-    du = z[:d * d].reshape((d, d, -1))
-    S, h, G, _ = field_response(0.5 * (du + du.swapaxes(0, 1)), z[d * d:d * (d + 1)], None,
-                                z[-2], z[-1], mat)
-    flux = np.concatenate([S.swapaxes(0, 1), h[:, None]], axis=1)
-    return np.vstack([flux.reshape(d * (d + 1), -1), G])
-
-
 @dataclass(eq=False)
 class _FacePlan:
     """What one face does, fixed for a run: its node slice, outward sign and
@@ -563,9 +548,9 @@ class _FacePlan:
     heat: bool
 
 
-def _face_plans(scenario, response):
-    """One plan per face; ``response()`` gives the response matrix and is
-    called only for faces with traction or equilibrated-stress flux data."""
+def _face_plans(scenario):
+    """One plan per face; the response matrix is read only for faces with
+    traction or equilibrated-stress flux data."""
     d = scenario.grid.dim
     plans = []
     for (axis, side), groups in scenario.boundary.faces.items():
@@ -573,7 +558,8 @@ def _face_plans(scenario, response):
         rows = slice(0 if "displacement" in mech else d, d + 1 if "void" in mech else d)
         flux = inverse = None
         if mech:
-            flux = response()[axis * (d + 1) + rows.start:axis * (d + 1) + rows.stop]
+            first = axis * (d + 1)
+            flux = response_matrix(scenario.material)[first + rows.start:first + rows.stop]
             inverse = np.linalg.inv(flux[:, [r * d + axis for r in range(rows.start, rows.stop)]])
         plans.append(_FacePlan(
             face=(axis, side), index=face_slice(axis, side, d),
@@ -599,21 +585,17 @@ class _Operator:
         self.scenario, self.mat = scenario, scenario.material
         self.d, self.h = scenario.grid.dim, scenario.grid.spacing
         self.dissipative = dissipative
-        self.faces = _face_plans(scenario, lambda: self.response)
+        self.faces = _face_plans(scenario)
         self.sources = {k for k in ("f", "ell", "r") if scenario.sources.get(k) is not None}
         self.Y = self._energy = None
-
-    @functools.cached_property
-    def response(self):
-        return _response_matrix(self.mat)
 
     def _allocate(self):
         """The stepping coefficients and buffers; ``kinematics`` alone needs
         none of them."""
         mat, d, counts = self.mat, self.d, self.scenario.grid.counts
-        scale = np.full(len(self.response), 1.0 / (mat.rho * mat.chi))
+        scale = np.full(d * (d + 1) + 1, 1.0 / (mat.rho * mat.chi))
         scale[[j * (d + 1) + i for j in range(d) for i in range(d)]] = 1.0 / mat.rho
-        response = scale[:, None] * self.response
+        response = scale[:, None] * response_matrix(mat)
         self.L_grad, self.L_local = response[:, :-2], response[:, -2:]
         thermal_sign = 1.0 if self.dissipative else -1.0
         tau_sign = -1.0 if self.dissipative else 1.0
@@ -786,22 +768,11 @@ class _Operator:
         grad = self._gradients(F, state.t, np.empty((d + 2, d) + F.shape[1:]))
         return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1)), grad[d], grad[d + 1]
 
-    @functools.cached_property
-    def energy_matrix(self):
-        """H with 2W = z^T H z for z = (the derivatives of (u, phi) in
-        (field, axis) order, phi): the rows of the response matrix that are
-        the derivatives of W, re-ordered from (axis, field) to (field, axis),
-        and -G; the column of theta is dropped.  H is symmetric, the Hessian
-        of W."""
-        d = self.d
-        rows = [s * (d + 1) + r for r in range(d + 1) for s in range(d)]
-        return np.vstack([self.response[rows], -self.response[-1:]])[:, :-1]
-
     def energy(self):
         """The energy density P (kinetic, void-kinetic, thermal and stored) at
         the level evaluated by ``fluxes``, computed once per level."""
         if self._energy is None:
-            d, Y, mat, H, n = self.d, self.Y, self.mat, self.energy_matrix, self.Y[0].size
+            d, Y, mat, H, n = self.d, self.Y, self.mat, energy_matrix(self.mat), self.Y[0].size
             # z = (g, phi) with g the derivatives; H is symmetric, so
             # z^T H z = g^T H_gg g + (2 H_phi,g g + H_phi,phi phi) phi
             g, phi = self.grad[:d + 1].reshape(d * (d + 1), n), Y[d].reshape(n)
@@ -1024,6 +995,8 @@ def _reflect_fielddata(fd, horizon):
 
 
 def _reflect_bc(bc, horizon):
+    if bc.is_zero():
+        return bc
     return BoundaryCondition(
         kind=bc.kind,
         signal=TimeReflectedSignal(bc.signal, horizon),
@@ -1041,11 +1014,9 @@ def time_reflected_scenario(scenario, horizon):
             sources[key] = None
         else:
             sources[key] = (lambda inner: lambda X, t: inner(X, horizon - t))(fn)
-    return Scenario(grid=scenario.grid, material=scenario.material,
-                    boundary=BoundaryPartition(faces=faces), dt=scenario.dt,
-                    T=scenario.T, support_x0=scenario.support_x0,
-                    initial=dict(scenario.initial), sources=sources,
-                    label=scenario.label + ":reversed")
+    return replace(scenario, boundary=BoundaryPartition(faces=faces),
+                   initial=dict(scenario.initial), sources=sources,
+                   label=scenario.label + ":reversed")
 
 
 def reverse_time(trajectory):

@@ -417,6 +417,7 @@ def test_simulate_memory_flat_in_samples(workdir, tmp_path, monkeypatch):
     # not grow with the sample count by more than a few states (snapshots
     # would add one state per sample: 36 here); what does grow is the times
     # and the energy and theta_max logs, a few floats per sample
+    import gc
     import tracemalloc
 
     from voidtherm import cli
@@ -428,6 +429,11 @@ def test_simulate_memory_flat_in_samples(workdir, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
     peaks = []
     for samples in (5, 41):
+        # no collection inside the window: whether the CLI's argparse cycles
+        # (~30 kB) are freed before the peak would otherwise depend on when
+        # the collector happens to run
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
             assert cli.main(["simulate", "--scenario", str(workdir / "coarse.scn"),
@@ -436,6 +442,7 @@ def test_simulate_memory_flat_in_samples(workdir, tmp_path, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+            gc.enable()
     assert [len(traj.times) for traj in runs] == [5, 41]
     assert peaks[1] - peaks[0] < 4 * state_bytes
     for traj, samples in zip(runs, (5, 41)):

@@ -618,6 +618,22 @@ def test_reversal_is_involution():
         assert np.array_equal(a.theta, b.theta)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: presets.insulated_relaxation_scenario(nodes=101, T=0.2),
+    lambda: presets.pulse_scenario(nodes=101, T=0.3),
+], ids=["insulated", "pulse"])
+def test_reversed_scenario_runs(make):
+    # zero face data stays zero under reflection, so the data-free faces
+    # beyond the support slab still pass the support check
+    fwd = vt.run(make(), n_samples=3, dissipative=True)
+    rev = vt.reverse_time(fwd).scenario
+    for key, groups in fwd.scenario.boundary.faces.items():
+        for g, bc in groups.items():
+            assert rev.boundary.faces[key][g].is_zero() == bc.is_zero()
+    back = vt.run(rev, n_samples=3, dissipative=not fwd.dissipative)
+    assert back.times[-1] == pytest.approx(fwd.times[-1])
+
+
 def test_constant_trajectory_is_reversal_fixed_point():
     scen = quiet_scenario(nodes=21, T=0.02)
     traj = vt.run(scen, n_samples=5)
