@@ -19,6 +19,7 @@ import numpy as np
 
 from . import material as mat_mod
 from . import measures, solver
+from .constitutive import TOLERANCES
 from .material import (InfeasibleWindow, MaterialFileError, NoFeasibleLambda,
                        NotPositiveDefinite, optimize_lambda, read_material_file,
                        spectrum, validate, zeta_of_lambda)
@@ -42,8 +43,6 @@ EXIT_TABLE = (
 # reference resolution of the decay pipeline: 400 cells over a 1.25 bar
 REF_SPACING = 1.25 / 400
 ENERGY_IDENTITY_TOL = 5e-4
-DIFF_INEQ_TOL = 5e-3
-DECAY_TOL = 5e-3
 AUTO_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0)
 
 
@@ -69,6 +68,12 @@ def _auto_anchor(zeta, L, T, h1):
     r0 = max(h1, math.floor(r0 / h1 + 1e-9) * h1)
     t0 = T - r0 / zeta
     return t0, r0
+
+
+def _sample_count(T, lam, floor=801):
+    """Samples of a run measured at time weight ``lam``: one per 0.05 / lam
+    of time, at least ``floor`` and at most 1601."""
+    return min(1601, max(floor, int(math.ceil(T * lam / 0.05))))
 
 
 def _parse_lambdas(text):
@@ -156,15 +161,14 @@ def verify_decay_pipeline(scenario, lambdas=None, r0=None, t0=None, seed=0):
         r0 = r0_auto if r0 is None else r0
         t0 = t0_auto if t0 is None else t0
 
-    n_samples = min(1601, max(801, int(math.ceil(scenario.T * lam / 0.05))))
     record = measures.SampleRecord(scenario)
-    traj = run(scenario, n_samples=n_samples, reducers=[record])
+    traj = run(scenario, n_samples=_sample_count(scenario.T, lam), reducers=[record])
     series = measures.compute_measure(record, geometry, lam)
 
     identity = measures.check_energy_identity(record, lam)
     identity_tol = ENERGY_IDENTITY_TOL * res_factor
-    diff_rep = measures.check_diff_inequality(series, tol=DIFF_INEQ_TOL * res_factor)
-    decay_rep = measures.check_decay(series, t0, r0, tol=DECAY_TOL * res_factor)
+    diff_rep = measures.check_diff_inequality(series, tol=TOLERANCES.discrete_rel * res_factor)
+    decay_rep = measures.check_decay(series, t0, r0, tol=TOLERANCES.discrete_rel * res_factor)
 
     warnings = list(traj.log["warnings"])
     if res_factor > 1.0:
@@ -219,8 +223,7 @@ def _refinement_study(scenario, lam, levels):
         refined = _refined_copy(scenario, 2 ** level)
         record = measures.SampleRecord(refined)
         try:
-            run(refined, n_samples=min(1601, max(401, int(math.ceil(refined.T * lam / 0.05)))),
-                reducers=[record])
+            run(refined, n_samples=_sample_count(refined.T, lam, floor=401), reducers=[record])
         except BudgetExceeded as exc:
             notes.append(f"level {level}: skipped ({exc})")
             break
@@ -263,9 +266,8 @@ def cmd_sweep_lambda(args):
     if args.scenario:
         scenario = read_scenario_file(args.scenario, material=material)
         geometry = measures.support_geometry(scenario)
-        n_samples = min(1601, max(801, int(math.ceil(scenario.T * max(lambdas) / 0.05))))
         record = measures.SampleRecord(scenario)
-        run(scenario, n_samples=n_samples, reducers=[record])
+        run(scenario, n_samples=_sample_count(scenario.T, max(lambdas)), reducers=[record])
 
     rows = []
     for lam in lambdas:

@@ -7,11 +7,14 @@ axes; the pointwise maps call them with none.  The stored energy W is not
 written again: :func:`response_matrix` reads the packed law off
 :func:`field_response` by unit inputs, and W is the quadratic form
 z^T H z / 2 of its symmetric part :func:`energy_matrix`, both at a point
-(:func:`stored_energy`) and on the solver's grid.  Both matrices are cached
-per material, so the kernel is probed once per material.  The only other
-copies are independent oracles: the assembled quadratic form ``Q`` of
+(:func:`stored_energy`) and on the solver's grid; so are the parts P and R
+of the measure density lambda P + R (:func:`energy_density`,
+:func:`rate_density`).  Both matrices are cached per material, so the kernel
+is probed once per material.  The only other copies are independent
+oracles: the assembled quadratic form ``Q`` of
 :func:`~voidtherm.material.assemble_quadratic_form` (behind
-:func:`bilinear_form`) and the symbolic law of :mod:`voidtherm.mms`.
+:func:`bilinear_form`, also cached) and the symbolic law of
+:mod:`voidtherm.mms`.
 
 Inequality checks return (lhs, rhs) pairs instead of booleans; tolerance
 handling lives in :class:`TolerancePolicy` so that floating-point slack is
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,45 +59,31 @@ TOLERANCES = TolerancePolicy()
 
 @dataclass(frozen=True, eq=False)
 class KinematicVector:
-    """Element of the energy space: symmetric tensor, vector, scalar.
-
-    ``chi1`` carries the sqrt of the equilibrated inertia so that
-    ``norm2`` matches the scaled coordinates of the quadratic form.
-    """
+    """Element of the energy space: symmetric tensor, vector, scalar."""
 
     E: np.ndarray
     pi: np.ndarray
     psi: float
-    chi1: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "E", np.asarray(self.E, dtype=float))
         object.__setattr__(self, "pi", np.atleast_1d(np.asarray(self.pi, dtype=float)))
         object.__setattr__(self, "psi", float(self.psi))
-        object.__setattr__(self, "chi1", float(self.chi1))
         d = self.pi.shape[0]
         if self.E.shape == () and d == 1:
             object.__setattr__(self, "E", self.E.reshape(1, 1))
         if self.E.shape != (d, d):
             raise ValueError(f"E has shape {self.E.shape}, expected ({d}, {d})")
 
-    @property
-    def dim(self):
-        return self.pi.shape[0]
-
-    def norm2(self):
-        """Squared scaled norm: E:E + chi*pi.pi + psi^2."""
-        return float(np.sum(self.E ** 2) + self.chi1 ** 2 * self.pi @ self.pi + self.psi ** 2)
-
-    def scaled_coords(self):
+    def scaled_coords(self, material):
         """Coordinate vector z with z^T Q z = twice the stored energy, in the
-        basis that ``Q`` is assembled in."""
-        return np.concatenate([np.einsum("aij,ij->a", symmetric_basis(self.dim), self.E),
-                               self.chi1 * self.pi, [self.psi]])
+        basis (and the sqrt(chi) scaling of pi) that ``Q`` is assembled in."""
+        return np.concatenate([np.einsum("aij,ij->a", symmetric_basis(material.dim), self.E),
+                               math.sqrt(material.chi) * self.pi, [self.psi]])
 
     @classmethod
-    def zero(cls, dim, chi=1.0):
-        return cls(E=np.zeros((dim, dim)), pi=np.zeros(dim), psi=0.0, chi1=math.sqrt(chi))
+    def zero(cls, dim):
+        return cls(E=np.zeros((dim, dim)), pi=np.zeros(dim), psi=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +93,6 @@ class GeneralizedStress:
     Shat: np.ndarray
     hhat: np.ndarray
     Ghat: float
-
-    def as_kinematic(self, chi):
-        """Repackage as an element of the energy space again."""
-        return KinematicVector(E=self.Shat, pi=self.hhat / chi, psi=-self.Ghat,
-                               chi1=math.sqrt(chi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +118,8 @@ class PointState:
         for name in ("phi", "phidot", "theta"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    @property
-    def dim(self):
-        return self.gamma.shape[0]
-
-    def kinematic(self, chi=1.0):
-        return KinematicVector(E=self.e, pi=self.gamma, psi=self.phi, chi1=math.sqrt(chi))
+    def kinematic(self):
+        return KinematicVector(E=self.e, pi=self.gamma, psi=self.phi)
 
     @classmethod
     def zero(cls, dim):
@@ -241,8 +221,8 @@ def generalized_response(E, material):
 
 def bilinear_form(Ea, Eb, material):
     """Symmetric bilinear form whose diagonal is the stored energy, from the
-    assembled quadratic form (in the material's own chi scaling)."""
-    za, zb = (replace(E, chi1=math.sqrt(material.chi)).scaled_coords() for E in (Ea, Eb))
+    assembled quadratic form."""
+    za, zb = Ea.scaled_coords(material), Eb.scaled_coords(material)
     return 0.5 * float(za @ assemble_quadratic_form(material) @ zb)
 
 
@@ -251,6 +231,27 @@ def stored_energy(E, material):
     :func:`energy_matrix` and z = (E, pi, psi) (E flattened row-major)."""
     z = np.concatenate([E.E.ravel(), E.pi, [E.psi]])
     return 0.5 * float(z @ energy_matrix(material) @ z)
+
+
+def energy_density(material, g, phi, w, theta):
+    """The energy density P = (rho |v|^2 + rho chi phidot^2 + aHeat theta^2
+    + z^T H z) / 2 at n nodes: ``g`` (d (d + 1), n) the derivatives of
+    (u, phi) in (field, axis) order, ``phi`` and ``theta`` (n,), ``w``
+    (d + 1, n) the velocities (v, phidot); z = (g, phi)."""
+    d, H = material.dim, energy_matrix(material)
+    # H is symmetric, so z^T H z = g^T H_gg g + (2 H_phi,g g + H_phi,phi phi) phi
+    Hg = H[:-1, :-1] @ g
+    return 0.5 * (material.rho * np.einsum("kn,kn->n", w[:d], w[:d])
+                  + material.rho * material.chi * w[d] ** 2 + material.aHeat * theta ** 2
+                  + np.einsum("kn,kn->n", g, Hg)
+                  + (2.0 * (H[-1, :-1] @ g) + H[-1, -1] * phi) * phi)
+
+
+def rate_density(material, phidot, kappa):
+    """The rate and conduction density R = tau phidot^2 + K kappa . kappa /
+    theta0 at n nodes: ``phidot`` (n,), ``kappa`` (d, n)."""
+    return (material.tau * phidot ** 2
+            + np.einsum("kn,kn->n", kappa, material.K @ kappa) / material.theta0)
 
 
 def response(state, material):
@@ -291,7 +292,7 @@ def check_stress_bound(state, material, epsilon_free, spec=None):
         spec = material_spectrum(material, require="energy")
     r = response(state, material)
     lhs = float(np.sum(r.S ** 2) + r.h @ r.h / material.chi)
-    wstar = stored_energy(state.kinematic(material.chi), material)
+    wstar = stored_energy(state.kinematic(), material)
     rhs = ((1.0 + epsilon_free) * 2.0 * spec.mu_M * wstar
            + (1.0 + 1.0 / epsilon_free) * spec.M2 * state.theta ** 2)
     return lhs, float(rhs)
@@ -317,7 +318,7 @@ def check_surface_power_bound(state, udot, normal, material, decay, lam, spec=No
     rho, chi, a, th0, tau = (material.rho, material.chi, material.aHeat,
                              material.theta0, material.tau)
     eps, e1, e2 = decay.epsilon, decay.eps1, decay.eps2
-    wstar = stored_energy(state.kinematic(chi), material)
+    wstar = stored_energy(state.kinematic(), material)
     kin = (1.0 / (lam * e1)) * (0.5 * lam * (rho * udot @ udot + rho * chi * state.phidot ** 2)
                                 + tau * state.phidot ** 2)
     elastic = (e1 * (1.0 + eps) * spec.mu_M / (lam * rho)) * (lam * wstar)
@@ -328,7 +329,9 @@ def check_surface_power_bound(state, udot, normal, material, decay, lam, spec=No
             raise NonPositiveEpsilon("decay epsilon must be positive when M2 > 0")
         m2_coeff = e1 * spec.M2 * (1.0 + 1.0 / eps) / (lam * rho * a)
     thermal = (m2_coeff + 1.0 / (lam * th0 * e2)) * (0.5 * lam * a * state.theta ** 2)
-    flux = (e2 * spec.k_M / (2.0 * a)) * ((state.kappa @ material.K @ state.kappa) / th0)
+    # k_M = 0 gives eps2 = inf and K = 0: the conduction term is 0, not inf * 0
+    flux = 0.0 if spec.k_M == 0.0 else (e2 * spec.k_M / (2.0 * a)) * (
+        (state.kappa @ material.K @ state.kappa) / th0)
     return lhs, float(kin + elastic + thermal + flux)
 
 
@@ -340,8 +343,7 @@ def random_kinematic(material, rng):
     d = material.dim
     E = rng.normal(size=(d, d))
     E = 0.5 * (E + E.T)
-    return KinematicVector(E=E, pi=rng.normal(size=d), psi=float(rng.normal()),
-                           chi1=math.sqrt(material.chi))
+    return KinematicVector(E=E, pi=rng.normal(size=d), psi=float(rng.normal()))
 
 
 def random_point_state(material, rng):

@@ -16,6 +16,7 @@ slot is the void fraction itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -241,12 +242,15 @@ def symmetric_basis(dim):
     return basis
 
 
+@functools.lru_cache
 def assemble_quadratic_form(material):
     """Symmetric matrix Q with z^T Q z = twice the stored energy.
 
     The coordinate vector z stacks the scaled symmetric-tensor components,
     the sqrt(chi)-scaled void gradient, and the void fraction, so that
-    |z|^2 equals the natural squared norm of the field triple.
+    |z|^2 equals the natural squared norm of the field triple.  Assembled
+    apart from the constitutive kernel, an independent oracle; cached per
+    material (frozen, hashed by identity) and read-only.
     """
     d = material.dim
     basis = symmetric_basis(d)
@@ -261,6 +265,7 @@ def assemble_quadratic_form(material):
     Q[nv:nv + d, -1] = material.b / sq
     Q[-1, -1] = material.xi
     Q = np.triu(Q) + np.triu(Q, 1).T
+    Q.flags.writeable = False
     return Q
 
 

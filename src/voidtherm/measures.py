@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import TOLERANCES, stored_energy
+from .constitutive import TOLERANCES, energy_density, rate_density
 from .material import spectrum as material_spectrum, zeta_of_lambda
 from .solver import replay, trapezoid_weights
 
@@ -88,13 +88,12 @@ def weighted_energy_density(state, udot, material, lam):
     """Integrand of the measure at one point: the lambda-weighted kinetic,
     void-kinetic, thermal, and stored parts plus the rate and conduction
     terms (nonnegative for admissible materials)."""
-    m = material
-    udot = np.atleast_1d(np.asarray(udot, dtype=float))
-    P = (0.5 * (m.rho * udot @ udot + m.rho * m.chi * state.phidot ** 2
-                + m.aHeat * state.theta ** 2)
-         + stored_energy(state.kinematic(), m))
-    R = m.tau * state.phidot ** 2 + state.kappa @ m.K @ state.kappa / m.theta0
-    return float(lam * P + R)
+    # the grid's densities at one node
+    phi, phidot, theta = (np.array([x]) for x in (state.phi, state.phidot, state.theta))
+    g = np.concatenate([state.e.ravel(), state.gamma])[:, None]
+    P = energy_density(material, g, phi, np.append(udot, phidot)[:, None], theta)
+    R = rate_density(material, phidot, state.kappa[:, None])
+    return float(lam * P[0] + R[0])
 
 
 def _cumtrapz(times, values, axis=0):

@@ -28,8 +28,9 @@ traction / equilibrated-stress flux face needs it.  Each time level's
 corrected gradients are computed once: the accelerations, the sampled
 energy and the next temperature rate share them; the stored energy is the
 packed form z^T H z / 2 with H = ``constitutive.energy_matrix``, the same
-form that gives the pointwise ``stored_energy``.  The
-coupling term of the temperature rate, M:grad v + aVec.grad phidot, is the
+form that gives the pointwise ``stored_energy``.  The sampled densities P
+and R are ``constitutive.energy_density`` and ``rate_density``, which also
+serve a single point.  The coupling term of the temperature rate, M:grad v + aVec.grad phidot, is the
 divergence of M^T v + aVec phidot and joins the heat flux in a single
 divergence.
 
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import energy_matrix, field_response, response_matrix
+from .constitutive import energy_density, field_response, rate_density, response_matrix
 from .material import (Material, read_key_values, read_material_file, read_numbers,
                        spectrum as material_spectrum)
 
@@ -610,9 +611,7 @@ class _Operator:
         self.grad = np.empty((d + 2, d) + counts)
         self.acc = np.empty((d + 1,) + counts)
         self.flux = np.empty((d * (d + 1) + 1,) + counts)
-        # the scratch rows of one step, dead between steps: energy and
-        # energy_parts reuse the first d (d + 1) of them (3 d + 3 >= d (d + 1)
-        # for d <= 3)
+        # the scratch rows of one step
         self.scratch = np.empty((3 * d + 3,) + counts)
         self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
         self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
@@ -772,16 +771,9 @@ class _Operator:
         """The energy density P (kinetic, void-kinetic, thermal and stored) at
         the level evaluated by ``fluxes``, computed once per level."""
         if self._energy is None:
-            d, Y, mat, H, n = self.d, self.Y, self.mat, energy_matrix(self.mat), self.Y[0].size
-            # z = (g, phi) with g the derivatives; H is symmetric, so
-            # z^T H z = g^T H_gg g + (2 H_phi,g g + H_phi,phi phi) phi
-            g, phi = self.grad[:d + 1].reshape(d * (d + 1), n), Y[d].reshape(n)
-            Hg = np.matmul(H[:-1, :-1], g, out=self.scratch.reshape(-1, n)[:d * (d + 1)])
-            w = Y[d + 2:].reshape(d + 1, n)
-            P = 0.5 * (mat.rho * np.einsum("kn,kn->n", w[:d], w[:d])
-                       + mat.rho * mat.chi * w[d] ** 2 + mat.aHeat * Y[d + 1].reshape(n) ** 2
-                       + np.einsum("kn,kn->n", g, Hg)
-                       + (2.0 * (H[-1, :-1] @ g) + H[-1, -1] * phi) * phi)
+            d, Y, n = self.d, self.Y, self.Y[0].size
+            P = energy_density(self.mat, self.grad[:d + 1].reshape(d * (d + 1), n),
+                               Y[d].reshape(n), Y[d + 2:].reshape(d + 1, n), Y[d + 1].reshape(n))
             self._energy = P.reshape(Y.shape[1:])
         return self._energy
 
@@ -789,10 +781,8 @@ class _Operator:
         """The parts (P, R) of the measure density lambda P + R at the level
         evaluated by ``fluxes``: P from :meth:`energy`, R the rate and
         conduction terms."""
-        d, Y, mat, n = self.d, self.Y, self.mat, self.Y[0].size
-        kappa = self.grad[d + 1].reshape(d, n)
-        Kk = np.matmul(mat.K, kappa, out=self.scratch.reshape(-1, n)[:d])
-        R = mat.tau * Y[2 * d + 2].reshape(n) ** 2 + np.einsum("kn,kn->n", kappa, Kk) / mat.theta0
+        d, Y, n = self.d, self.Y, self.Y[0].size
+        R = rate_density(self.mat, Y[2 * d + 2].reshape(n), self.grad[d + 1].reshape(d, n))
         return self.energy(), R.reshape(Y.shape[1:])
 
     def normal_power(self, axis, sel=()):

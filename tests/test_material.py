@@ -89,6 +89,25 @@ def test_quadratic_form_symmetric_random(rng):
         assert Q.shape[0] == n_voigt(dim) + dim + 1
 
 
+def test_quadratic_form_cached_per_material(rng):
+    from voidtherm import constitutive as cn
+    from voidtherm.material import assemble_quadratic_form
+
+    m = random_material(3, rng)
+    Q = assemble_quadratic_form(m)  # random_material may have assembled it already
+    assert assemble_quadratic_form(m) is Q and not Q.flags.writeable
+    with pytest.raises(ValueError):
+        Q[0, 0] = 0.0
+
+    fresh = vt.Material(dim=m.dim, C=m.C, A=m.A, K=m.K, rho=m.rho, chi=m.chi,
+                        aHeat=m.aHeat, theta0=m.theta0, xi=m.xi)
+    before = assemble_quadratic_form.cache_info().misses
+    Ea, Eb = cn.random_kinematic(fresh, rng), cn.random_kinematic(fresh, rng)
+    for _ in range(100):
+        vt.bilinear_form(Ea, Eb, fresh)
+    assert assemble_quadratic_form.cache_info().misses - before == 1
+
+
 def test_spectrum_examples():
     s = vt.spectrum(diag_material())
     assert (s.mu_m, s.mu_M) == (2.0, 5.0)

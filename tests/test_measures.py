@@ -54,7 +54,7 @@ def test_density_field_matches_quadratic_form(dim, rng):
                               gamma=gamma[(slice(None),) + idx],
                               kappa=kappa[(slice(None),) + idx], phi=st.phi[idx],
                               phidot=st.phidot[idx], theta=st.theta[idx])
-        z = point.kinematic(mat.chi).scaled_coords()
+        z = point.kinematic().scaled_coords(mat)
         v, k = st.v[(slice(None),) + idx], point.kappa
         oracle = (0.5 * lam * (mat.rho * v @ v + mat.rho * mat.chi * st.phidot[idx] ** 2
                                + mat.aHeat * st.theta[idx] ** 2 + z @ Q @ z)
