@@ -230,8 +230,10 @@ def validate(material):
 # Quadratic form and spectrum
 
 
+@functools.lru_cache
 def symmetric_basis(dim):
-    """Orthonormal basis of symmetric tensors in the canonical pair order."""
+    """Orthonormal basis of symmetric tensors in the canonical pair order,
+    cached per dimension and read-only."""
     pairs = voigt_pairs(dim)
     basis = np.zeros((len(pairs), dim, dim))
     for a, (i, j) in enumerate(pairs):
@@ -239,6 +241,7 @@ def symmetric_basis(dim):
             basis[a, i, i] = 1.0
         else:
             basis[a, i, j] = basis[a, j, i] = 1.0 / math.sqrt(2.0)
+    basis.flags.writeable = False
     return basis
 
 

@@ -156,12 +156,14 @@ class SampleRecord:
         P, R = op.energy_parts()
         box = self._box
         self.t.append(t)
-        fields = np.stack([P, R, op.normal_power(0)])
+        plane_power = op.normal_power(0)  # the box faces normal to x1 are slices of it
+        fields = np.stack([P, R, plane_power])
         self.profiles.append(fields.reshape(3, len(P), -1) @ self._lateral)
         self.box_P.append(float(np.sum(self._volume * P[box])))
         self.box_R.append(float(np.sum(self._volume * R[box])))
-        self.box_power.append(sum(float(np.sum(w * op.normal_power(axis, sel)))
-                                  for axis, sel, w in self._faces))
+        self.box_power.append(sum(
+            float(np.sum(w * (plane_power[sel] if axis == 0 else op.normal_power(axis, sel))))
+            for axis, sel, w in self._faces))
         work = op.source_work(t)
         self.box_work.append(0.0 if work is None else
                              self.scenario.material.rho * float(np.sum(self._volume * work[box])))

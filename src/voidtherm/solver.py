@@ -256,6 +256,13 @@ class BoundaryPartition:
         return errors
 
 
+def _shaped(data, shape):
+    """Evaluated data as a float array of ``shape``: as returned when it has
+    that shape, else broadcast (a scalar or a lower-rank return)."""
+    data = np.asarray(data, dtype=float)
+    return data if data.shape == shape else np.broadcast_to(data, shape)
+
+
 def _face_data(scenario, face, group, t, rate=False):
     """Boundary data of one group on one face at time t (``rate=True``: its
     time derivative), shaped like the face nodes of the group's field:
@@ -267,7 +274,7 @@ def _face_data(scenario, face, group, t, rate=False):
         shape = (grid.dim,) + shape
     if bc.fielddata is not None:
         fn = bc.fielddata.rate if rate else bc.fielddata.value
-        return np.broadcast_to(np.asarray(fn(scenario.mesh(face), t), dtype=float), shape)
+        return _shaped(fn(scenario.mesh(face), t), shape)
     s = bc.signal.rate(t) if rate else bc.signal.value(t)
     if group != "displacement":
         return np.full(shape, s)
@@ -343,8 +350,7 @@ class Scenario:
         shape = (d,) + counts if key == "f" else counts
         if fn is None:
             return np.zeros(shape)
-        out = np.asarray(fn(self.mesh(), t), dtype=float)
-        return np.broadcast_to(out, shape)
+        return _shaped(fn(self.mesh(), t), shape)
 
     def resolve_dt(self, dt_max=None):
         """The step asked for; ``dt = "auto"`` is half the wave bound
@@ -491,10 +497,32 @@ def _difference(f, axis, h, out=None):
     """Derivative along grid axis ``axis`` of every field stacked on the
     leading axis of ``f``: central differences inside, one-sided three-point
     stencils at the ends, with the arithmetic of
-    ``np.gradient(f, h, axis=axis + 1, edge_order=2)`` bit for bit."""
-    inner, above, below, ends, pairs, weights = _stencil(f.shape[axis + 1], axis, f.ndim, h)
+    ``np.gradient(f, h, axis=axis + 1, edge_order=2)`` bit for bit.
+
+    On the last axis of a 2D or 3D grid, rows are short: the central
+    difference runs over each field's node block flattened, in one pass, and
+    the values it wraps across row ends land only on the end nodes, which
+    the two end-column stencils then overwrite.  There ``out`` must flatten
+    to (fields, nodes) as a view."""
     if out is None:
         out = np.empty(f.shape)
+    if f.ndim > 2 and axis == f.ndim - 2:
+        flat = out.reshape(len(out), -1)
+        if not np.may_share_memory(flat, out):
+            raise ValueError(f"out with strides {out.strides} does not flatten as a view")
+        g = f.reshape(len(f), -1)
+        mid = flat[:, 1:-1]
+        np.subtract(g[:, 2:], g[:, :-2], out=mid)
+        mid /= 2.0 * h
+        first, last = out[..., 0], out[..., -1]
+        np.multiply(-1.5 / h, f[..., 0], out=first)
+        first += (2.0 / h) * f[..., 1]
+        first += (-0.5 / h) * f[..., 2]
+        np.multiply(0.5 / h, f[..., -3], out=last)
+        last += (-2.0 / h) * f[..., -2]
+        last += (1.5 / h) * f[..., -1]
+        return out
+    inner, above, below, ends, pairs, weights = _stencil(f.shape[axis + 1], axis, f.ndim, h)
     mid = out[inner]
     np.subtract(f[above], f[below], out=mid)
     mid /= 2.0 * h

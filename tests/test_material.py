@@ -89,6 +89,21 @@ def test_quadratic_form_symmetric_random(rng):
         assert Q.shape[0] == n_voigt(dim) + dim + 1
 
 
+def test_symmetric_basis_cached_per_dimension():
+    from voidtherm.material import symmetric_basis
+
+    for dim in (1, 2, 3):
+        basis = symmetric_basis(dim)
+        assert symmetric_basis(dim) is basis and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 0.0
+        # orthonormal symmetric tensors, one per Voigt pair
+        assert basis.shape == (n_voigt(dim), dim, dim)
+        assert np.array_equal(basis, basis.swapaxes(1, 2))
+        assert np.allclose(np.einsum("aij,bij->ab", basis, basis), np.eye(n_voigt(dim)),
+                           rtol=0.0, atol=1e-15)
+
+
 def test_quadratic_form_cached_per_material(rng):
     from voidtherm import constitutive as cn
     from voidtherm.material import assemble_quadratic_form

@@ -176,14 +176,72 @@ def test_operator_matches_reference(dim, dissipative):
         assert rel_gap(kappa, dtheta) <= 1e-13
 
 
-@pytest.mark.parametrize("shape", [(3, 501), (3, 161, 81), (2, 7, 3, 5), (1, 3, 4)])
+@pytest.mark.parametrize("shape", [(3, 501), (3, 161, 81), (2, 7, 3, 5), (1, 3, 4),
+                                   (4, 9, 3), (2, 5, 4, 3), (5, 17, 17, 17)])
 def test_difference_is_np_gradient(shape):
-    # the one difference routine does np.gradient's arithmetic bit for bit
+    # the one difference routine does np.gradient's arithmetic bit for bit, into
+    # a new array and into out= views laid out as the operator lays them out:
+    # a derivative axis of _Operator.grad, and a row block of _Operator.scratch
     f = np.random.default_rng(len(shape)).normal(size=shape)
-    for axis in range(len(shape) - 1):
+    k, counts, d = shape[0], shape[1:], len(shape) - 1
+    grad = np.full((k, d) + counts, np.nan)
+    kappa = np.full((d + 3,) + counts, np.nan)[None, 1:d + 1]
+    wants = []
+    for axis in range(d):
         h = 0.1 * (axis + 1) / 3.0
-        want = np.gradient(f, h, axis=axis + 1, edge_order=2)
-        assert np.array_equal(vt.solver._difference(f, axis, h), want)
+        wants.append(np.gradient(f, h, axis=axis + 1, edge_order=2))
+        assert np.array_equal(vt.solver._difference(f, axis, h), wants[-1])
+        assert np.array_equal(vt.solver._difference(f, axis, h, grad[:, axis]), wants[-1])
+        assert np.array_equal(vt.solver._difference(f[:1], axis, h, kappa[:, axis]),
+                              wants[-1][:1])
+    # no axis wrote outside its own view
+    assert np.array_equal(grad, np.stack(wants, 1))
+
+
+@pytest.mark.parametrize("shape", [(3, 9, 5), (2, 4, 5, 6)])
+def test_difference_out_that_is_no_flat_view_raises(shape):
+    # on the last axis the kernel writes through a flattened view of out; an out
+    # whose rows are padded would flatten to a copy, so it raises and leaves out
+    # as it was
+    f = np.random.default_rng(0).normal(size=shape)
+    out = np.full(shape[:-1] + (shape[-1] + 1,), np.nan)[..., :-1]
+    with pytest.raises(ValueError, match="does not flatten as a view"):
+        vt.solver._difference(f, len(shape) - 2, 0.1, out)
+    assert np.isnan(out).all()
+
+
+def test_face_data_has_the_face_shape():
+    # field data that returns a scalar is broadcast to the face, data that
+    # returns the face's own array comes back as that array, and a signal fills
+    # the face: every group's data has the shape of its face nodes
+    grid = vt.Grid(extents=(1.0, 0.8), counts=(9, 7))
+    face_array = np.random.default_rng(2).normal(size=(2, 7))  # the x1 = max face
+    arrays = {"displacement": face_array, "void": face_array[0], "thermal": face_array[1]}
+    pulse = vt.RaisedCosinePulse(amplitude=2.0, t_end=1.0)
+    cases = {
+        (0, "min"): lambda g: vt.FieldData(value=lambda X, t: 0.25, rate=lambda X, t: -0.5),
+        (0, "max"): lambda g: vt.FieldData(value=lambda X, t: arrays[g],
+                                           rate=lambda X, t: 3.0 * arrays[g]),
+        (1, "min"): None,  # a signal along x2
+    }
+    faces = {face: {g: BoundaryCondition("flux", fielddata=make(g)) if make else
+                    BoundaryCondition("flux", signal=pulse, axis=1) for g in vt.solver.GROUPS}
+             for face, make in cases.items()}
+    faces[(1, "max")] = {g: BoundaryCondition("flux") for g in vt.solver.GROUPS}
+    scen = vt.Scenario(grid=grid, material=vt.random_material(2, np.random.default_rng(3)),
+                       boundary=BoundaryPartition(faces=faces), dt="auto", T=1.0, support_x0=1.0)
+    for face, g, rate in itertools.product(cases, vt.solver.GROUPS, (False, True)):
+        n = grid.counts[1 - face[0]]
+        want = np.zeros((2, n) if g == "displacement" else (n,))
+        if face == (0, "min"):
+            want[...] = -0.5 if rate else 0.25
+        elif face == (0, "max"):
+            want[...] = (3.0 if rate else 1.0) * arrays[g]
+            assert rate or _face_data(scen, face, g, 0.5) is arrays[g]
+        else:
+            want[1 if g == "displacement" else ...] = pulse.rate(0.5) if rate else pulse.value(0.5)
+        data = _face_data(scen, face, g, 0.5, rate)
+        assert data.shape == want.shape and np.array_equal(data, want)
 
 
 @pytest.mark.parametrize("kinds, probes", [
