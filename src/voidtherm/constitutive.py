@@ -3,11 +3,12 @@ the decay diagnostics.
 
 The law is coded numerically once, in :func:`field_response` and
 :func:`entropy_field`.  These act on arrays with any number of trailing grid
-axes; the pointwise maps call them with none.  The stored energy W is not
-written again: :func:`response_matrix` reads the packed law off
-:func:`field_response` by unit inputs, and W is the quadratic form
-z^T H z / 2 of its symmetric part :func:`energy_matrix`, both at a point
-(:func:`stored_energy`) and on the solver's grid; so are the parts P and R
+axes.  :func:`response_matrix` reads the packed law off
+:func:`field_response` by unit inputs; the pointwise responses are one
+matvec with it, as the solver's grid is.  The stored energy W is not
+written again: it is the quadratic form z^T H z / 2 of the symmetric part
+:func:`energy_matrix`, both at a point (:func:`stored_energy`) and on the
+solver's grid; so are the parts P and R
 of the measure density lambda P + R (:func:`energy_density`,
 :func:`rate_density`).  Both matrices are cached per material, so the kernel
 is probed once per material.  The only other copies are independent
@@ -213,10 +214,21 @@ def energy_matrix(material):
 # Pointwise maps and forms
 
 
+def _packed_response(e, gamma, phi, theta, material):
+    """S, h and G (rate term excluded) at one point, as one matvec with the
+    packed law :func:`response_matrix`; its inputs z = (e row-major, gamma,
+    phi, theta) are returned too: z[:-1] are those of :func:`energy_matrix`."""
+    d = material.dim
+    z = np.concatenate([np.ravel(e), gamma, (phi, theta)])
+    r = response_matrix(material) @ z
+    flux = r[:-1].reshape(d, d + 1)
+    return flux[:, :d].T, flux[:, d], float(r[-1]), z
+
+
 def generalized_response(E, material):
     """Constitutive image of a kinematic vector (no thermal terms)."""
-    Shat, hhat, Ghat, _ = field_response(E.E, E.pi, None, E.psi, 0.0, material)
-    return GeneralizedStress(Shat=Shat, hhat=hhat, Ghat=float(Ghat))
+    Shat, hhat, Ghat, _ = _packed_response(E.E, E.pi, E.psi, 0.0, material)
+    return GeneralizedStress(Shat=Shat, hhat=hhat, Ghat=Ghat)
 
 
 def bilinear_form(Ea, Eb, material):
@@ -229,7 +241,10 @@ def bilinear_form(Ea, Eb, material):
 def stored_energy(E, material):
     """Stored energy of a kinematic vector, z^T H z / 2 with H the
     :func:`energy_matrix` and z = (E, pi, psi) (E flattened row-major)."""
-    z = np.concatenate([E.E.ravel(), E.pi, [E.psi]])
+    return _stored_energy(np.concatenate([E.E.ravel(), E.pi, [E.psi]]), material)
+
+
+def _stored_energy(z, material):
     return 0.5 * float(z @ energy_matrix(material) @ z)
 
 
@@ -257,12 +272,10 @@ def rate_density(material, phidot, kappa):
 def response(state, material):
     """Full pointwise response, anti-dissipative rate sign (the sign the
     time-reflected forward problem carries)."""
-    S, h, G, q = field_response(state.e, state.gamma, state.kappa, state.phi,
-                                state.theta, material)
-    G = float(G)
+    S, h, G, _ = _packed_response(state.e, state.gamma, state.phi, state.theta, material)
     rhoEta = float(entropy_field(state.e, state.gamma, state.phi, state.theta, material))
     return ResponseState(S=S, h=h, g=material.tau * state.phidot + G, G=G,
-                         rhoEta=rhoEta, q=q)
+                         rhoEta=rhoEta, q=material.K @ state.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +303,9 @@ def check_stress_bound(state, material, epsilon_free, spec=None):
         raise NonPositiveEpsilon(f"epsilon_free must be > 0, got {epsilon_free}")
     if spec is None:
         spec = material_spectrum(material, require="energy")
-    r = response(state, material)
-    lhs = float(np.sum(r.S ** 2) + r.h @ r.h / material.chi)
-    wstar = stored_energy(state.kinematic(), material)
+    S, h, _, z = _packed_response(state.e, state.gamma, state.phi, state.theta, material)
+    lhs = float(np.sum(S ** 2) + h @ h / material.chi)
+    wstar = _stored_energy(z[:-1], material)
     rhs = ((1.0 + epsilon_free) * 2.0 * spec.mu_M * wstar
            + (1.0 + 1.0 / epsilon_free) * spec.M2 * state.theta ** 2)
     return lhs, float(rhs)
@@ -310,15 +323,15 @@ def check_surface_power_bound(state, udot, normal, material, decay, lam, spec=No
         spec = material_spectrum(material, require="energy")
     udot = np.atleast_1d(np.asarray(udot, dtype=float))
     normal = np.atleast_1d(np.asarray(normal, dtype=float))
-    r = response(state, material)
-    traction = r.S @ normal
-    lhs = abs(float(traction @ udot + (r.h @ normal) * state.phidot
-                    - state.theta * (r.q @ normal) / material.theta0))
+    S, h, _, z = _packed_response(state.e, state.gamma, state.phi, state.theta, material)
+    q = material.K @ state.kappa
+    lhs = abs(float((S @ normal) @ udot + (h @ normal) * state.phidot
+                    - state.theta * (q @ normal) / material.theta0))
 
     rho, chi, a, th0, tau = (material.rho, material.chi, material.aHeat,
                              material.theta0, material.tau)
     eps, e1, e2 = decay.epsilon, decay.eps1, decay.eps2
-    wstar = stored_energy(state.kinematic(), material)
+    wstar = _stored_energy(z[:-1], material)
     kin = (1.0 / (lam * e1)) * (0.5 * lam * (rho * udot @ udot + rho * chi * state.phidot ** 2)
                                 + tau * state.phidot ** 2)
     elastic = (e1 * (1.0 + eps) * spec.mu_M / (lam * rho)) * (lam * wstar)

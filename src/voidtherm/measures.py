@@ -154,19 +154,21 @@ class SampleRecord:
 
     def __call__(self, op, t):
         P, R = op.energy_parts()
-        box = self._box
+        box, n1 = self._box, len(P)
         self.t.append(t)
         plane_power = op.normal_power(0)  # the box faces normal to x1 are slices of it
-        fields = np.stack([P, R, plane_power])
-        self.profiles.append(fields.reshape(3, len(P), -1) @ self._lateral)
-        self.box_P.append(float(np.sum(self._volume * P[box])))
-        self.box_R.append(float(np.sum(self._volume * R[box])))
+        profiles = np.empty((3, n1))
+        for profile, density in zip(profiles, (P, R, plane_power)):
+            np.dot(density.reshape(n1, -1), self._lateral, out=profile)
+        self.profiles.append(profiles)
+        self.box_P.append(float((self._volume * P[box]).sum()))
+        self.box_R.append(float((self._volume * R[box]).sum()))
         self.box_power.append(sum(
-            float(np.sum(w * (plane_power[sel] if axis == 0 else op.normal_power(axis, sel))))
+            float((w * (plane_power[sel] if axis == 0 else op.normal_power(axis, sel))).sum())
             for axis, sel, w in self._faces))
         work = op.source_work(t)
         self.box_work.append(0.0 if work is None else
-                             self.scenario.material.rho * float(np.sum(self._volume * work[box])))
+                             self.scenario.material.rho * float((self._volume * work[box]).sum()))
 
 
 def record_trajectory(trajectory, region=None):

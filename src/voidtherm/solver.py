@@ -481,16 +481,17 @@ class Trajectory:
 
 @functools.lru_cache(maxsize=256)
 def _stencil(n, axis, ndim, h):
-    """Index tuples and end weights of the difference along grid axis
-    ``axis`` (``n`` nodes, spacing ``h``) of arrays with ``ndim`` axes, the
-    first of which stacks fields.  The two ends are done together: pair k
-    holds nodes k and n - 3 + k (one node, broadcast, when n = 3)."""
+    """Index tuples, end nodes and end weights of the difference along grid
+    axis ``axis`` (``n`` nodes, spacing ``h``) of arrays with ``ndim`` axes,
+    the first of which stacks fields.  The two ends are done together:
+    ``nodes[k]`` holds nodes k and n - 3 + k, the k-th term of each end's
+    stencil, and ``terms[k]`` selects term k of the gathered array."""
     lead = (slice(None),) * (axis + 1)
-    pair = ((lambda k: slice(k, k + n - 2, n - 3)) if n > 3 else (lambda k: slice(k, k + 1)))
+    nodes = np.array([[0, n - 3], [1, n - 2], [2, n - 1]])
     weights = np.array([[-1.5 / h, 0.5 / h], [2.0 / h, -2.0 / h], [-0.5 / h, 1.5 / h]])
     weights = weights.reshape((3, 2) + (1,) * (ndim - axis - 2))
     return (lead + (slice(1, -1),), lead + (slice(2, None),), lead + (slice(None, -2),),
-            lead + (slice(0, n, n - 1),), tuple(lead + (pair(k),) for k in range(3)), weights)
+            lead + (slice(0, n, n - 1),), nodes, weights, tuple(lead + (k,) for k in range(3)))
 
 
 def _difference(f, axis, h, out=None):
@@ -522,23 +523,30 @@ def _difference(f, axis, h, out=None):
         last += (-2.0 / h) * f[..., -2]
         last += (1.5 / h) * f[..., -1]
         return out
-    inner, above, below, ends, pairs, weights = _stencil(f.shape[axis + 1], axis, f.ndim, h)
+    inner, above, below, ends, nodes, weights, terms = _stencil(f.shape[axis + 1], axis,
+                                                                f.ndim, h)
     mid = out[inner]
     np.subtract(f[above], f[below], out=mid)
     mid /= 2.0 * h
+    # both ends at once: gather their six nodes, weight them, and sum the
+    # terms in np.gradient's order; a reduction would start from +0.0 and
+    # lose the sign of a -0.0 sum
+    g = f.take(nodes, axis=axis + 1)
+    g *= weights
     edge = out[ends]
-    np.multiply(weights[0], f[pairs[0]], out=edge)
-    edge += weights[1] * f[pairs[1]]
-    edge += weights[2] * f[pairs[2]]
+    np.add(g[terms[0]], g[terms[1]], out=edge)
+    edge += g[terms[2]]
     return out
 
 
-def _divergence(fluxes, spacing, out=None):
+def _divergence(fluxes, spacing, out=None, work=None):
     """Sum over axes j of the derivative along j of ``fluxes[j]``, which
-    stacks the axis-j components of several fluxes on its leading axis."""
+    stacks the axis-j components of several fluxes on its leading axis;
+    ``work``, shaped like ``fluxes[j]``, holds each derivative after the
+    first (None: a new array)."""
     out = _difference(fluxes[0], 0, spacing[0], out)
     for j in range(1, len(spacing)):
-        out += _difference(fluxes[j], j, spacing[j])
+        out += _difference(fluxes[j], j, spacing[j], work)
     return out
 
 
@@ -640,20 +648,18 @@ class _Operator:
         self.acc = np.empty((d + 1,) + counts)
         self.flux = np.empty((d * (d + 1) + 1,) + counts)
         # the scratch rows of one step
-        self.scratch = np.empty((3 * d + 3,) + counts)
+        self.scratch = np.empty((3 * d + 4,) + counts)
         self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
         self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
         self.theta_half, self.rate = self.scratch[3 * d + 1], self.scratch[3 * d + 2]
+        self.heat_work = self.scratch[None, 3 * d + 3]
+        self.power_scale = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
 
-        def writes(targets):
-            # in face order, so a later face wins at nodes shared with an earlier one
-            return [(targets[g], (Ellipsis,) + plan.index, plan.face, g, plan.bcs[g].is_zero())
-                    for plan in self.faces for g in plan.dirichlet if g in targets]
-
-        self._positions = writes({"displacement": Y[:d], "void": Y[d]})
-        self._velocities = writes({"displacement": Y[d + 2:2 * d + 2], "void": Y[2 * d + 2]})
-        self._theta = writes({"thermal": Y[d + 1]})
-        self._theta_half = writes({"thermal": self.theta_half})
+        self._positions = self._writes({"displacement": Y[:d], "void": Y[d]})
+        self._velocities = self._writes({"displacement": Y[d + 2:2 * d + 2],
+                                         "void": Y[2 * d + 2]}, rate=True)
+        self._theta = self._writes({"thermal": Y[d + 1]})
+        self._theta_half = self._writes({"thermal": self.theta_half})
 
     # -- boundary ----------------------------------------------------------
 
@@ -663,11 +669,35 @@ class _Operator:
             return None
         return _face_data(self.scenario, plan.face, group, t)
 
-    def _dirichlet(self, t, writes, rate=False):
-        """Write Dirichlet data (``rate=True``: its time derivative) at time t
-        into the face nodes listed in ``writes``."""
-        for arr, at, face, group, zero in writes:
-            arr[at] = 0.0 if zero else _face_data(self.scenario, face, group, t, rate)
+    def _writes(self, targets, rate=False):
+        """The Dirichlet writes into the arrays ``targets`` (by group), in
+        face order, so a later face wins at nodes shared with an earlier one:
+        pairs (face nodes, data), the data None for zero, else a function of
+        t giving the value (``rate=True``: the time derivative).  A signal
+        gives a scalar, written into the displacement's ``axis`` component
+        after its other components are zeroed; field data gives the face
+        array."""
+        writes = []
+        for plan in self.faces:
+            for g in (g for g in plan.dirichlet if g in targets):
+                bc, nodes = plan.bcs[g], targets[g][(Ellipsis,) + plan.index]
+                if bc.fielddata is not None:
+                    data = functools.partial(_face_data, self.scenario, plan.face, g, rate=rate)
+                elif bc.is_zero():
+                    data = None
+                else:
+                    data = bc.signal.rate if rate else bc.signal.value
+                    if g == "displacement":
+                        writes += [(nodes, None)] if self.d > 1 else []
+                        nodes = nodes[bc.axis, ...]
+                writes.append((nodes, data))
+        return writes
+
+    @staticmethod
+    def _dirichlet(t, writes):
+        """Write Dirichlet data at time t into the face nodes of ``writes``."""
+        for nodes, data in writes:
+            nodes[...] = 0.0 if data is None else data(t)
 
     def _correct_mechanical(self, grad, F, t):
         """Overwrite the normal derivatives of u and phi on traction and
@@ -736,7 +766,9 @@ class _Operator:
         term."""
         d, flux = self.d, self.flux
         self.fluxes(t)
-        _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), self.h, out=self.acc)
+        # self.tmp is free here: its last reader, the theta update, came before
+        _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), self.h, out=self.acc,
+                    work=self.tmp)
         self.acc[d] += flux[-1]
         if self.tau_acc:
             self.acc[d] += self.tau_acc * phidot_lag
@@ -753,7 +785,7 @@ class _Operator:
         heat = self.heat.reshape(d, -1)
         np.matmul(self.K_rate, kappa.reshape(d, -1), out=heat)
         heat += self.W_rate @ Y[d + 2:].reshape(d + 1, -1)
-        _divergence(self.heat[:, None], self.h, out=out[None])
+        _divergence(self.heat[:, None], self.h, out=out[None], work=self.heat_work)
         if self.m_rate:
             out -= self.m_rate * Y[2 * d + 2]
         if "r" in self.sources:
@@ -773,7 +805,7 @@ class _Operator:
     def impose(self, t):
         """Write every Dirichlet value and rate at time t into the state."""
         self._dirichlet(t, self._positions + self._theta)
-        self._dirichlet(t, self._velocities, rate=True)
+        self._dirichlet(t, self._velocities)
 
     def state(self, t):
         """A snapshot that owns its memory."""
@@ -821,9 +853,8 @@ class _Operator:
         d, mat, Y = self.d, self.mat, self.Y
         at = (slice(None),) + sel
         flux = self.flux[axis * (d + 1):(axis + 1) * (d + 1)][at]
-        scale = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
         q = mat.K[axis] @ self.grad[d + 1][at].reshape(d, -1)
-        power = (scale @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
+        power = (self.power_scale @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
                  - q * Y[d + 1][sel].reshape(-1) / mat.theta0)
         return power.reshape(flux.shape[1:])
 
@@ -881,7 +912,7 @@ class _Operator:
         self.level(t1, Y[2 * d + 2])
         np.multiply(self.acc, 0.5 * dt, out=tmp)
         W += tmp
-        self._dirichlet(t1, self._velocities, rate=True)
+        self._dirichlet(t1, self._velocities)
 
 
 def kinematics(state, scenario):
@@ -958,7 +989,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
 
     def sample(t):
         times.append(t)
-        energies.append(float(np.sum(weights * op.energy())))
+        energies.append(float((weights * op.energy()).sum()))
         theta_max.append(float(np.abs(theta).max()))
         for reducer in reducers:
             reducer(op, t)

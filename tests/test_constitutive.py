@@ -181,6 +181,42 @@ def test_full_response_zero_and_theta_column(rng):
     assert np.all(r.q == 0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_packed_response_matches_field_response(dim):
+    # response and generalized_response are one matvec with response_matrix;
+    # the kernel they were read off is the oracle, to 1e-13 of the largest
+    # component, and the two bound checks read the same S, h and q
+    rng = np.random.default_rng(60 + dim)
+    m = random_material(dim, rng)
+    spec = vt.spectrum(m)
+
+    def close(got, want):
+        got, want = (np.concatenate([np.ravel(x) for x in xs]) for xs in (got, want))
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    for _ in range(50):
+        st = cn.random_point_state(m, rng)
+        S, h, G, q = cn.field_response(st.e, st.gamma, st.kappa, st.phi, st.theta, m)
+        r = vt.response(st, m)
+        assert close((r.S, r.h, r.G, r.q), (S, h, G, q))
+        assert r.g == m.tau * st.phidot + r.G
+        assert r.rhoEta == float(cn.entropy_field(st.e, st.gamma, st.phi, st.theta, m))
+        lhs, _ = cn.check_stress_bound(st, m, 1.0, spec=spec)
+        assert close([lhs], [np.sum(S ** 2) + h @ h / m.chi])
+        udot, normal = rng.normal(size=dim), cn.random_unit_vector(dim, rng)
+        lhs, _ = cn.check_surface_power_bound(st, udot, normal, m,
+                                              vt.zeta_of_lambda(spec, m, 2.0), 2.0, spec=spec)
+        power = (S @ normal) @ udot + (h @ normal) * st.phidot - st.theta * (q @ normal) / m.theta0
+        scale = (np.abs(S).max() + np.abs(h).max() + np.abs(q).max()) * (
+            1.0 + np.abs(udot).max() + abs(st.phidot) + abs(st.theta))
+        assert abs(lhs - abs(power)) <= 1e-13 * scale
+        E = cn.random_kinematic(m, rng)
+        Shat, hhat, Ghat, _ = cn.field_response(E.E, E.pi, None, E.psi, 0.0, m)
+        g = vt.generalized_response(E, m)
+        assert close((g.Shat, g.hhat, g.Ghat), (Shat, hhat, Ghat))
+        assert g.Shat.shape == (dim, dim) and isinstance(g.Ghat, float)
+
+
 def test_rate_term():
     m = vt.Material(dim=1, C=1.0, A=1.0, K=1.0, rho=1.0, chi=1.0,
                     aHeat=1.0, theta0=1.0, tau=2.0)

@@ -176,26 +176,50 @@ def test_operator_matches_reference(dim, dissipative):
         assert rel_gap(kappa, dtheta) <= 1e-13
 
 
+def same_bits(a, b):
+    # equal values, NaN included, and equal signs, so -0.0 differs from 0.0
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def with_end_specials(f):
+    # f with two more fields per axis whose end nodes along that axis hold
+    # signed zeros (each full end stencil then sums three -0.0 terms, so a sum
+    # that starts from +0.0 shows) and NaN and +-inf (inf - inf at the far end)
+    specials = []
+    for j in range(1, f.ndim):
+        zeros, nonfinite = f[:1].copy(), f[:1].copy()
+        for k, value in zip((0, 1, 2, -3, -2, -1), (0.0, -0.0, 0.0, -0.0, 0.0, -0.0)):
+            zeros[(slice(None),) * j + (k,)] = value
+        for k, value in zip((0, 1, -2, -1), (np.nan, np.inf, np.inf, np.inf)):
+            nonfinite[(slice(None),) * j + (k,)] = value
+        specials += [zeros, nonfinite]
+    return np.concatenate([f] + specials)
+
+
 @pytest.mark.parametrize("shape", [(3, 501), (3, 161, 81), (2, 7, 3, 5), (1, 3, 4),
-                                   (4, 9, 3), (2, 5, 4, 3), (5, 17, 17, 17)])
+                                   (4, 9, 3), (2, 5, 4, 3), (5, 17, 17, 17), (2, 3)])
 def test_difference_is_np_gradient(shape):
     # the one difference routine does np.gradient's arithmetic bit for bit, into
     # a new array and into out= views laid out as the operator lays them out:
-    # a derivative axis of _Operator.grad, and a row block of _Operator.scratch
-    f = np.random.default_rng(len(shape)).normal(size=shape)
-    k, counts, d = shape[0], shape[1:], len(shape) - 1
-    grad = np.full((k, d) + counts, np.nan)
-    kappa = np.full((d + 3,) + counts, np.nan)[None, 1:d + 1]
-    wants = []
-    for axis in range(d):
-        h = 0.1 * (axis + 1) / 3.0
-        wants.append(np.gradient(f, h, axis=axis + 1, edge_order=2))
-        assert np.array_equal(vt.solver._difference(f, axis, h), wants[-1])
-        assert np.array_equal(vt.solver._difference(f, axis, h, grad[:, axis]), wants[-1])
-        assert np.array_equal(vt.solver._difference(f[:1], axis, h, kappa[:, axis]),
-                              wants[-1][:1])
-    # no axis wrote outside its own view
-    assert np.array_equal(grad, np.stack(wants, 1))
+    # a derivative axis of _Operator.grad, and a row block of _Operator.scratch;
+    # on random fields and on end nodes that hold -0.0, NaN and +-inf
+    random = np.random.default_rng(len(shape)).normal(size=shape)
+    for f in (random, with_end_specials(random)):
+        k, counts, d = f.shape[0], f.shape[1:], f.ndim - 1
+        grad = np.full((k, d) + counts, np.nan)
+        kappa = np.full((d + 3,) + counts, np.nan)[None, 1:d + 1]
+        wants = []
+        for axis in range(d):
+            h = 0.1 * (axis + 1) / 3.0
+            with np.errstate(invalid="ignore"):
+                wants.append(np.gradient(f, h, axis=axis + 1, edge_order=2))
+                assert same_bits(vt.solver._difference(f, axis, h), wants[-1])
+                assert same_bits(vt.solver._difference(f, axis, h, grad[:, axis]), wants[-1])
+                assert same_bits(vt.solver._difference(f[-1:], axis, h, kappa[:, axis]),
+                                 wants[-1][-1:])
+        # no axis wrote outside its own view
+        assert same_bits(grad, np.stack(wants, 1))
+    assert np.signbit(wants[0][shape[0], -1]).all()  # -0.0 end values were checked
 
 
 @pytest.mark.parametrize("shape", [(3, 9, 5), (2, 4, 5, 6)])
@@ -242,6 +266,50 @@ def test_face_data_has_the_face_shape():
             want[1 if g == "displacement" else ...] = pulse.rate(0.5) if rate else pulse.value(0.5)
         data = _face_data(scen, face, g, 0.5, rate)
         assert data.shape == want.shape and np.array_equal(data, want)
+
+
+def test_dirichlet_writes_match_face_data():
+    # signal faces are written as scalars, field data faces through _face_data:
+    # after impose, every Dirichlet face of every group holds _face_data's array,
+    # values in (u, phi, theta) and rates in (v, phidot), and where two faces
+    # share nodes the later face in the boundary table wins
+    grid = vt.Grid(extents=(1.0, 0.8), counts=(9, 7))
+    d, t = grid.dim, 0.3
+    pulse = vt.RaisedCosinePulse(amplitude=2.0, t_end=1.0)
+    gauss = vt.WindowedGaussianPulse(amplitude=-1.5, center=0.4, sigma=0.2, t_end=1.0)
+    arrays = {g: np.random.default_rng(6).normal(size=(d, 9) if g == "displacement" else 9)
+              for g in vt.solver.GROUPS}
+    field = {g: vt.FieldData(value=lambda X, t, g=g: t * arrays[g],
+                             rate=lambda X, t, g=g: arrays[g]) for g in vt.solver.GROUPS}
+    faces = {  # x1min shares a corner node with x2min and one with x2max
+        (0, "min"): {g: BoundaryCondition("dirichlet", signal=pulse, axis=1) for g in field},
+        (1, "min"): {g: BoundaryCondition("dirichlet", signal=gauss, axis=0) for g in field},
+        (1, "max"): {g: BoundaryCondition("dirichlet", fielddata=field[g]) for g in field},
+        (0, "max"): {g: BoundaryCondition("dirichlet") for g in field},
+    }
+    scen = vt.Scenario(grid=grid, material=vt.random_material(2, np.random.default_rng(3)),
+                       boundary=BoundaryPartition(faces=faces), dt="auto", T=1.0, support_x0=1.0)
+    nan = np.full((d,) + grid.counts, np.nan)
+    op = _Operator(scen)
+    op.load(SimState(t=t, u=nan, v=nan, phi=nan[0], phidot=nan[0], theta=nan[0]))
+    op.impose(t)
+    u, phi, theta, v, phidot = np.split(op.Y, [d, d + 1, d + 2, 2 * d + 2])
+    want = np.full(op.Y.shape, np.nan)
+    wu, wphi, wtheta, wv, wphidot = np.split(want, [d, d + 1, d + 2, 2 * d + 2])
+    for face in faces:
+        at = (Ellipsis,) + face_slice(*face, d)
+        for arr, g, rate in ((wu, "displacement", False), (wphi[0], "void", False),
+                             (wtheta[0], "thermal", False), (wv, "displacement", True),
+                             (wphidot[0], "void", True)):
+            arr[at] = _face_data(scen, face, g, t, rate)
+    assert np.array_equal(op.Y, want, equal_nan=True)
+    # a signal sets only the displacement component along its axis
+    assert pulse.value(t) != 0.0 and pulse.rate(t) != 0.0
+    assert np.all(u[0, 0, 1:-1] == 0.0) and np.all(u[1, 0, 1:-1] == pulse.value(t))
+    assert np.all(v[0, 0, 1:-1] == 0.0) and np.all(v[1, 0, 1:-1] == pulse.rate(t))
+    # the later face wins at the shared corners
+    assert u[:, 0, 0].tolist() == [gauss.value(t), 0.0] and theta[0, 0, 0] == gauss.value(t)
+    assert phidot[0, 0, 0] == gauss.rate(t) and phi[0, 0, -1] == t * arrays["void"][0]
 
 
 @pytest.mark.parametrize("kinds, probes", [
