@@ -101,7 +101,9 @@ def _split(expr, basis):
 class _Field:
     """A field (X, t) -> array of shape (*nodes), or (components, *nodes)
     for a vector field: sum over k of tau_k(t) * sum over m of W[c, m, k] *
-    basis[m](X), plus the remainder evaluated directly."""
+    basis[m](X), plus the remainder evaluated directly.  The coefficients
+    W @ tau(t) of the last t are kept: the faces of one Dirichlet write
+    share them."""
 
     def __init__(self, parts, basis, vector):
         times = list(dict.fromkeys(time for terms, _ in parts for time, _ in terms))
@@ -114,10 +116,13 @@ class _Field:
         self.remainder = (sp.lambdify((*basis.xs, TIME), rest, "numpy")
                           if any(r != 0 for r in rest) else None)
         self.basis, self.vector = basis, vector
+        self._t = self._coef = None
 
     def __call__(self, X, t):
         B, shape = self.basis.values(X)
-        coef = self.W @ np.array(self.tau(t), dtype=float)
+        if t != self._t:
+            self._t, self._coef = t, self.W @ np.array(self.tau(t), dtype=float)
+        coef = self._coef
         out = (coef @ B).reshape(coef.shape[:1] + shape)
         if self.remainder is not None:
             for c, r in enumerate(self.remainder(*X, t)):

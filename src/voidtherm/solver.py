@@ -498,7 +498,9 @@ def _difference(f, axis, h, out=None):
     """Derivative along grid axis ``axis`` of every field stacked on the
     leading axis of ``f``: central differences inside, one-sided three-point
     stencils at the ends, with the arithmetic of
-    ``np.gradient(f, h, axis=axis + 1, edge_order=2)`` bit for bit.
+    ``np.gradient(f, h, axis=axis + 1, edge_order=2)`` bit for bit.  At
+    h = 0.5 the central difference skips its divide by 2 h = 1.0, which is
+    exact: x / 1.0 is x for every double, NaN, inf and -0.0 included.
 
     On the last axis of a 2D or 3D grid, rows are short: the central
     difference runs over each field's node block flattened, in one pass, and
@@ -514,7 +516,8 @@ def _difference(f, axis, h, out=None):
         g = f.reshape(len(f), -1)
         mid = flat[:, 1:-1]
         np.subtract(g[:, 2:], g[:, :-2], out=mid)
-        mid /= 2.0 * h
+        if h != 0.5:
+            mid /= 2.0 * h
         first, last = out[..., 0], out[..., -1]
         np.multiply(-1.5 / h, f[..., 0], out=first)
         first += (2.0 / h) * f[..., 1]
@@ -527,7 +530,8 @@ def _difference(f, axis, h, out=None):
                                                                 f.ndim, h)
     mid = out[inner]
     np.subtract(f[above], f[below], out=mid)
-    mid /= 2.0 * h
+    if h != 0.5:
+        mid /= 2.0 * h
     # both ends at once: gather their six nodes, weight them, and sum the
     # terms in np.gradient's order; a reduction would start from +0.0 and
     # lose the sign of a -0.0 sum
@@ -615,7 +619,13 @@ class _Operator:
     buffer is sized by fields x nodes.  ``grad[r, s]`` holds the derivative
     along axis s of field r of (u, phi, theta) at the current time level,
     corrected on flux faces: the accelerations, the sampled energy and the
-    next temperature rate all read it.
+    next temperature rate all read it.  It is a view into ``packed``, whose
+    first rows hold copies of phi and theta, so the constitutive law is one
+    matmul from ``packed``.
+
+    The rows of axis j of ``flux`` (the G row excepted) and of ``heat``
+    carry 1 / (2 h_j), so their divergences difference with h = 0.5, which
+    skips a divide; ``normal_power`` multiplies the 2 h_j back in.
     """
 
     def __init__(self, scenario, dissipative=False):
@@ -630,30 +640,35 @@ class _Operator:
         """The stepping coefficients and buffers; ``kinematics`` alone needs
         none of them."""
         mat, d, counts = self.mat, self.d, self.scenario.grid.counts
-        scale = np.full(d * (d + 1) + 1, 1.0 / (mat.rho * mat.chi))
-        scale[[j * (d + 1) + i for j in range(d) for i in range(d)]] = 1.0 / mat.rho
-        response = scale[:, None] * response_matrix(mat)
-        self.L_grad, self.L_local = response[:, :-2], response[:, -2:]
+        # rows of axis j carry 1 / (2 h_j): the divergences then skip a divide
+        mass = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
+        axis_scale = 0.5 / np.array(self.h)
+        scale = np.append(np.outer(axis_scale, 1.0 / mass), 1.0 / mass[-1])
+        response = response_matrix(mat)
+        # columns in the order of the packed rows: phi, theta, then d_s u_r, d_s phi
+        self.L = scale[:, None] * np.roll(response, 2, axis=1)
         thermal_sign = 1.0 if self.dissipative else -1.0
         tau_sign = -1.0 if self.dissipative else 1.0
         # temperature rate = div(K_rate kappa + W_rate (v, phidot)) - m phidot / aHeat
-        self.K_rate = thermal_sign / (mat.theta0 * mat.aHeat) * mat.K
-        self.W_rate = -np.vstack([mat.M, mat.aVec]).T / mat.aHeat
+        self.K_rate = axis_scale[:, None] * thermal_sign / (mat.theta0 * mat.aHeat) * mat.K
+        self.W_rate = axis_scale[:, None] * -np.vstack([mat.M, mat.aVec]).T / mat.aHeat
         self.m_rate = mat.m / mat.aHeat
         self.r_rate = thermal_sign * mat.rho / (mat.theta0 * mat.aHeat)
         self.tau_acc = tau_sign * mat.tau / (mat.rho * mat.chi)
+        self.power_scale = np.outer(2.0 * np.array(self.h), mass)
 
         self.Y = Y = np.empty((2 * d + 3,) + counts)
-        self.grad = np.empty((d + 2, d) + counts)
+        # phi, theta and the gradients: the first 2 + d (d + 1) rows are the
+        # input of the constitutive matmul
+        self.packed = np.empty((2 + d * (d + 2),) + counts)
+        self.grad = self.packed[2:].reshape((d + 2, d) + counts)
         self.acc = np.empty((d + 1,) + counts)
         self.flux = np.empty((d * (d + 1) + 1,) + counts)
         # the scratch rows of one step
-        self.scratch = np.empty((3 * d + 4,) + counts)
+        self.scratch = np.empty((3 * d + 3,) + counts)
         self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
         self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
         self.theta_half, self.rate = self.scratch[3 * d + 1], self.scratch[3 * d + 2]
-        self.heat_work = self.scratch[None, 3 * d + 3]
-        self.power_scale = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
 
         self._positions = self._writes({"displacement": Y[:d], "void": Y[d]})
         self._velocities = self._writes({"displacement": Y[d + 2:2 * d + 2],
@@ -675,14 +690,15 @@ class _Operator:
         pairs (face nodes, data), the data None for zero, else a function of
         t giving the value (``rate=True``: the time derivative).  A signal
         gives a scalar, written into the displacement's ``axis`` component
-        after its other components are zeroed; field data gives the face
-        array."""
+        after its other components are zeroed; field data is called on the
+        face's cached coordinates and its return broadcast into the nodes."""
         writes = []
         for plan in self.faces:
             for g in (g for g in plan.dirichlet if g in targets):
                 bc, nodes = plan.bcs[g], targets[g][(Ellipsis,) + plan.index]
                 if bc.fielddata is not None:
-                    data = functools.partial(_face_data, self.scenario, plan.face, g, rate=rate)
+                    fn = bc.fielddata.rate if rate else bc.fielddata.value
+                    data = lambda t, fn=fn, X=self.scenario.mesh(plan.face): fn(X, t)
                 elif bc.is_zero():
                     data = None
                 else:
@@ -751,14 +767,14 @@ class _Operator:
 
     def fluxes(self, t):
         """Corrected gradients of (u, phi, theta) at time t and the normal
-        fluxes (S[:, j] / rho, h[j] / (rho chi)) per axis j and the intrinsic
-        force G / (rho chi) of the loaded state."""
-        d, Y, flux = self.d, self.Y, self.flux
+        fluxes (S[:, j] / rho, h[j] / (rho chi)) / (2 h_j) per axis j and the
+        intrinsic force G / (rho chi) of the loaded state."""
+        d, Y, L = self.d, self.Y, self.L
         self._energy = None
         self._gradients(Y[:d + 2], t, self.grad)
-        flat = flux.reshape(len(flux), -1)
-        np.matmul(self.L_grad, self.grad[:d + 1].reshape(d * (d + 1), -1), out=flat)
-        flat += self.L_local @ Y[d:d + 2].reshape(2, -1)
+        self.packed[:2] = Y[d:d + 2]
+        np.matmul(L, self.packed[:L.shape[1]].reshape(L.shape[1], -1),
+                  out=self.flux.reshape(len(L), -1))
 
     def level(self, t, phidot_lag):
         """Corrected gradients of (u, phi, theta), the fluxes and the
@@ -767,7 +783,7 @@ class _Operator:
         d, flux = self.d, self.flux
         self.fluxes(t)
         # self.tmp is free here: its last reader, the theta update, came before
-        _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), self.h, out=self.acc,
+        _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), (0.5,) * d, out=self.acc,
                     work=self.tmp)
         self.acc[d] += flux[-1]
         if self.tau_acc:
@@ -781,13 +797,14 @@ class _Operator:
         """Temperature rate from the entropy balance at the velocities in
         ``Y``; the coupling M:grad v + aVec.grad phidot is the divergence of
         M^T v + aVec phidot, so it joins the heat flux in one divergence."""
-        d, Y = self.d, self.Y
+        d, Y, tmp = self.d, self.Y, self.tmp
+        # self.tmp is free here: advance writes it only after this returns
         heat = self.heat.reshape(d, -1)
         np.matmul(self.K_rate, kappa.reshape(d, -1), out=heat)
-        heat += self.W_rate @ Y[d + 2:].reshape(d + 1, -1)
-        _divergence(self.heat[:, None], self.h, out=out[None], work=self.heat_work)
+        heat += np.matmul(self.W_rate, Y[d + 2:].reshape(d + 1, -1), out=tmp[:d].reshape(d, -1))
+        _divergence(self.heat[:, None], (0.5,) * d, out=out[None], work=tmp[:1])
         if self.m_rate:
-            out -= self.m_rate * Y[2 * d + 2]
+            out -= np.multiply(self.m_rate, Y[2 * d + 2], out=tmp[0])
         if "r" in self.sources:
             out += self.r_rate * self.scenario.source("r", t)
         return out
@@ -854,7 +871,7 @@ class _Operator:
         at = (slice(None),) + sel
         flux = self.flux[axis * (d + 1):(axis + 1) * (d + 1)][at]
         q = mat.K[axis] @ self.grad[d + 1][at].reshape(d, -1)
-        power = (self.power_scale @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
+        power = (self.power_scale[axis] @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
                  - q * Y[d + 1][sel].reshape(-1) / mat.theta0)
         return power.reshape(flux.shape[1:])
 

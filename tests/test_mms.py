@@ -18,7 +18,7 @@ import sympy as sp
 
 import voidtherm as vt
 from voidtherm import mms, presets
-from voidtherm.solver import _face_data
+from voidtherm.solver import SimState, _face_data, _Operator, face_slice, initial_arrays
 
 from test_solver import mms_profiles_3d, reference_material_3d
 
@@ -145,6 +145,58 @@ def test_basis_cache_is_bounded():
     # the mesh's entry was evicted; evaluating there again still agrees
     np.testing.assert_array_equal(f(X, 0.37), want)
     assert len(f.basis._cache) == mms._BASIS_CACHE
+
+
+def test_field_coefficients_follow_t(monkeypatch):
+    # a field keeps the time coefficients of its last t: a call at another t
+    # recomputes them, so t1, t2, t1 gives each time its own values
+    scen, exact, exprs = build("2d", monkeypatch)
+    X, t1, t2 = scen.mesh(), 0.37, 0.61
+    scale = max(float(np.abs(reference(exprs["u"], X, t)).max()) for t in (t1, t2))
+    first = exact.u(X, t1)
+    second = exact.u(X, t2)
+    assert_close(first, reference(exprs["u"], X, t1), scale, "t1")
+    assert_close(second, reference(exprs["u"], X, t2), scale, "t2")
+    assert not np.array_equal(first, second)
+    assert np.array_equal(exact.u(X, t1), first)
+
+
+@pytest.mark.parametrize("case", ("2d", "3d"))
+def test_advance_evaluates_each_time_once(case, monkeypatch):
+    # over three steps every field's time factors run once per distinct time
+    # (the faces of one Dirichlet write share them), and the Dirichlet faces
+    # hold _face_data's arrays, the later face winning where faces meet
+    scen, _, _ = build(case, monkeypatch)
+    bcs = scen.boundary.faces[(0, "min")]
+    fields = {"u": bcs["displacement"].fielddata.value, "udot": bcs["displacement"].fielddata.rate,
+              "phi": bcs["void"].fielddata.value, "phidot": bcs["void"].fielddata.rate,
+              "theta": bcs["thermal"].fielddata.value, **scen.sources}
+    op = _Operator(scen)
+    op.load(SimState(0.0, *initial_arrays(scen)))
+    op.impose(0.0)
+    op.level(0.0, op.Y[-1])
+    calls = {name: [] for name in fields}
+    for name, field in fields.items():
+        def counted(t, name=name, tau=field.tau):
+            calls[name].append(t)
+            return tau(t)
+        monkeypatch.setattr(field, "tau", counted)
+    t, dt, want = 0.0, scen.resolve_dt(), {name: [] for name in fields}
+    for _ in range(3):
+        op.advance(t, dt)
+        want["r"] += [t, t + 0.5 * dt]
+        want["theta"] += [t + 0.5 * dt, t + dt]
+        t += dt
+        for name in ("u", "udot", "phi", "phidot", "f", "ell"):
+            want[name].append(t)
+    assert calls == want
+    d, Y = scen.grid.dim, op.Y.copy()
+    rows = {("displacement", False): slice(0, d), ("void", False): d, ("thermal", False): d + 1,
+            ("displacement", True): slice(d + 2, 2 * d + 2), ("void", True): 2 * d + 2}
+    for face in scen.boundary.faces:
+        for (group, rate), row in rows.items():
+            Y[row][(Ellipsis,) + face_slice(*face, d)] = _face_data(scen, face, group, t, rate)
+    assert np.array_equal(op.Y, Y)
 
 
 def test_import_leaves_sympy_unloaded():

@@ -202,23 +202,24 @@ def test_difference_is_np_gradient(shape):
     # the one difference routine does np.gradient's arithmetic bit for bit, into
     # a new array and into out= views laid out as the operator lays them out:
     # a derivative axis of _Operator.grad, and a row block of _Operator.scratch;
-    # on random fields and on end nodes that hold -0.0, NaN and +-inf
+    # on random fields and on end nodes that hold -0.0, NaN and +-inf; at
+    # spacings that differ by axis, and at h = 0.5, where the divide is skipped
     random = np.random.default_rng(len(shape)).normal(size=shape)
     for f in (random, with_end_specials(random)):
         k, counts, d = f.shape[0], f.shape[1:], f.ndim - 1
-        grad = np.full((k, d) + counts, np.nan)
-        kappa = np.full((d + 3,) + counts, np.nan)[None, 1:d + 1]
-        wants = []
-        for axis in range(d):
-            h = 0.1 * (axis + 1) / 3.0
-            with np.errstate(invalid="ignore"):
-                wants.append(np.gradient(f, h, axis=axis + 1, edge_order=2))
-                assert same_bits(vt.solver._difference(f, axis, h), wants[-1])
-                assert same_bits(vt.solver._difference(f, axis, h, grad[:, axis]), wants[-1])
-                assert same_bits(vt.solver._difference(f[-1:], axis, h, kappa[:, axis]),
-                                 wants[-1][-1:])
-        # no axis wrote outside its own view
-        assert same_bits(grad, np.stack(wants, 1))
+        for spacing in ([0.1 * (axis + 1) / 3.0 for axis in range(d)], [0.5] * d):
+            grad = np.full((k, d) + counts, np.nan)
+            kappa = np.full((d + 3,) + counts, np.nan)[None, 1:d + 1]
+            wants = []
+            for axis, h in enumerate(spacing):
+                with np.errstate(invalid="ignore"):
+                    wants.append(np.gradient(f, h, axis=axis + 1, edge_order=2))
+                    assert same_bits(vt.solver._difference(f, axis, h), wants[-1])
+                    assert same_bits(vt.solver._difference(f, axis, h, grad[:, axis]), wants[-1])
+                    assert same_bits(vt.solver._difference(f[-1:], axis, h, kappa[:, axis]),
+                                     wants[-1][-1:])
+            # no axis wrote outside its own view
+            assert same_bits(grad, np.stack(wants, 1))
     assert np.signbit(wants[0][shape[0], -1]).all()  # -0.0 end values were checked
 
 
@@ -310,6 +311,40 @@ def test_dirichlet_writes_match_face_data():
     # the later face wins at the shared corners
     assert u[:, 0, 0].tolist() == [gauss.value(t), 0.0] and theta[0, 0, 0] == gauss.value(t)
     assert phidot[0, 0, 0] == gauss.rate(t) and phi[0, 0, -1] == t * arrays["void"][0]
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_normal_power_matches_independent_reference(dim):
+    # S n.v + h.n phidot - q.n theta/theta0 from the corrected kinematics and
+    # the pointwise law, on a grid whose spacings differ by axis (the fluxes
+    # the operator keeps carry 1 / (2 h_axis)), with flux data on every face
+    rng = np.random.default_rng(70 + dim)
+    mat = vt.random_material(dim, rng)
+    grid = vt.Grid(extents=(1.0, 0.3, 2.0)[:dim], counts=(9, 7, 6)[:dim])
+    counts = grid.counts
+    scen = vt.Scenario(grid=grid, material=mat,
+                       boundary=BoundaryPartition(faces=random_faces(dim, grid, ("flux",) * 3, rng)),
+                       dt="auto", T=1.0, support_x0=1.0)
+    state = SimState(t=0.4, u=rng.normal(size=(dim,) + counts), v=rng.normal(size=(dim,) + counts),
+                     phi=rng.normal(size=counts), phidot=rng.normal(size=counts),
+                     theta=rng.normal(size=counts))
+    op = _Operator(scen)
+    op.load(state)
+    op.fluxes(state.t)
+    e, gamma, kappa = op.kinematics(state)
+    S, h, _, q = field_response(e, gamma, kappa, state.phi, state.theta, mat)
+    for axis in range(dim):
+        want = (np.einsum("i...,i...->...", S[:, axis], state.v) + h[axis] * state.phidot
+                - q[axis] * state.theta / mat.theta0)
+        plane = (slice(None),) * axis
+        box = tuple(slice(1, n - 2) for n in counts)
+        sels = [(), plane + (0,), plane + (counts[axis] - 1,), plane + (2,),
+                box[:axis] + (counts[axis] - 1,) + box[axis + 1:],
+                box[:axis] + (1,) + box[axis + 1:]]
+        for sel in sels:
+            got = op.normal_power(axis, sel)
+            assert got.shape == want[sel].shape
+            assert rel_gap(got, want[sel]) <= 1e-13, (axis, sel)
 
 
 @pytest.mark.parametrize("kinds, probes", [
