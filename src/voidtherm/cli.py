@@ -19,6 +19,7 @@ import numpy as np
 
 from . import material as mat_mod
 from . import measures, solver
+from ._csvtext import replace_on_success
 from .constitutive import TOLERANCES
 from .material import (InfeasibleWindow, MaterialFileError, NoFeasibleLambda,
                        NotPositiveDefinite, optimize_lambda, read_material_file,
@@ -116,16 +117,9 @@ def cmd_simulate(args):
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "trajectory.csv")
     # stream into a temporary file, renamed once run returns: no partial output
-    partial = os.path.join(outdir, f".trajectory.csv.{os.getpid()}.tmp")
-    fh = open(partial, "w")
-    try:
-        with fh:
-            traj = run(scenario, n_samples=args.samples,
-                       reducers=[TrajectoryCsvWriter(scenario, fh)])
-        os.replace(partial, path)
-    except BaseException:
-        os.remove(partial)
-        raise
+    with replace_on_success(path) as fh:
+        traj = run(scenario, n_samples=args.samples,
+                   reducers=[TrajectoryCsvWriter(scenario, fh)])
     log = {"dt": traj.log["dt"], "nsteps": traj.log["nsteps"],
            "growth_factor": traj.log["growth_factor"],
            "samples": int(traj.times.size),

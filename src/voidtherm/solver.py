@@ -56,6 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _csvtext
 from .constitutive import energy_density, field_response, rate_density, response_matrix
 from .material import (Material, read_key_values, read_material_file, read_numbers,
                        spectrum as material_spectrum)
@@ -1286,26 +1287,32 @@ def read_scenario_file(path, material=None):
 
 class TrajectoryCsvWriter:
     """Reducer that writes the field dump to an open text file: columns t,
-    x1..xd, u1..ud, v1..vd, phi, phidot, theta with 17 significant digits,
-    one row per (sample time, node), time-major, nodes row-major.  Each
-    sample's block is one ``%``-string over its fields gathered from
-    ``op.Y``, with the coordinates formatted once per run."""
+    x1..xd, u1..ud, v1..vd, phi, phidot, theta with 17 significant digits
+    (``%.17g``), one row per (sample time, node), time-major, nodes
+    row-major.  The coordinate prefix of every row is formatted once per
+    run.  A sample goes out in blocks of nodes of about ``SLAB`` values
+    (one block on the 1D reference pulse): each formats its fields gathered
+    from ``op.Y``, and the sample time, in one call of the vectorised
+    ``%.17g`` kernel and makes one write."""
 
     def __init__(self, scenario, fh):
         d = scenario.grid.dim
         # rows of the operator state in column order: u, v, phi, phidot, theta
         self.rows = [*range(d), *range(d + 2, 2 * d + 2), d, 2 * d + 2, d + 1]
-        fields = ",%.17g" * len(self.rows) + "\n"
-        nodes = np.stack([x.ravel() for x in scenario.mesh()], axis=1).tolist()
-        self.tails = [",".join(["%.17g" % x for x in node]) + fields for node in nodes]
+        self.coords = _csvtext.lead(np.stack([x.ravel() for x in scenario.mesh()], axis=1))
         self.fh = fh
         fh.write(",".join(["t"] + [f"{c}{i + 1}" for c in "xuv" for i in range(d)]
                           + ["phi", "phidot", "theta"]) + "\n")
 
     def __call__(self, op, t):
-        lead = "%.17g," % t
         block = op.Y[self.rows].reshape(len(self.rows), -1).T
-        self.fh.write((lead + lead.join(self.tails)) % tuple(block.ravel().tolist()))
+        step = max(1, (_csvtext.SLAB - 1) // len(self.rows))
+        for start in range(0, len(block), step):
+            part = block[start:start + step]
+            cells = _csvtext.g17_cells(np.append(t, part))
+            t_lead = np.append(cells[0][cells[0] != 0], np.uint8(ord(",")))
+            self.fh.write(_csvtext.csv_text(cells[1:].reshape(part.shape + (-1,)),
+                                            t_lead, self.coords[start:start + step]))
 
 
 def write_trajectory_csv(trajectory, path):

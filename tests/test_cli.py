@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import voidtherm as vt
-from voidtherm import presets
+from voidtherm import _csvtext, presets
 from voidtherm.cli import main
 
 PULSE_FILE = """\
@@ -50,11 +51,24 @@ face.x2max.thermal = flux zero
 """
 
 
+# a 3D box with three different node counts, clamped on every lateral face so
+# that the fields vary along every axis: an axis-order slip in the dump shows
+BOX_FILE = PLATE_FILE.replace("dim = 2", "dim = 3").replace(
+    "extent = 1.0 0.75", "extent = 1.0 0.75 0.5").replace(
+    "nodes = 5 4", "nodes = 5 4 3").replace("ref2.mat", "ref3.mat").replace(
+    "flux zero", "dirichlet zero") + "".join(
+    f"face.x3{side}.{group} = dirichlet zero\n"
+    for side in ("min", "max") for group in ("displacement", "void", "thermal"))
+
+
 @pytest.fixture()
 def workdir(tmp_path):
     vt.write_material_file(presets.reference_material(), tmp_path / "ref.mat")
     vt.write_material_file(presets.reference_material_2d(), tmp_path / "ref2.mat")
     (tmp_path / "plate.scn").write_text(PLATE_FILE)
+    box = vt.random_material(3, np.random.default_rng(0))
+    vt.write_material_file(dataclasses.replace(box, K=box.K * 1e-6), tmp_path / "ref3.mat")
+    (tmp_path / "box.scn").write_text(BOX_FILE)
     (tmp_path / "pulse.scn").write_text(PULSE_FILE.format(nodes=501))
     (tmp_path / "coarse.scn").write_text(PULSE_FILE.format(nodes=161))
     # horizon too short for any wave to cross the bar: no admissible window
@@ -123,20 +137,27 @@ def _reference_trajectory_csv(traj, header):
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("name, header", [
-    ("coarse.scn", "t,x1,u1,v1,phi,phidot,theta"),
-    ("plate.scn", "t,x1,x2,u1,u2,v1,v2,phi,phidot,theta"),
-], ids=["1d", "2d-5x4"])
-def test_trajectory_csv_byte_pinned(workdir, tmp_path, capsys, name, header):
+@pytest.mark.parametrize("name, header, samples", [
+    ("coarse.scn", "t,x1,u1,v1,phi,phidot,theta", 4),
+    ("plate.scn", "t,x1,x2,u1,u2,v1,v2,phi,phidot,theta", 4),
+    ("box.scn", "t,x1,x2,x3,u1,u2,u3,v1,v2,v3,phi,phidot,theta", 4),
+    ("pulse.scn", "t,x1,u1,v1,phi,phidot,theta", 8),
+], ids=["1d", "2d-5x4", "3d-5x4x3", "1d-pulse-subnormal"])
+def test_trajectory_csv_byte_pinned(workdir, tmp_path, capsys, name, header, samples):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", str(workdir / name), "--out", str(out),
-                 "--samples", "4"]) == 0
+                 "--samples", str(samples)]) == 0
     streamed = (out / "trajectory.csv").read_bytes()
-    traj = vt.run(vt.read_scenario_file(workdir / name), n_samples=4)
-    assert len(traj.states) == 4 and np.abs(traj.states[-1].u[0]).max() > 0.0
-    if traj.scenario.grid.dim == 2:
-        # the fields vary along both axes: a transposed block would not match
-        assert np.ptp(traj.states[-1].u[0], axis=1).max() > 0.0
+    traj = vt.run(vt.read_scenario_file(workdir / name), n_samples=samples)
+    assert len(traj.states) == samples and np.abs(traj.states[-1].u[0]).max() > 0.0
+    for axis in range(1, traj.scenario.grid.dim):
+        # the fields vary along every axis: a transposed block would not match
+        assert np.ptp(traj.states[-1].u[0], axis=axis).max() > 0.0
+    if name == "pulse.scn":
+        # the front underflows through the subnormals down to 5e-324
+        values = np.abs(np.concatenate([np.ravel(getattr(st, f)) for st in traj.states
+                                        for f in ("u", "v", "phi", "phidot", "theta")]))
+        assert values[values > 0].min() == 5e-324
     vt.write_trajectory_csv(traj, tmp_path / "replayed.csv")
     assert (tmp_path / "replayed.csv").read_bytes() == streamed
     assert streamed == _reference_trajectory_csv(traj, header)
@@ -153,6 +174,25 @@ def test_measure_csv_byte_pinned(tmp_path, pulse_series, r_stride, t_stride):
             lines.append(",".join(f"{v:.17g}" for v in (
                 s.r[j], s.t[k], s.E[j, k], s.dE_dr[j, k], s.dE_dt[j, k], s.I[j, k])))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writers_in_blocks(workdir, tmp_path, capsys, monkeypatch, pulse_series):
+    # blocks far smaller than a sample or an r: the rows come out whole,
+    # in order, with the prefixes of their own nodes and r
+    monkeypatch.setattr(_csvtext, "SLAB", 13)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(workdir / "plate.scn"), "--out", str(out),
+                 "--samples", "4"]) == 0
+    traj = vt.run(vt.read_scenario_file(workdir / "plate.scn"), n_samples=4)
+    assert (out / "trajectory.csv").read_bytes() == _reference_trajectory_csv(
+        traj, "t,x1,x2,u1,u2,v1,v2,phi,phidot,theta")
+    s = pulse_series
+    vt.write_measure_csv(s, tmp_path / "measures.csv", r_stride=3, t_stride=5)
+    lines = ["r,t,E,dE_dr,dE_dt,I"] + [
+        ",".join(f"{v:.17g}" for v in (s.r[j], s.t[k], s.E[j, k], s.dE_dr[j, k],
+                                       s.dE_dt[j, k], s.I[j, k]))
+        for j in range(0, s.r.size, 3) for k in range(0, s.t.size, 5)]
+    assert (tmp_path / "measures.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_verify_decay_reference(workdir, tmp_path, capsys):

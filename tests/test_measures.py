@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import voidtherm as vt
+from voidtherm import _csvtext
 from voidtherm import constitutive as cn
 from voidtherm import presets
 from voidtherm.measures import MeasureSeries
@@ -340,6 +341,18 @@ def test_measure_csv_round_trip(tmp_path, pulse_series):
     jr = int(np.argmin(np.abs(pulse_series.r - rj)))
     jt = int(np.argmin(np.abs(pulse_series.t - tj)))
     assert data[j, 2] == pulse_series.E[jr, jt]  # 17 digits round-trip exactly
+
+
+def test_measure_csv_no_partial_file(tmp_path, pulse_series, monkeypatch):
+    # a failure while the table is formatted leaves neither a truncated
+    # measures.csv nor its temporary file behind
+    def broken(*args):
+        raise MemoryError("table too large")
+
+    monkeypatch.setattr(_csvtext, "csv_text", broken)
+    with pytest.raises(MemoryError):
+        vt.write_measure_csv(pulse_series, tmp_path / "measures.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
