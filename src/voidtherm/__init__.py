@@ -24,8 +24,6 @@ from .material import (
     zeta_of_lambda,
 )
 from .constitutive import (
-    GeneralizedStress,
-    KinematicVector,
     NonPositiveEpsilon,
     PointState,
     ResponseState,
@@ -35,8 +33,6 @@ from .constitutive import (
     check_flux_bound,
     check_stress_bound,
     check_surface_power_bound,
-    generalized_response,
-    random_kinematic,
     random_point_state,
     response,
     stored_energy,

@@ -205,11 +205,14 @@ def _rows(cells, leads=(), end=","):
 def lead(values):
     """``(m, w)`` uint8 row prefixes ``v1,...,vk,`` of ``values`` (m, k),
     left-justified and zero-padded to the longest (numpy's ``S`` dtype pads
-    with zero bytes)."""
+    with zero bytes); built in blocks of about ``SLAB`` values."""
     values = np.asarray(values, dtype=np.float64)
-    buf = _rows(g17_cells(values).reshape(values.shape + (WIDTH,)))
-    text = np.array([row.tobytes().translate(None, b"\0") for row in buf])
-    return text.view(np.uint8).reshape(len(buf), -1)
+    step = max(1, SLAB // values.shape[1])
+    bufs = (_rows(g17_cells(block).reshape(block.shape + (WIDTH,)))
+            for block in np.split(values, range(step, len(values), step)))
+    text = np.concatenate([np.array([row.tobytes().translate(None, b"\0") for row in buf])
+                           for buf in bufs])
+    return text.view(np.uint8).reshape(len(values), -1)
 
 
 def csv_text(cells, *leads):

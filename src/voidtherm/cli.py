@@ -79,9 +79,19 @@ def _sample_count(T, lam, floor=801):
 
 def _parse_lambdas(text):
     vals = [float(v) for v in text.split(",") if v.strip()]
-    if not vals or any(v <= 0 for v in vals):
-        raise ValueError("lambda values must be positive")
+    if not vals or not all(0.0 < v < math.inf for v in vals):
+        raise ValueError(f"--lambda values must be positive and finite, got {text!r}")
     return vals
+
+
+def _finite_float(text):
+    """argparse type of --r0 and --t0: a finite number."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r} (finite numbers only)")
 
 
 def cmd_check_material(args):
@@ -299,7 +309,8 @@ def cmd_sweep_lambda(args):
 
 
 def cmd_selftest(args):
-    """Fast built-in property suites (reduced sample counts)."""
+    """Fast built-in property suites (reduced sample counts): per dimension,
+    one call per pointwise bound on a batch of 500 random states."""
     from . import constitutive as cn
     from .material import assemble_quadratic_form, random_material
 
@@ -321,23 +332,17 @@ def cmd_selftest(args):
         if res > 1e-12 * max(1.0, eps ** 2):
             failures.append(f"dim {dim}: epsilon root residual {res:.2e}")
         decay = zeta_of_lambda(spec, material, lam)
-        for _ in range(500):
-            state = cn.random_point_state(material, rng)
-            udot = rng.normal(size=dim)
-            normal = cn.random_unit_vector(dim, rng)
-            lhs, rhs = cn.check_surface_power_bound(state, udot, normal, material,
-                                                    decay, lam, spec=spec)
-            if not cn.TOLERANCES.dominated(lhs, rhs):
-                failures.append(f"dim {dim}: surface power bound violated ({lhs} > {rhs})")
-                break
-            lhs, rhs = cn.check_stress_bound(state, material, 1.0, spec=spec)
-            if not cn.TOLERANCES.dominated(lhs, rhs):
-                failures.append(f"dim {dim}: stress bound violated")
-                break
-            lhs, rhs = cn.check_flux_bound(state.kappa, material, spec=spec)
-            if not cn.TOLERANCES.dominated(lhs, rhs):
-                failures.append(f"dim {dim}: flux bound violated")
-                break
+        state = cn.random_point_state(material, rng, 500)
+        udot, normal = rng.normal(size=(dim, 500)), cn.random_unit_vector(dim, rng, 500)
+        for name, (lhs, rhs) in (
+                ("surface power bound", cn.check_surface_power_bound(
+                    state, udot, normal, material, decay, lam, spec=spec)),
+                ("stress bound", cn.check_stress_bound(state, material, 1.0, spec=spec)),
+                ("flux bound", cn.check_flux_bound(state.kappa, material, spec=spec))):
+            bad = ~cn.TOLERANCES.dominated(lhs, rhs)
+            if bad.any():
+                k = np.argmax(bad)
+                failures.append(f"dim {dim}: {name} violated ({lhs[k]} > {rhs[k]})")
 
     for line in failures:
         print(f"FAIL {line}")
@@ -376,8 +381,8 @@ def build_parser():
     q.add_argument("--scenario", required=True)
     q.add_argument("--lambda", dest="lambdas", default=None,
                    help="comma-separated time weights (default: auto grid)")
-    q.add_argument("--r0", type=float, default=None)
-    q.add_argument("--t0", type=float, default=None)
+    q.add_argument("--r0", type=_finite_float, default=None)
+    q.add_argument("--t0", type=_finite_float, default=None)
     q.add_argument("--out", default=None)
     q.add_argument("--refine", type=int, default=0,
                    help="extra runs at doubled resolution for convergence studies")

@@ -4,11 +4,12 @@ the decay diagnostics.
 The law is coded numerically once, in :func:`field_response` and
 :func:`entropy_field`.  These act on arrays with any number of trailing grid
 axes.  :func:`response_matrix` reads the packed law off
-:func:`field_response` by unit inputs; the pointwise responses are one
-matvec with it, as the solver's grid is.  The stored energy W is not
-written again: it is the quadratic form z^T H z / 2 of the symmetric part
-:func:`energy_matrix`, both at a point (:func:`stored_energy`) and on the
-solver's grid; so are the parts P and R
+:func:`field_response` by unit inputs.  A :class:`PointState` carries the
+same trailing axes, one state per node and none for a single point; the
+pointwise responses are one matmul with the matrix, as the solver's grid
+is.  The stored energy W is not written again: it is the quadratic form
+z^T H z / 2 of the symmetric part :func:`energy_matrix`, both at states
+(:func:`stored_energy`) and on the solver's grid; so are the parts P and R
 of the measure density lambda P + R (:func:`energy_density`,
 :func:`rate_density`).  Both matrices are cached per material, so the kernel
 is probed once per material.  The only other copies are independent
@@ -17,9 +18,9 @@ oracles: the assembled quadratic form ``Q`` of
 :func:`bilinear_form`, also cached) and the symbolic law of
 :mod:`voidtherm.mms`.
 
-Inequality checks return (lhs, rhs) pairs instead of booleans; tolerance
-handling lives in :class:`TolerancePolicy` so that floating-point slack is
-decided in exactly one place.
+Inequality checks return (lhs, rhs) arrays over the nodes instead of
+booleans; tolerance handling lives in :class:`TolerancePolicy` so that
+floating-point slack is decided in exactly one place.
 """
 
 from __future__ import annotations
@@ -55,89 +56,68 @@ TOLERANCES = TolerancePolicy()
 
 
 # ---------------------------------------------------------------------------
-# Field triples
+# Pointwise states, in the shape convention of the numeric kernel below
 
 
-@dataclass(frozen=True, eq=False)
-class KinematicVector:
-    """Element of the energy space: symmetric tensor, vector, scalar."""
-
-    E: np.ndarray
-    pi: np.ndarray
-    psi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "E", np.asarray(self.E, dtype=float))
-        object.__setattr__(self, "pi", np.atleast_1d(np.asarray(self.pi, dtype=float)))
-        object.__setattr__(self, "psi", float(self.psi))
-        d = self.pi.shape[0]
-        if self.E.shape == () and d == 1:
-            object.__setattr__(self, "E", self.E.reshape(1, 1))
-        if self.E.shape != (d, d):
-            raise ValueError(f"E has shape {self.E.shape}, expected ({d}, {d})")
-
-    def scaled_coords(self, material):
-        """Coordinate vector z with z^T Q z = twice the stored energy, in the
-        basis (and the sqrt(chi) scaling of pi) that ``Q`` is assembled in."""
-        return np.concatenate([np.einsum("aij,ij->a", symmetric_basis(material.dim), self.E),
-                               math.sqrt(material.chi) * self.pi, [self.psi]])
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(E=np.zeros((dim, dim)), pi=np.zeros(dim), psi=0.0)
+def _dot(a, b):
+    """Contraction over the leading axis; the node axes broadcast."""
+    return np.einsum("i...,i...->...", a, b)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedStress:
-    """Image of a kinematic vector under the constitutive map."""
-
-    Shat: np.ndarray
-    hhat: np.ndarray
-    Ghat: float
+def _apply(A, x):
+    """The matrix A on the leading axis of x; x's node axes ride along
+    (reversed, they are matmul's stack axes)."""
+    return (x.T @ A.T).T
 
 
 @dataclass(frozen=True, eq=False)
 class PointState:
-    """Strain, void gradient, temperature gradient, and the local scalars
-    at one point."""
+    """Strain e (d, d, *n), void gradient gamma (d, *n), temperature
+    gradient kappa (d, *n) and the scalars phi, phidot, theta (*n) at the
+    nodes n.  A number given for kappa or a scalar is taken at every node;
+    any other shape must be exactly these.  An element of the energy space
+    (e, gamma, phi) is a state whose kappa, phidot and theta are zero."""
 
     e: np.ndarray
     gamma: np.ndarray
     kappa: np.ndarray
-    phi: float
-    phidot: float
-    theta: float
+    phi: np.ndarray
+    phidot: np.ndarray
+    theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
-        object.__setattr__(self, "kappa", np.atleast_1d(np.asarray(self.kappa, dtype=float)))
-        d = self.gamma.shape[0]
-        e = np.asarray(self.e, dtype=float)
-        if e.shape == () and d == 1:
-            e = e.reshape(1, 1)
-        object.__setattr__(self, "e", e)
-        for name in ("phi", "phidot", "theta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        d, n = gamma.shape[0], gamma.shape[1:]
+        for name, shape in (("e", (d, d) + n), ("gamma", gamma.shape), ("kappa", gamma.shape),
+                            ("phi", n), ("phidot", n), ("theta", n)):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape and (value.ndim or name == "e"):
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            # [()] gives a single point numpy scalars: 0-d arrays cost more per operation
+            object.__setattr__(self, name, np.broadcast_to(value, shape)[()])
 
-    def kinematic(self):
-        return KinematicVector(E=self.e, pi=self.gamma, psi=self.phi)
+    def scaled_coords(self, material):
+        """Coordinates z with z^T Q z = twice the stored energy, in the basis
+        (and the sqrt(chi) scaling of gamma) that ``Q`` is assembled in."""
+        return np.concatenate([np.einsum("aij,ij...->a...", symmetric_basis(material.dim), self.e),
+                               math.sqrt(material.chi) * self.gamma, self.phi[None]])
 
     @classmethod
     def zero(cls, dim):
-        return cls(e=np.zeros((dim, dim)), gamma=np.zeros(dim), kappa=np.zeros(dim),
+        return cls(e=np.zeros((dim, dim)), gamma=np.zeros(dim), kappa=0.0,
                    phi=0.0, phidot=0.0, theta=0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class ResponseState:
-    """Full response at one point: stress, equilibrated stress vector,
+    """Full response at a state's nodes: stress, equilibrated stress vector,
     intrinsic force (with and without the rate term), entropy, heat flux."""
 
     S: np.ndarray
     h: np.ndarray
-    g: float
-    G: float
-    rhoEta: float
+    g: np.ndarray
+    G: np.ndarray
+    rhoEta: np.ndarray
     q: np.ndarray
 
 
@@ -211,41 +191,37 @@ def energy_matrix(material):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise maps and forms
+# Pointwise maps and forms, on a state's trailing node axes
 
 
-def _packed_response(e, gamma, phi, theta, material):
-    """S, h and G (rate term excluded) at one point, as one matvec with the
-    packed law :func:`response_matrix`; its inputs z = (e row-major, gamma,
-    phi, theta) are returned too: z[:-1] are those of :func:`energy_matrix`."""
+def _inputs(state):
+    """The inputs z = (e row-major, gamma, phi, theta) of
+    :func:`response_matrix`; z[:-1] are those of :func:`energy_matrix`."""
+    n = state.phi.shape
+    return np.concatenate([state.e.reshape((-1,) + n), state.gamma, [state.phi, state.theta]])
+
+
+def _packed_response(state, material):
+    """S, h and G (rate term excluded) at a state's nodes, one matmul with
+    the packed law :func:`response_matrix`."""
     d = material.dim
-    z = np.concatenate([np.ravel(e), gamma, (phi, theta)])
-    r = response_matrix(material) @ z
-    flux = r[:-1].reshape(d, d + 1)
-    return flux[:, :d].T, flux[:, d], float(r[-1]), z
+    r = _apply(response_matrix(material), _inputs(state))
+    flux = r[:-1].reshape((d, d + 1) + r.shape[1:])
+    return flux[:, :d].swapaxes(0, 1), flux[:, d], r[-1]
 
 
-def generalized_response(E, material):
-    """Constitutive image of a kinematic vector (no thermal terms)."""
-    Shat, hhat, Ghat, _ = _packed_response(E.E, E.pi, E.psi, 0.0, material)
-    return GeneralizedStress(Shat=Shat, hhat=hhat, Ghat=Ghat)
+def bilinear_form(a, b, material):
+    """Symmetric bilinear form of two states' (e, gamma, phi) whose diagonal
+    is the stored energy, from the assembled quadratic form."""
+    zb = _apply(assemble_quadratic_form(material), b.scaled_coords(material))
+    return 0.5 * _dot(a.scaled_coords(material), zb)
 
 
-def bilinear_form(Ea, Eb, material):
-    """Symmetric bilinear form whose diagonal is the stored energy, from the
-    assembled quadratic form."""
-    za, zb = Ea.scaled_coords(material), Eb.scaled_coords(material)
-    return 0.5 * float(za @ assemble_quadratic_form(material) @ zb)
-
-
-def stored_energy(E, material):
-    """Stored energy of a kinematic vector, z^T H z / 2 with H the
-    :func:`energy_matrix` and z = (E, pi, psi) (E flattened row-major)."""
-    return _stored_energy(np.concatenate([E.E.ravel(), E.pi, [E.psi]]), material)
-
-
-def _stored_energy(z, material):
-    return 0.5 * float(z @ energy_matrix(material) @ z)
+def stored_energy(state, material):
+    """Stored energy of a state's (e, gamma, phi), z^T H z / 2 with H the
+    :func:`energy_matrix` and z = (e row-major, gamma, phi)."""
+    z = _inputs(state)[:-1]
+    return 0.5 * _dot(z, _apply(energy_matrix(material), z))
 
 
 def energy_density(material, g, phi, w, theta):
@@ -270,16 +246,16 @@ def rate_density(material, phidot, kappa):
 
 
 def response(state, material):
-    """Full pointwise response, anti-dissipative rate sign (the sign the
-    time-reflected forward problem carries)."""
-    S, h, G, _ = _packed_response(state.e, state.gamma, state.phi, state.theta, material)
-    rhoEta = float(entropy_field(state.e, state.gamma, state.phi, state.theta, material))
-    return ResponseState(S=S, h=h, g=material.tau * state.phidot + G, G=G,
-                         rhoEta=rhoEta, q=material.K @ state.kappa)
+    """Full response at a state's nodes, anti-dissipative rate sign (the
+    sign the time-reflected forward problem carries)."""
+    S, h, G = _packed_response(state, material)
+    rhoEta = entropy_field(state.e, state.gamma, state.phi, state.theta, material)
+    return ResponseState(S=S, h=h, g=material.tau * state.phidot + G, G=G, rhoEta=rhoEta,
+                         q=_apply(material.K, state.kappa))
 
 
 # ---------------------------------------------------------------------------
-# Inequality checks (lhs, rhs) pairs
+# Inequality checks: (lhs, rhs) arrays over a state's nodes
 
 
 def check_flux_bound(kappa, material, spec=None):
@@ -287,87 +263,76 @@ def check_flux_bound(kappa, material, spec=None):
     if spec is None:
         spec = material_spectrum(material, require="energy")
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    q = material.K @ kappa
-    lhs = float(q @ q)
-    rhs = float(spec.k_M * (kappa @ material.K @ kappa))
-    return lhs, rhs
+    q = _apply(material.K, kappa)
+    return _dot(q, q), spec.k_M * _dot(kappa, q)
 
 
 def check_stress_bound(state, material, epsilon_free, spec=None):
     """Bound on S:S + h.h/chi by the stored energy plus a temperature term.
 
-    ``epsilon_free`` is the free parameter of the two-tensor splitting
-    inequality; any positive value gives a valid bound.
+    ``epsilon_free``, one number or one per node, is the free parameter of
+    the two-tensor splitting inequality; any positive value gives a valid
+    bound.
     """
-    if epsilon_free <= 0.0:
+    if np.any(np.asarray(epsilon_free) <= 0.0):
         raise NonPositiveEpsilon(f"epsilon_free must be > 0, got {epsilon_free}")
     if spec is None:
         spec = material_spectrum(material, require="energy")
-    S, h, _, z = _packed_response(state.e, state.gamma, state.phi, state.theta, material)
-    lhs = float(np.sum(S ** 2) + h @ h / material.chi)
-    wstar = _stored_energy(z[:-1], material)
-    rhs = ((1.0 + epsilon_free) * 2.0 * spec.mu_M * wstar
+    S, h, _ = _packed_response(state, material)
+    lhs = np.sum(S ** 2, axis=(0, 1)) + _dot(h, h) / material.chi
+    rhs = ((1.0 + epsilon_free) * 2.0 * spec.mu_M * stored_energy(state, material)
            + (1.0 + 1.0 / epsilon_free) * spec.M2 * state.theta ** 2)
-    return lhs, float(rhs)
+    return lhs, rhs
 
 
 def check_surface_power_bound(state, udot, normal, material, decay, lam, spec=None):
     """Pointwise bound of the surface power by the weighted energy density.
 
     lhs is the absolute surface power through a plane with unit normal
-    ``normal``; rhs is the arithmetic-geometric splitting evaluated with the
-    balanced constants from :func:`~voidtherm.material.zeta_of_lambda`.
-    This is the pointwise engine behind the differential inequality.
+    ``normal`` (d,) or (d, *n); rhs is the arithmetic-geometric splitting
+    evaluated with the balanced constants from
+    :func:`~voidtherm.material.zeta_of_lambda`.  This is the pointwise
+    engine behind the differential inequality.
     """
     if spec is None:
         spec = material_spectrum(material, require="energy")
-    udot = np.atleast_1d(np.asarray(udot, dtype=float))
-    normal = np.atleast_1d(np.asarray(normal, dtype=float))
-    S, h, _, z = _packed_response(state.e, state.gamma, state.phi, state.theta, material)
-    q = material.K @ state.kappa
-    lhs = abs(float((S @ normal) @ udot + (h @ normal) * state.phidot
-                    - state.theta * (q @ normal) / material.theta0))
+    udot, normal = np.asarray(udot, dtype=float), np.asarray(normal, dtype=float)
+    S, h, _ = _packed_response(state, material)
+    q = _apply(material.K, state.kappa)
+    lhs = np.abs(_dot(np.einsum("ij...,j...->i...", S, normal), udot)
+                 + _dot(h, normal) * state.phidot
+                 - state.theta * _dot(q, normal) / material.theta0)
 
     rho, chi, a, th0, tau = (material.rho, material.chi, material.aHeat,
                              material.theta0, material.tau)
     eps, e1, e2 = decay.epsilon, decay.eps1, decay.eps2
-    wstar = _stored_energy(z[:-1], material)
-    kin = (1.0 / (lam * e1)) * (0.5 * lam * (rho * udot @ udot + rho * chi * state.phidot ** 2)
+    wstar = stored_energy(state, material)
+    kin = (1.0 / (lam * e1)) * (0.5 * lam * (rho * _dot(udot, udot) + rho * chi * state.phidot ** 2)
                                 + tau * state.phidot ** 2)
     elastic = (e1 * (1.0 + eps) * spec.mu_M / (lam * rho)) * (lam * wstar)
-    if spec.M2 == 0.0:
-        m2_coeff = 0.0
-    else:
-        if eps <= 0.0:
-            raise NonPositiveEpsilon("decay epsilon must be positive when M2 > 0")
-        m2_coeff = e1 * spec.M2 * (1.0 + 1.0 / eps) / (lam * rho * a)
+    if spec.M2 != 0.0 and eps <= 0.0:
+        raise NonPositiveEpsilon("decay epsilon must be positive when M2 > 0")
+    m2_coeff = 0.0 if spec.M2 == 0.0 else e1 * spec.M2 * (1.0 + 1.0 / eps) / (lam * rho * a)
     thermal = (m2_coeff + 1.0 / (lam * th0 * e2)) * (0.5 * lam * a * state.theta ** 2)
     # k_M = 0 gives eps2 = inf and K = 0: the conduction term is 0, not inf * 0
-    flux = 0.0 if spec.k_M == 0.0 else (e2 * spec.k_M / (2.0 * a)) * (
-        (state.kappa @ material.K @ state.kappa) / th0)
-    return lhs, float(kin + elastic + thermal + flux)
+    flux = 0.0 if spec.k_M == 0.0 else (e2 * spec.k_M / (2.0 * a)) * (_dot(state.kappa, q) / th0)
+    return lhs, kin + elastic + thermal + flux
 
 
 # ---------------------------------------------------------------------------
 # Random sampling for the property suites (seeds always explicit)
 
 
-def random_kinematic(material, rng):
+def random_point_state(material, rng, n):
+    """n standard normal states on one trailing axis, e symmetrised."""
     d = material.dim
-    E = rng.normal(size=(d, d))
-    E = 0.5 * (E + E.T)
-    return KinematicVector(E=E, pi=rng.normal(size=d), psi=float(rng.normal()))
+    e = rng.normal(size=(d, d, n))
+    return PointState(e=0.5 * (e + e.swapaxes(0, 1)), gamma=rng.normal(size=(d, n)),
+                      kappa=rng.normal(size=(d, n)), phi=rng.normal(size=n),
+                      phidot=rng.normal(size=n), theta=rng.normal(size=n))
 
 
-def random_point_state(material, rng):
-    d = material.dim
-    e = rng.normal(size=(d, d))
-    e = 0.5 * (e + e.T)
-    return PointState(e=e, gamma=rng.normal(size=d), kappa=rng.normal(size=d),
-                      phi=float(rng.normal()), phidot=float(rng.normal()),
-                      theta=float(rng.normal()))
-
-
-def random_unit_vector(dim, rng):
-    v = rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def random_unit_vector(dim, rng, n):
+    """n unit vectors (dim, n) uniform on the sphere."""
+    v = rng.normal(size=(dim, n))
+    return v / np.linalg.norm(v, axis=0)

@@ -86,15 +86,16 @@ def support_geometry(scenario):
 
 
 def weighted_energy_density(state, udot, material, lam):
-    """Integrand of the measure at one point: the lambda-weighted kinetic,
-    void-kinetic, thermal, and stored parts plus the rate and conduction
-    terms (nonnegative for admissible materials)."""
-    # the grid's densities at one node
-    phi, phidot, theta = (np.array([x]) for x in (state.phi, state.phidot, state.theta))
-    g = np.concatenate([state.e.ravel(), state.gamma])[:, None]
-    P = energy_density(material, g, phi, np.append(udot, phidot)[:, None], theta)
-    R = rate_density(material, phidot, state.kappa[:, None])
-    return float(lam * P[0] + R[0])
+    """Integrand of the measure at a state's nodes: the lambda-weighted
+    kinetic, void-kinetic, thermal, and stored parts plus the rate and
+    conduction terms (nonnegative for admissible materials); ``udot`` is
+    (d, *n) like the state's gamma."""
+    d, n = material.dim, state.phi.shape
+    g = np.concatenate([state.e.reshape(d * d, -1), state.gamma.reshape(d, -1)])
+    w = np.concatenate([np.reshape(udot, (d, -1)), state.phidot.reshape(1, -1)])
+    P = energy_density(material, g, state.phi.reshape(-1), w, state.theta.reshape(-1))
+    R = rate_density(material, w[d], state.kappa.reshape(d, -1))
+    return (lam * P + R).reshape(n)
 
 
 def _cumtrapz(times, values, axis=0):

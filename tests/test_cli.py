@@ -289,6 +289,30 @@ def test_selftest(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_selftest_fails_on_one_bad_state(monkeypatch, capsys):
+    # each bound is checked on a batch: one violating state of the 500 must
+    # fail the run, so the batch reduction cannot hide it
+    from voidtherm import constitutive as cn
+
+    real = cn.check_stress_bound
+    calls = []
+
+    def one_bad(*args, **kwargs):
+        lhs, rhs = real(*args, **kwargs)
+        calls.append(lhs.shape)
+        lhs = lhs.copy()
+        lhs[137] = 2.0 * rhs[137] + 1.0
+        return lhs, rhs
+
+    monkeypatch.setattr(cn, "check_stress_bound", one_bad)
+    assert main(["selftest", "--seed", "0"]) == 3
+    out = capsys.readouterr().out
+    assert calls == [(500,)] * 3
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL dim 1", "FAIL dim 2", "FAIL dim 3"]
+    assert "stress bound violated" in out and "selftest: FAIL (seed 0)" in out
+
+
 def test_verify_decay_refinement_study(workdir, tmp_path):
     out = tmp_path / "refined"
     code = main(["verify-decay", "--scenario", str(workdir / "coarse.scn"),
@@ -391,6 +415,17 @@ MALFORMED = [
      1, "dt must be positive and finite, got -0.001"),
     ("verify-decay --scenario {d}/bad.scn --out {d}/o", _edited("dt = auto", "dt = 0"),
      1, "dt must be positive and finite"),
+    # non-finite numbers on the command line name their flag
+    ("sweep-lambda --material {d}/ref.mat --lambda nan --out {d}/o", None, 1,
+     "--lambda values must be positive and finite, got 'nan'"),
+    ("sweep-lambda --material {d}/ref.mat --lambda 2,inf --out {d}/o", None, 1,
+     "--lambda values must be positive and finite, got '2,inf'"),
+    ("verify-decay --scenario {d}/pulse.scn --lambda nan --out {d}/o", None, 1,
+     "--lambda values must be positive and finite"),
+    ("verify-decay --scenario {d}/pulse.scn --r0 nan --out {d}/o", None, 1,
+     "argument --r0: invalid float value: 'nan'"),
+    ("verify-decay --scenario {d}/pulse.scn --t0 inf --out {d}/o", None, 1,
+     "argument --t0: invalid float value: 'inf'"),
 ]
 
 

@@ -124,6 +124,34 @@ def test_integers_and_rounding_into_the_next_power():
     assert _assert_g17(_with_negatives(np.concatenate([ints, top, carry]))) > 400_000
 
 
+def test_coordinate_prefixes_in_blocks():
+    # the coordinate prefixes of a 33^3 mesh are built SLAB values at a
+    # time: the traced peak stays a few times the 0.8 MiB result, not the
+    # whole mesh's cells and rows at once (about 10 MiB)
+    import io
+    import tracemalloc
+
+    import voidtherm as vt
+    from voidtherm.solver import BoundaryPartition, Grid, Scenario, TrajectoryCsvWriter
+
+    scen = Scenario(grid=Grid(extents=(1.0,) * 3, counts=(33,) * 3),
+                    material=vt.random_material(3, np.random.default_rng(0)),
+                    boundary=BoundaryPartition.all_dirichlet_zero(3), dt=0.01, T=0.1,
+                    support_x0=1.0)
+    _csvtext._tables()
+    tracemalloc.start()
+    try:
+        writer = TrajectoryCsvWriter(scen, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    mesh = np.stack([x.ravel() for x in scen.mesh()], axis=1)
+    for k in (0, 1, 4095, 20000, len(mesh) - 1):
+        text = writer.coords[k].tobytes().rstrip(b"\0")
+        assert text == b"".join(b"%.17g," % v for v in mesh[k])
+
+
 def test_hypothesis_floats():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

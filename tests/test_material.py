@@ -117,7 +117,7 @@ def test_quadratic_form_cached_per_material(rng):
     fresh = vt.Material(dim=m.dim, C=m.C, A=m.A, K=m.K, rho=m.rho, chi=m.chi,
                         aHeat=m.aHeat, theta0=m.theta0, xi=m.xi)
     before = assemble_quadratic_form.cache_info().misses
-    Ea, Eb = cn.random_kinematic(fresh, rng), cn.random_kinematic(fresh, rng)
+    Ea, Eb = cn.random_point_state(fresh, rng, 1), cn.random_point_state(fresh, rng, 1)
     for _ in range(100):
         vt.bilinear_form(Ea, Eb, fresh)
     assert assemble_quadratic_form.cache_info().misses - before == 1

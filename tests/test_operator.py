@@ -437,7 +437,7 @@ def test_packed_energy_matches_quadratic_form(dim):
     # 2W = z^T H z with H read off the response matrix, which lists its rows
     # in (axis, field) and its columns in (field, axis) order: a transposed
     # H is exact in 1D only, so 2D and 3D anisotropic materials are the test
-    from voidtherm.constitutive import KinematicVector
+    from voidtherm.constitutive import PointState
 
     rng = np.random.default_rng(50 + dim)
     mat = vt.random_material(dim, rng)
@@ -456,8 +456,8 @@ def test_packed_energy_matches_quadratic_form(dim):
     e, gamma, kappa = op.kinematics(state)
     Q = vt.assemble_quadratic_form(mat)
     for idx in np.ndindex(*counts):
-        z = KinematicVector(E=e[(slice(None), slice(None)) + idx], pi=gamma[(slice(None),) + idx],
-                            psi=state.phi[idx]).scaled_coords(mat)
+        z = PointState(e=e[(slice(None), slice(None)) + idx], gamma=gamma[(slice(None),) + idx],
+                       kappa=0.0, phi=state.phi[idx], phidot=0.0, theta=0.0).scaled_coords(mat)
         v, k, pdot = state.v[(slice(None),) + idx], kappa[(slice(None),) + idx], state.phidot[idx]
         want_P = 0.5 * (mat.rho * v @ v + mat.rho * mat.chi * pdot ** 2
                         + mat.aHeat * state.theta[idx] ** 2 + z @ Q @ z)
