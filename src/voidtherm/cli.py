@@ -78,10 +78,13 @@ def _sample_count(T, lam, floor=801):
 
 
 def _parse_lambdas(text):
-    vals = [float(v) for v in text.split(",") if v.strip()]
-    if not vals or not all(0.0 < v < math.inf for v in vals):
-        raise ValueError(f"--lambda values must be positive and finite, got {text!r}")
-    return vals
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip()]
+        if vals and all(0.0 < v < math.inf for v in vals):
+            return vals
+    except ValueError:
+        pass
+    raise ValueError(f"--lambda values must be positive and finite, got {text!r}")
 
 
 def _finite_float(text):
@@ -136,9 +139,7 @@ def cmd_simulate(args):
            "energy_first": float(traj.log["energy"][0]),
            "energy_last": float(traj.log["energy"][-1]),
            "warnings": traj.log["warnings"]}
-    with open(os.path.join(outdir, "run_log.json"), "w") as fh:
-        json.dump(log, fh, indent=2)
-        fh.write("\n")
+    measures.write_summary_json(os.path.join(outdir, "run_log.json"), log)
     print(f"wrote {path} ({traj.times.size} sample times)")
     return EXIT_OK
 
@@ -273,38 +274,31 @@ def cmd_sweep_lambda(args):
         record = measures.SampleRecord(scenario)
         run(scenario, n_samples=_sample_count(scenario.T, max(lambdas)), reducers=[record])
 
-    rows = []
+    lines = ["lambda,epsilon,zeta,rate,zeta_over_sqrt_lambda,feasible,slope_measured"]
     for lam in lambdas:
         decay = zeta_of_lambda(spec, material, lam)
-        feasible = ""
-        slope = ""
+        feasible = slope = "-"
         if scenario is not None:
-            h1 = scenario.grid.spacing[0]
+            t0, r0 = _auto_anchor(decay.zeta, geometry.L, scenario.T, scenario.grid.spacing[0])
             try:
-                t0, r0 = _auto_anchor(decay.zeta, geometry.L, scenario.T, h1)
                 mat_mod.feasibility_window(decay.zeta, geometry.L, scenario.T, r0=r0)
-                feasible = "yes"
             except InfeasibleWindow:
                 feasible = "no"
-            if feasible == "yes":
-                series = measures.compute_measure(record, geometry, lam)
-                rep = measures.check_decay(series, t0, r0)
-                slope = _fmt(rep.slope)
-        rows.append((lam, decay.epsilon, decay.zeta, decay.decay_rate,
-                     decay.zeta / math.sqrt(lam), feasible, slope))
+            else:
+                # the series is dropped before the next lambda's is computed
+                feasible = "yes"
+                slope = _fmt(measures.check_decay(
+                    measures.compute_measure(record, geometry, lam), t0, r0).slope)
+        lines.append(",".join([_fmt(lam), _fmt(decay.epsilon), _fmt(decay.zeta),
+                               _fmt(decay.decay_rate), _fmt(decay.zeta / math.sqrt(lam)),
+                               feasible, slope]))
 
-    header = ("lambda", "epsilon", "zeta", "rate", "zeta_over_sqrt_lambda",
-              "feasible", "slope_measured")
-    print(",".join(header))
-    lines = [",".join(header)]
-    for row in rows:
-        text = ",".join(_fmt(v) if isinstance(v, float) else (v or "-") for v in row)
-        print(text)
-        lines.append(text)
+    text = "\n".join(lines) + "\n"
+    print(text, end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "lambda_sweep.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     return EXIT_OK
 
 

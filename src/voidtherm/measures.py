@@ -98,12 +98,17 @@ def weighted_energy_density(state, udot, material, lam):
     return (lam * P + R).reshape(n)
 
 
-def _cumtrapz(times, values, axis=0):
-    values = np.moveaxis(values, axis, 0)
-    dt = np.diff(times)
-    inc = 0.5 * dt.reshape((-1,) + (1,) * (values.ndim - 1)) * (values[1:] + values[:-1])
-    out = np.concatenate([np.zeros((1,) + values.shape[1:]), np.cumsum(inc, axis=0)])
-    return np.moveaxis(out, 0, axis)
+def _cumtrapz(times, values):
+    """Cumulative trapezoid integral over the sample times along axis 0, in
+    place: ``values[k]`` becomes the integral from ``times[0]`` to
+    ``times[k]``, each step ``(0.5 dt) (v[k+1] + v[k])`` summed in order.
+    Returns ``values``."""
+    hdt = 0.5 * np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    np.add(values[1:], values[:-1], out=values[1:])   # numpy buffers the shifted input
+    values[1:] *= hdt
+    np.cumsum(values[1:], axis=0, out=values[1:])
+    values[0] = 0.0
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +222,29 @@ def compute_measure(record, geometry, lam):
     h1 = grid.spacing[0]
     idx = _plane_index(grid, geometry.x0 + geometry.r_samples, "r_samples")
 
-    prof = np.array([lam * p[0] + p[1] for p in record.profiles])
-    weighted = np.exp(lam * times)[:, None] * prof
+    # the weighted profile e^{lam t} (lam P + R), one row per sample
+    weighted = np.empty((times.size, record.profiles[0].shape[1]))
+    for k, p in enumerate(record.profiles):
+        np.multiply(p[0], lam, out=weighted[k])
+        weighted[k] += p[1]
+    weighted *= np.exp(lam * times)[:, None]
 
-    suffix = np.zeros(weighted.shape)
-    cell = 0.5 * h1 * (weighted[:, :-1] + weighted[:, 1:])
-    suffix[:, :-1] = np.cumsum(cell[:, ::-1], axis=1)[:, ::-1]
+    # suffix sums of the cell integrals: column j holds the integral over
+    # x1 > x1_j, summed from the far end
+    cells = np.empty(weighted.shape)
+    np.add(weighted[:, :-1], weighted[:, 1:], out=cells[:, :-1])
+    cells[:, :-1] *= 0.5 * h1
+    cells[:, -1] = 0.0
+    np.cumsum(cells[:, -2::-1], axis=1, out=cells[:, -2::-1])
 
-    vol = suffix[:, idx]                       # (nt, nr) volume integrals over B_r
-    E = _cumtrapz(times, vol, axis=0).T        # (nr, nt)
+    # at most two work tables: free each once its r columns are read
+    vol = cells[:, idx]                        # (nt, nr) volume integrals over B_r
+    del cells
+    plane = weighted[:, idx]                   # (nt, nr) weighted density on S_r
+    del weighted
+    E = _cumtrapz(times, vol.copy(order="K")).T  # (nr, nt), each row contiguous in t
     dE_dt = vol.T
-    dE_dr = -_cumtrapz(times, weighted[:, idx], axis=0).T
+    dE_dr = np.negative(_cumtrapz(times, plane), out=plane).T
 
     spec = material_spectrum(material)
     decay = zeta_of_lambda(spec, material, lam)
@@ -266,6 +283,12 @@ class EnergyIdentityReport:
                 f"residual={self.residual:.3e} (max over time {self.residual_max:.3e})")
 
 
+def _absmax(x):
+    """Largest magnitude in ``x`` without an ``abs`` copy (exact for finite
+    values)."""
+    return float(max(x.max(), -x.min()))
+
+
 def check_energy_identity(record, lam):
     """Evaluate the weighted energy identity over the box of a
     :class:`SampleRecord` (its ``region``).
@@ -280,8 +303,7 @@ def check_energy_identity(record, lam):
     surf_t = _cumtrapz(times, wgt * np.array(record.box_power))
     work_t = _cumtrapz(times, wgt * np.array(record.box_work))
     rhs_t = energy - surf_t - work_t - energy[0]
-    scale = max(float(np.max(np.abs(energy))), float(np.max(np.abs(surf_t))),
-                float(np.max(np.abs(work_t))), float(np.max(np.abs(lhs_t))), 1e-30)
+    scale = max(_absmax(energy), _absmax(surf_t), _absmax(work_t), _absmax(lhs_t), 1e-30)
     res_t = np.abs(lhs_t - rhs_t) / scale
     terms = {"final_energy": float(energy[-1]), "surface_work": float(surf_t[-1]),
              "source_work": float(work_t[-1]), "initial_energy": float(energy[0])}
@@ -318,16 +340,17 @@ def check_diff_inequality(series, tol=None):
     """
     decay = series.decay
     tol = TOLERANCES.discrete_rel if tol is None else tol
-    lhs = series.E
-    term_r = -(decay.zeta / decay.lam) * series.dE_dr
     term_t = series.dE_dt / decay.lam
-    scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(term_r))),
-                float(np.max(np.abs(term_t))), 1e-30)
-    margin = term_r + term_t + tol * scale - lhs
+    margin = -(decay.zeta / decay.lam) * series.dE_dr     # term_r, then the margin
+    scale = max(_absmax(series.E), _absmax(margin), _absmax(term_t), 1e-30)
+    margin += term_t
+    del term_t
+    margin += tol * scale
+    margin -= series.E
     bad = np.argwhere(margin < 0.0)
     violations = [(float(series.r[j]), float(series.t[k]), float(margin[j, k]))
                   for j, k in bad[:64]]
-    return DiffInequalityReport(violations=violations, n_checked=int(lhs.size),
+    return DiffInequalityReport(violations=violations, n_checked=int(margin.size),
                                 worst_margin=float(margin.min()), tol=tol, scale=scale)
 
 
@@ -392,14 +415,11 @@ def check_decay(series, t0, r0, tol=None):
     else:
         slope = math.nan
 
+    # the weighted measure must not rise between neighbouring live samples
     i_char = np.exp(decay.decay_rate * series.r) * e_char
-    chain = []
-    for j in range(series.r.size - 1):
-        if floored[j] or floored[j + 1]:
-            continue
-        if i_char[j + 1] > i_char[j] * (1.0 + tol):
-            chain.append((float(series.r[j + 1]),
-                          float(i_char[j + 1] / max(i_char[j], floor) - 1.0)))
+    rises = live[:-1] & live[1:] & (i_char[1:] > i_char[:-1] * (1.0 + tol))
+    chain = [(float(series.r[j + 1]), float(i_char[j + 1] / max(i_char[j], floor) - 1.0))
+             for j in np.flatnonzero(rises)]
     return DecayReport(t0=float(t0), r0=float(r0), rate_bound=decay.decay_rate,
                        slope=slope, violations=violations, chain_violations=chain,
                        n_floored=int(floored.sum()), n_samples=int(series.r.size),

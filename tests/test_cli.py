@@ -284,6 +284,40 @@ def test_sweep_lambda_feasible_slopes(workdir, capsys):
     assert float(cells[6]) < -float(cells[3])  # measured slope beats the bound
 
 
+def test_sweep_lambda_memory_flat_in_lambdas(workdir, tmp_path, monkeypatch, capsys):
+    # each lambda's measure series (four (r, t) tables) is dropped before the
+    # next is computed: five lambdas on one record peak within one table of
+    # the last lambda alone (holding the previous series would add four)
+    import gc
+    import tracemalloc
+
+    from voidtherm import cli
+
+    scenario = vt.read_scenario_file(workdir / "pulse.scn")
+    nr = vt.support_geometry(scenario).r_samples.size
+    runs = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    peaks = []
+    for lambdas in ("32", "2,4,8,16,32"):
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert cli.main(["sweep-lambda", "--material", str(workdir / "ref.mat"),
+                             "--lambda", lambdas, "--scenario", str(workdir / "pulse.scn"),
+                             "--out", str(tmp_path / lambdas)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    assert len(runs[0].times) == len(runs[1].times)
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 2 + 6 and all(row.split(",")[5] == "yes" for row in rows[-5:])
+    table_bytes = nr * len(runs[0].times) * 8
+    assert peaks[1] - peaks[0] <= table_bytes
+
+
 def test_selftest(capsys):
     assert main(["selftest", "--seed", "0"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -426,6 +460,11 @@ MALFORMED = [
      "argument --r0: invalid float value: 'nan'"),
     ("verify-decay --scenario {d}/pulse.scn --t0 inf --out {d}/o", None, 1,
      "argument --t0: invalid float value: 'inf'"),
+    # --lambda values that are not numbers name the flag too
+    ("sweep-lambda --material {d}/ref.mat --lambda abc --out {d}/o", None, 1,
+     "--lambda values must be positive and finite, got 'abc'"),
+    ("verify-decay --scenario {d}/pulse.scn --lambda 2,x --out {d}/o", None, 1,
+     "--lambda values must be positive and finite, got '2,x'"),
 ]
 
 

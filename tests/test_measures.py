@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +480,146 @@ def test_streamed_record_matches_replay(name):
     want = vt.surface_power(replayed, r, lam)
     assert _gap(vt.surface_power(records[0], r, lam), want) <= 1e-12
     assert np.abs(want).max() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the measure tables in bounded memory, against the allocating formulas
+
+
+PULSE_FILE = Path(__file__).resolve().parents[1] / "demos" / "inputs" / "pulse.scn"
+
+
+def _reference_cumtrapz(times, values, axis=0):
+    values = np.moveaxis(values, axis, 0)
+    dt = np.diff(times)
+    inc = 0.5 * dt.reshape((-1,) + (1,) * (values.ndim - 1)) * (values[1:] + values[:-1])
+    out = np.concatenate([np.zeros((1,) + values.shape[1:]), np.cumsum(inc, axis=0)])
+    return np.moveaxis(out, 0, axis)
+
+
+def _reference_measure(record, geometry, lam, decay_rate):
+    """(E, dE_dr, dE_dt, I) by the formulas that built every temporary:
+    a list of weighted profiles, the suffix sums of a reversed view, and a
+    trapezoid rule that concatenates."""
+    h1 = record.scenario.grid.spacing[0]
+    times = np.asarray(record.t)
+    idx = np.round((geometry.x0 + geometry.r_samples) / h1).astype(int)
+    prof = np.array([lam * p[0] + p[1] for p in record.profiles])
+    weighted = np.exp(lam * times)[:, None] * prof
+    suffix = np.zeros(weighted.shape)
+    cell = 0.5 * h1 * (weighted[:, :-1] + weighted[:, 1:])
+    suffix[:, :-1] = np.cumsum(cell[:, ::-1], axis=1)[:, ::-1]
+    vol = suffix[:, idx]
+    E = _reference_cumtrapz(times, vol, axis=0).T
+    dE_dr = -_reference_cumtrapz(times, weighted[:, idx], axis=0).T
+    I = np.exp(decay_rate * geometry.r_samples)[:, None] * E
+    return E, dE_dr, vol.T, I
+
+
+def _reference_identity(record, lam):
+    times = np.array(record.t)
+    wgt = np.exp(lam * times)
+    energy = wgt * np.array(record.box_P)
+    lhs_t = _reference_cumtrapz(times, wgt * (lam * np.array(record.box_P)
+                                              + np.array(record.box_R)))
+    surf_t = _reference_cumtrapz(times, wgt * np.array(record.box_power))
+    work_t = _reference_cumtrapz(times, wgt * np.array(record.box_work))
+    rhs_t = energy - surf_t - work_t - energy[0]
+    scale = max(float(np.max(np.abs(energy))), float(np.max(np.abs(surf_t))),
+                float(np.max(np.abs(work_t))), float(np.max(np.abs(lhs_t))), 1e-30)
+    res_t = np.abs(lhs_t - rhs_t) / scale
+    return (float(lhs_t[-1]), float(rhs_t[-1]), float(res_t[-1]), float(res_t.max()), scale,
+            {"final_energy": float(energy[-1]), "surface_work": float(surf_t[-1]),
+             "source_work": float(work_t[-1]), "initial_energy": float(energy[0])})
+
+
+@pytest.fixture(scope="module")
+def pulse_file_record():
+    # the record verify-decay takes of demos/inputs/pulse.scn at lambda = 8
+    scen = vt.read_scenario_file(PULSE_FILE)
+    record = vt.SampleRecord(scen)
+    vt.run(scen, n_samples=801, reducers=[record])
+    return record, vt.support_geometry(scen)
+
+
+def _plate_record():
+    scen, _, geom, region = _stream_case("plate2d")
+    record = vt.SampleRecord(scen, region)   # a sub-box for the identity
+    vt.run(scen, n_samples=161, reducers=[record])   # fine enough for lambda = 32
+    return record, geom
+
+
+@pytest.mark.parametrize("case", ["pulse.scn", "plate2d-subbox"])
+def test_measure_tables_equal_the_allocating_formulas(case, request):
+    # bit for bit: the in-place tables keep every operation and its order,
+    # and their layout (rows contiguous in t, as check_decay reads them)
+    if case == "pulse.scn":
+        record, geom = request.getfixturevalue("pulse_file_record")
+    else:
+        record, geom = _plate_record()
+    for lam in (2.0, 8.0, 32.0):
+        series = vt.compute_measure(record, geom, lam)
+        want = _reference_measure(record, geom, lam, series.decay.decay_rate)
+        for key, table in zip(("E", "dE_dr", "dE_dt", "I"), want):
+            assert np.array_equal(getattr(series, key), table), (lam, key)
+            assert getattr(series, key).strides == table.strides, (lam, key)
+        assert np.abs(series.E).max() > 0.0
+        rep = vt.check_energy_identity(record, lam)
+        assert (rep.lhs, rep.rhs, rep.residual, rep.residual_max, rep.scale,
+                rep.terms) == _reference_identity(record, lam), lam
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_memory_is_its_tables(pulse_file_record):
+    # compute_measure holds its four (r, t) tables and at most two work
+    # tables; the inequality check builds its margin in one table beside
+    # one term (the allocating formulas peaked at 2.75x and 3.1 tables)
+    record, geom = pulse_file_record
+    series, peak = _traced_peak(lambda: vt.compute_measure(record, geom, 8.0))
+    tables = [series.E, series.dE_dr, series.dE_dt, series.I]
+    assert peak <= 1.5 * sum(t.nbytes for t in tables)
+    rep, peak = _traced_peak(lambda: vt.check_diff_inequality(series))
+    assert rep.ok and peak <= 2.2 * series.E.nbytes
+
+
+def _reference_chain(series, t0, r0, tol):
+    # check_decay's chain test as a loop over neighbouring samples
+    decay, floor = series.decay, cn.TOLERANCES.decay_floor
+    tchar = t0 + (r0 - series.r) / decay.zeta
+    e_char = np.array([np.interp(tchar[j], series.t, series.E[j])
+                       for j in range(series.r.size)])
+    floored = e_char <= floor
+    i_char = np.exp(decay.decay_rate * series.r) * e_char
+    chain = []
+    for j in range(series.r.size - 1):
+        if floored[j] or floored[j + 1]:
+            continue
+        if i_char[j + 1] > i_char[j] * (1.0 + tol):
+            chain.append((float(series.r[j + 1]),
+                          float(i_char[j + 1] / max(i_char[j], floor) - 1.0)))
+    return chain
+
+
+def test_decay_chain_violations_match_the_loop(pulse_series, pulse_scenario):
+    # a crafted E, constant in t, whose weighted profile rises and falls at
+    # random and is zero (floored) at every seventh depth
+    decay = pulse_series.decay
+    weighted = np.random.default_rng(7).uniform(0.5, 1.5, pulse_series.r.size)
+    weighted[::7] = 0.0
+    E = (weighted * np.exp(-decay.decay_rate * pulse_series.r))[:, None] \
+        * np.ones(pulse_series.t.size)
+    crafted = dataclasses.replace(pulse_series, E=E, I=None)
+    h1 = pulse_scenario.grid.spacing[0]
+    r0 = math.floor(min(1.0, 0.5 * decay.zeta) / h1) * h1
+    t0 = 1.0 - r0 / decay.zeta
+    tol = cn.TOLERANCES.discrete_rel
+    rep = vt.check_decay(crafted, t0, r0, tol)
+    assert rep.n_floored > 0 and len(rep.chain_violations) > 10
+    assert rep.chain_violations == _reference_chain(crafted, t0, r0, tol)
