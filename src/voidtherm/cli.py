@@ -71,6 +71,17 @@ def _auto_anchor(zeta, L, T, h1):
     return t0, r0
 
 
+def _feasible_anchor(zeta, geometry, scenario):
+    """The automatic (t0, r0) anchor at spatial speed ``zeta``, or None when
+    its feasibility window is empty."""
+    t0, r0 = _auto_anchor(zeta, geometry.L, scenario.T, scenario.grid.spacing[0])
+    try:
+        mat_mod.feasibility_window(zeta, geometry.L, scenario.T, r0=r0)
+    except InfeasibleWindow:
+        return None
+    return t0, r0
+
+
 def _sample_count(T, lam, floor=801):
     """Samples of a run measured at time weight ``lam``: one per 0.05 / lam
     of time, at least ``floor`` and at most 1601."""
@@ -267,28 +278,28 @@ def cmd_sweep_lambda(args):
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(AUTO_LAMBDAS)
     spec = spectrum(material)
 
-    scenario = record = geometry = None
+    scenario = None
     if args.scenario:
         scenario = read_scenario_file(args.scenario, material=material)
         geometry = measures.support_geometry(scenario)
+    decays = [zeta_of_lambda(spec, material, lam) for lam in lambdas]
+    anchors = [_feasible_anchor(decay.zeta, geometry, scenario) if scenario else None
+               for decay in decays]
+    feasible_lambdas = [lam for lam, anchor in zip(lambdas, anchors) if anchor]
+    if feasible_lambdas:
+        # one run, sampled for the largest feasible lambda; none if no window is feasible
         record = measures.SampleRecord(scenario)
-        run(scenario, n_samples=_sample_count(scenario.T, max(lambdas)), reducers=[record])
+        run(scenario, n_samples=_sample_count(scenario.T, max(feasible_lambdas)), reducers=[record])
 
     lines = ["lambda,epsilon,zeta,rate,zeta_over_sqrt_lambda,feasible,slope_measured"]
-    for lam in lambdas:
-        decay = zeta_of_lambda(spec, material, lam)
+    for lam, decay, anchor in zip(lambdas, decays, anchors):
         feasible = slope = "-"
-        if scenario is not None:
-            t0, r0 = _auto_anchor(decay.zeta, geometry.L, scenario.T, scenario.grid.spacing[0])
-            try:
-                mat_mod.feasibility_window(decay.zeta, geometry.L, scenario.T, r0=r0)
-            except InfeasibleWindow:
-                feasible = "no"
-            else:
-                # the series is dropped before the next lambda's is computed
-                feasible = "yes"
-                slope = _fmt(measures.check_decay(
-                    measures.compute_measure(record, geometry, lam), t0, r0).slope)
+        if scenario:
+            feasible = "yes" if anchor else "no"
+        if anchor:
+            # the series is dropped before the next lambda's is computed
+            slope = _fmt(measures.check_decay(
+                measures.compute_measure(record, geometry, lam), *anchor).slope)
         lines.append(",".join([_fmt(lam), _fmt(decay.epsilon), _fmt(decay.zeta),
                                _fmt(decay.decay_rate), _fmt(decay.zeta / math.sqrt(lam)),
                                feasible, slope]))

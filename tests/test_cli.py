@@ -263,15 +263,25 @@ def test_sweep_lambda_asymptotic_tail(tmp_path, capsys):
     assert all(abs(v - target) <= 0.01 * target for v in tails)
 
 
-def test_sweep_lambda_marks_infeasible(workdir, capsys):
-    # short horizon: every moderate lambda is infeasible, none gets a slope
+def test_sweep_lambda_marks_infeasible(workdir, monkeypatch, capsys):
+    # short horizon: every moderate lambda is infeasible, none gets a slope,
+    # and the scenario is not run at all
+    from voidtherm import cli
+
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(a))
     code = main(["sweep-lambda", "--material", str(workdir / "ref.mat"),
                  "--lambda", "0.05,8", "--scenario", str(workdir / "short.scn")])
-    assert code == 0
+    assert code == 0 and runs == []
     rows = capsys.readouterr().out.splitlines()[1:]
-    for row in rows:
+    assert main(["sweep-lambda", "--material", str(workdir / "ref.mat"),
+                 "--lambda", "0.05,8"]) == 0
+    bare = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(bare) == 2
+    for row, row_bare in zip(rows, bare):
         cells = row.split(",")
         assert cells[5] == "no" and cells[6] == "-"
+        assert cells[:5] == row_bare.split(",")[:5]
 
 
 def test_sweep_lambda_feasible_slopes(workdir, capsys):

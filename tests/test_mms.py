@@ -1,12 +1,16 @@
 """The manufactured-data evaluator against a test-held reference.
 
-``manufactured_scenario`` evaluates every field it builds (the exact fields
-and their rates, which are also the Dirichlet and initial data, and the
-sources f, ell and r) from one cached spatial basis per scenario.  The
-reference here is a direct ``sympy.lambdify`` of each expression the
-scenario was built from, evaluated on the mesh and on every face.
+``manufactured_scenario`` derives the sources from the profiles' basis
+factors, each differentiated once, and evaluates every field it builds
+(the exact fields and their rates, which are also the Dirichlet and
+initial data, and the sources f, ell and r) from one cached spatial basis
+per scenario.  The reference here assembles the balance laws as whole
+sympy expressions (``symbolic_fields``), differentiates them with
+``sympy.diff`` and evaluates each by a direct ``sympy.lambdify`` on the
+mesh and on every face.
 """
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -39,29 +43,81 @@ def travelling_profiles():
     return u, phi, theta
 
 
+def memory_material_2d():
+    """The 2D reference set with the memory term tau * phidot switched on."""
+    return dataclasses.replace(presets.reference_material_2d(), tau=0.5)
+
+
+def coupled_material_2d():
+    """A random 2D set: every coupling block (D, b, aVec) nonzero and
+    anisotropic, tau > 0."""
+    return vt.random_material(2, np.random.default_rng(5))
+
+
+# name -> (profiles, material, dimension, dissipative)
 CASES = {
-    "1d": (presets.mms_profiles_1d, presets.reference_material, 1),
-    "2d": (presets.mms_profiles_2d, presets.reference_material_2d, 2),
-    "3d": (mms_profiles_3d, reference_material_3d, 3),
-    "travelling": (travelling_profiles, presets.reference_material_2d, 2),
+    "1d": (presets.mms_profiles_1d, presets.reference_material, 1, False),
+    "2d": (presets.mms_profiles_2d, presets.reference_material_2d, 2, False),
+    "3d": (mms_profiles_3d, reference_material_3d, 3, False),
+    "travelling": (travelling_profiles, presets.reference_material_2d, 2, False),
+    "memory": (presets.mms_profiles_2d, memory_material_2d, 2, False),
+    "dissipative": (presets.mms_profiles_2d, memory_material_2d, 2, True),
+    "coupled": (presets.mms_profiles_2d, coupled_material_2d, 2, True),
 }
 
 
-def build(case, monkeypatch):
-    """The scenario of one case, its exact solution, and the expressions
-    (name -> expression or list of expressions) it was built from."""
-    profiles, material, dim = CASES[case]
-    seen = {}
-    split = mms._fields
+def symbolic_fields(u_exprs, phi, theta, material, dissipative=False):
+    """Every field of a manufactured scenario as a sympy expression (a list:
+    a vector field): the balance laws assembled from the constitutive sums
+    and differentiated as whole expressions."""
+    d = material.dim
+    xs = mms.space_symbols(d)
+    xs = xs if isinstance(xs, tuple) else (xs,)
+    t = mms.TIME
+    C, D, A, B = material.C, material.D, material.A, material.B
+    bvec, M, aVec, K = material.b, material.M, material.aVec, material.K
+    rng = range(d)
 
-    def spy(exprs, xs):
-        seen.update(exprs)
-        return split(exprs, xs)
+    e = [[sp.Rational(1, 2) * (sp.diff(u_exprs[i], xs[j]) + sp.diff(u_exprs[j], xs[i]))
+          for j in rng] for i in rng]
+    gamma = [sp.diff(phi, x) for x in xs]
+    kappa = [sp.diff(theta, x) for x in xs]
+    S = [[sum(C[i, j, r, s] * e[r][s] for r in rng for s in rng)
+          + sum(D[i, j, s] * gamma[s] for s in rng) + B[i, j] * phi - M[i, j] * theta
+          for j in rng] for i in rng]
+    h = [sum(D[r, s, i] * e[r][s] for r in rng for s in rng)
+         + sum(A[i, j] * gamma[j] for j in rng) + bvec[i] * phi - aVec[i] * theta
+         for i in rng]
+    G = (-sum(B[i, j] * e[i][j] for i in rng for j in rng)
+         - sum(bvec[i] * gamma[i] for i in rng) - material.xi * phi + material.m * theta)
+    g = (-1 if dissipative else 1) * material.tau * sp.diff(phi, t) + G
+    rho_eta = (sum(M[i, j] * e[i][j] for i in rng for j in rng)
+               + sum(aVec[i] * gamma[i] for i in rng)
+               + material.m * phi + material.aHeat * theta)
+    q = [sum(K[i, j] * kappa[j] for j in rng) for i in rng]
 
-    monkeypatch.setattr(mms, "_fields", spy)
+    f = [sp.diff(u_exprs[i], t, 2) - sum(sp.diff(S[i][j], xs[j]) for j in rng) / material.rho
+         for i in rng]
+    ell = (material.chi * sp.diff(phi, t, 2)
+           - (sum(sp.diff(h[i], xs[i]) for i in rng) + g) / material.rho)
+    # balance: thermal_sign * rho*theta0*eta_dot = div q + rho * r
+    r = ((1 if dissipative else -1) * material.theta0 * sp.diff(rho_eta, t)
+         - sum(sp.diff(q[i], xs[i]) for i in rng)) / material.rho
+    return {"u": list(u_exprs), "udot": [sp.diff(e_, t) for e_ in u_exprs],
+            "phi": phi, "phidot": sp.diff(phi, t), "theta": theta,
+            "thetadot": sp.diff(theta, t), "f": f, "ell": ell, "r": r}
+
+
+def build(case):
+    """The scenario of one case, its exact solution, and the reference
+    expressions (name -> expression or list of expressions) of its fields."""
+    profiles, material, dim, dissipative = CASES[case]
+    u, phi, theta = profiles()
+    material = material()
     grid = vt.Grid(extents=(1.0, 0.8, 0.6)[:dim], counts=(9, 7, 6)[:dim])
-    scen, exact = mms.manufactured_scenario(*profiles(), grid, material(), T=T)
-    return scen, exact, seen
+    scen, exact = mms.manufactured_scenario(u, phi, theta, grid, material, T=T,
+                                            dissipative=dissipative)
+    return scen, exact, symbolic_fields(u, phi, theta, material, dissipative)
 
 
 def reference(expr, X, t):
@@ -83,8 +139,8 @@ def assert_close(got, want, scale, what):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_fields_match_direct_lambdify(case, monkeypatch):
-    scen, exact, exprs = build(case, monkeypatch)
+def test_fields_match_direct_lambdify(case):
+    scen, exact, exprs = build(case)
     assert set(exprs) == {"u", "udot", "phi", "phidot", "theta", "thetadot", "f", "ell", "r"}
     # the committed profiles separate completely; the travelling wave does not
     assert (scen.sources["f"].remainder is not None) == (case == "travelling")
@@ -112,6 +168,37 @@ def test_fields_match_direct_lambdify(case, monkeypatch):
                                  scale[field_name], (face, group, rate, t))
     for name in ("u", "udot", "phi", "phidot", "theta"):
         assert_close(scen.initial[name](X), reference(exprs[name], X, 0.0), scale[name], name)
+
+
+@pytest.mark.parametrize("case", ("3d", "travelling"))
+def test_each_factor_differentiated_once(case, monkeypatch):
+    # the sources come from the profiles' factors: sympy differentiates each
+    # basis monomial along each axis and each time factor in t at most once,
+    # never an assembled sum; only a remainder adds calls of its own
+    calls = []
+    diff = sp.diff
+
+    def counted(expr, *symbols, **kwargs):
+        calls.append((expr, symbols))
+        return diff(expr, *symbols, **kwargs)
+
+    profiles, material, dim, dissipative = CASES[case]
+    args = (*profiles(), vt.Grid(extents=(1.0,) * dim, counts=(5,) * dim), material())
+    monkeypatch.setattr(sp, "diff", counted)
+    scen, _ = mms.manufactured_scenario(*args, T=T, dissipative=dissipative)
+    monkeypatch.undo()
+    basis = scen.sources["f"].basis
+    assert len(set(calls)) == len(calls)
+    spatial = [e for e, s in calls if s != (mms.TIME,)]
+    temporal = [e for e, s in calls if s == (mms.TIME,)]
+    monomials = [e for e in spatial if e in basis.monomials]
+    factors = [e for e in temporal if not e.has(*basis.xs)]
+    assert len(monomials) <= len(basis.monomials) * len(basis.xs)
+    remainders = [e for e in spatial + temporal if e not in monomials + factors]
+    if case == "travelling":
+        assert remainders and all(e.has(mms.TIME) and e.has(*basis.xs) for e in remainders)
+    else:
+        assert remainders == []
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
@@ -147,10 +234,10 @@ def test_basis_cache_is_bounded():
     assert len(f.basis._cache) == mms._BASIS_CACHE
 
 
-def test_field_coefficients_follow_t(monkeypatch):
+def test_field_coefficients_follow_t():
     # a field keeps the time coefficients of its last t: a call at another t
     # recomputes them, so t1, t2, t1 gives each time its own values
-    scen, exact, exprs = build("2d", monkeypatch)
+    scen, exact, exprs = build("2d")
     X, t1, t2 = scen.mesh(), 0.37, 0.61
     scale = max(float(np.abs(reference(exprs["u"], X, t)).max()) for t in (t1, t2))
     first = exact.u(X, t1)
@@ -166,7 +253,7 @@ def test_advance_evaluates_each_time_once(case, monkeypatch):
     # over three steps every field's time factors run once per distinct time
     # (the faces of one Dirichlet write share them), and the Dirichlet faces
     # hold _face_data's arrays, the later face winning where faces meet
-    scen, _, _ = build(case, monkeypatch)
+    scen, _, _ = build(case)
     bcs = scen.boundary.faces[(0, "min")]
     fields = {"u": bcs["displacement"].fielddata.value, "udot": bcs["displacement"].fielddata.rate,
               "phi": bcs["void"].fielddata.value, "phidot": bcs["void"].fielddata.rate,
