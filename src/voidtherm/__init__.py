@@ -3,7 +3,6 @@ decay in porous thermoelastic media with anti-dissipative thermal coupling."""
 
 from .material import (
     DecayParameters,
-    FeasibilityWindow,
     InfeasibleWindow,
     Material,
     MaterialFileError,
@@ -27,8 +26,6 @@ from .constitutive import (
     NonPositiveEpsilon,
     PointState,
     ResponseState,
-    TOLERANCES,
-    TolerancePolicy,
     bilinear_form,
     check_flux_bound,
     check_stress_bound,
@@ -87,7 +84,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # the manufactured solutions need sympy; import it on first use only
-    if name in ("manufactured_scenario", "static_equilibrium_scenario"):
+    if name == "manufactured_scenario":
         from . import mms
         return getattr(mms, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

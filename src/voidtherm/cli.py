@@ -20,7 +20,7 @@ import numpy as np
 from . import material as mat_mod
 from . import measures, solver
 from ._csvtext import replace_on_success
-from .constitutive import TOLERANCES
+from .constitutive import DISCRETE_REL
 from .material import (InfeasibleWindow, MaterialFileError, NoFeasibleLambda,
                        NotPositiveDefinite, optimize_lambda, read_material_file,
                        spectrum, validate, zeta_of_lambda)
@@ -76,7 +76,7 @@ def _feasible_anchor(zeta, geometry, scenario):
     its feasibility window is empty."""
     t0, r0 = _auto_anchor(zeta, geometry.L, scenario.T, scenario.grid.spacing[0])
     try:
-        mat_mod.feasibility_window(zeta, geometry.L, scenario.T, r0=r0)
+        mat_mod.feasibility_window(zeta, geometry.L, scenario.T, r0)
     except InfeasibleWindow:
         return None
     return t0, r0
@@ -183,8 +183,8 @@ def verify_decay_pipeline(scenario, lambdas=None, r0=None, t0=None, seed=0):
 
     identity = measures.check_energy_identity(record, lam)
     identity_tol = ENERGY_IDENTITY_TOL * res_factor
-    diff_rep = measures.check_diff_inequality(series, tol=TOLERANCES.discrete_rel * res_factor)
-    decay_rep = measures.check_decay(series, t0, r0, tol=TOLERANCES.discrete_rel * res_factor)
+    diff_rep = measures.check_diff_inequality(series, tol=DISCRETE_REL * res_factor)
+    decay_rep = measures.check_decay(series, t0, r0, tol=DISCRETE_REL * res_factor)
 
     warnings = list(traj.log["warnings"])
     if res_factor > 1.0:
@@ -341,10 +341,10 @@ def cmd_selftest(args):
         udot, normal = rng.normal(size=(dim, 500)), cn.random_unit_vector(dim, rng, 500)
         for name, (lhs, rhs) in (
                 ("surface power bound", cn.check_surface_power_bound(
-                    state, udot, normal, material, decay, lam, spec=spec)),
-                ("stress bound", cn.check_stress_bound(state, material, 1.0, spec=spec)),
-                ("flux bound", cn.check_flux_bound(state.kappa, material, spec=spec))):
-            bad = ~cn.TOLERANCES.dominated(lhs, rhs)
+                    state, udot, normal, material, decay, lam)),
+                ("stress bound", cn.check_stress_bound(state, material, 1.0)),
+                ("flux bound", cn.check_flux_bound(state.kappa, material))):
+            bad = ~cn.dominated(lhs, rhs)
             if bad.any():
                 k = np.argmax(bad)
                 failures.append(f"dim {dim}: {name} violated ({lhs[k]} > {rhs[k]})")

@@ -19,8 +19,8 @@ oracles: the assembled quadratic form ``Q`` of
 :mod:`voidtherm.mms`.
 
 Inequality checks return (lhs, rhs) arrays over the nodes instead of
-booleans; tolerance handling lives in :class:`TolerancePolicy` so that
-floating-point slack is decided in exactly one place.
+booleans; the slacks are the constants below, and :func:`dominated` is the
+one test of a proved inequality with round-off slack.
 """
 
 from __future__ import annotations
@@ -38,21 +38,17 @@ class NonPositiveEpsilon(ValueError):
     """Free parameter of the stress bound must be strictly positive."""
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Relative slacks: proved inequalities get round-off slack only,
-    discretized-PDE checks get resolution-dependent slack."""
-
-    proved_rel: float = 1e-10
-    discrete_rel: float = 5e-3
-    decay_floor: float = 1e-300
-
-    def dominated(self, lhs, rhs):
-        rel = self.proved_rel
-        return lhs <= rhs * (1.0 + rel) + rel
+# relative slacks: proved inequalities get round-off slack only, checks of
+# the discretized PDE a resolution-dependent one; below the floor a measure
+# value counts as zero
+PROVED_REL = 1e-10
+DISCRETE_REL = 5e-3
+DECAY_FLOOR = 1e-300
 
 
-TOLERANCES = TolerancePolicy()
+def dominated(lhs, rhs):
+    """lhs <= rhs up to the round-off slack of a proved inequality."""
+    return lhs <= rhs * (1.0 + PROVED_REL) + PROVED_REL
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +254,15 @@ def response(state, material):
 # Inequality checks: (lhs, rhs) arrays over a state's nodes
 
 
-def check_flux_bound(kappa, material, spec=None):
+def check_flux_bound(kappa, material):
     """Schwarz bound on the heat flux: |q|^2 <= k_M * K kappa . kappa."""
-    if spec is None:
-        spec = material_spectrum(material, require="energy")
+    spec = material_spectrum(material, require="energy")
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
     q = _apply(material.K, kappa)
     return _dot(q, q), spec.k_M * _dot(kappa, q)
 
 
-def check_stress_bound(state, material, epsilon_free, spec=None):
+def check_stress_bound(state, material, epsilon_free):
     """Bound on S:S + h.h/chi by the stored energy plus a temperature term.
 
     ``epsilon_free``, one number or one per node, is the free parameter of
@@ -276,8 +271,7 @@ def check_stress_bound(state, material, epsilon_free, spec=None):
     """
     if np.any(np.asarray(epsilon_free) <= 0.0):
         raise NonPositiveEpsilon(f"epsilon_free must be > 0, got {epsilon_free}")
-    if spec is None:
-        spec = material_spectrum(material, require="energy")
+    spec = material_spectrum(material, require="energy")
     S, h, _ = _packed_response(state, material)
     lhs = np.sum(S ** 2, axis=(0, 1)) + _dot(h, h) / material.chi
     rhs = ((1.0 + epsilon_free) * 2.0 * spec.mu_M * stored_energy(state, material)
@@ -285,7 +279,7 @@ def check_stress_bound(state, material, epsilon_free, spec=None):
     return lhs, rhs
 
 
-def check_surface_power_bound(state, udot, normal, material, decay, lam, spec=None):
+def check_surface_power_bound(state, udot, normal, material, decay, lam):
     """Pointwise bound of the surface power by the weighted energy density.
 
     lhs is the absolute surface power through a plane with unit normal
@@ -294,8 +288,7 @@ def check_surface_power_bound(state, udot, normal, material, decay, lam, spec=No
     :func:`~voidtherm.material.zeta_of_lambda`.  This is the pointwise
     engine behind the differential inequality.
     """
-    if spec is None:
-        spec = material_spectrum(material, require="energy")
+    spec = material_spectrum(material, require="energy")
     udot, normal = np.asarray(udot, dtype=float), np.asarray(normal, dtype=float)
     S, h, _ = _packed_response(state, material)
     q = _apply(material.K, state.kappa)

@@ -58,43 +58,35 @@ def n_voigt(dim):
     return dim * (dim + 1) // 2
 
 
+def _voigt_index(dim):
+    """The pairs of :func:`voigt_pairs` as index arrays (i, j), and the
+    (dim, dim) table of each pair's position, symmetric in (i, j)."""
+    i, j = np.array(voigt_pairs(dim)).T
+    position = np.empty((dim, dim), dtype=int)
+    position[i, j] = position[j, i] = np.arange(i.size)
+    return i, j, position
+
+
 def pack_elasticity(C, dim):
     """Full rank-4 ``C`` -> packed symmetric matrix, canonical pair order."""
-    pairs = voigt_pairs(dim)
-    nv = len(pairs)
-    packed = np.empty((nv, nv))
-    for a, (i, j) in enumerate(pairs):
-        for c, (r, s) in enumerate(pairs):
-            packed[a, c] = C[i, j, r, s]
-    return packed
+    i, j, _ = _voigt_index(dim)
+    return C[i[:, None], j[:, None], i, j]
 
 
 def unpack_elasticity(packed, dim):
     """Packed matrix -> full rank-4 tensor with all symmetries imposed."""
-    pairs = voigt_pairs(dim)
-    C = np.zeros((dim, dim, dim, dim))
-    for a, (i, j) in enumerate(pairs):
-        for c, (r, s) in enumerate(pairs):
-            v = packed[a, c]
-            C[i, j, r, s] = C[j, i, r, s] = C[i, j, s, r] = C[j, i, s, r] = v
-    return C
+    position = _voigt_index(dim)[2]
+    return packed[position[:, :, None, None], position]
 
 
 def pack_coupling(D, dim):
     """Full ``D[i, j, s]`` (symmetric in i, j) -> packed (n_voigt, dim)."""
-    pairs = voigt_pairs(dim)
-    packed = np.empty((len(pairs), dim))
-    for a, (i, j) in enumerate(pairs):
-        packed[a, :] = D[i, j, :]
-    return packed
+    i, j, _ = _voigt_index(dim)
+    return D[i, j]
 
 
 def unpack_coupling(packed, dim):
-    pairs = voigt_pairs(dim)
-    D = np.zeros((dim, dim, dim))
-    for a, (i, j) in enumerate(pairs):
-        D[i, j, :] = D[j, i, :] = packed[a, :]
-    return D
+    return packed[_voigt_index(dim)[2]]
 
 
 # ---------------------------------------------------------------------------
@@ -365,38 +357,23 @@ def zeta_of_lambda(spec, material, lam):
                            eps1=eps1, eps2=eps2, decay_rate=lam / zeta)
 
 
-@dataclass(frozen=True)
-class FeasibilityWindow:
-    """Admissible anchor points (t0, r0) with L <= zeta*t0 + r0 <= zeta*T."""
+def feasibility_window(zeta, L, T, r0):
+    """The admissible t0 interval (t0_min, t0_max) of the anchor (t0, r0)
+    under the constraint L <= zeta*t0 + r0 <= zeta*T, with 0 <= t0 <= T.
 
-    zeta: float
-    L: float
-    T: float
-    r0: float | None = None
-    t0_min: float | None = None
-    t0_max: float | None = None
-
-
-def feasibility_window(zeta, L, T, r0=None):
-    """Constraint L <= zeta*t0 + r0 <= zeta*T as explicit bounds.
-
-    With ``r0`` given, returns the admissible t0 interval.  Raises
-    :class:`InfeasibleWindow` when zeta*T < L (time weight too small for
-    the horizon) or when ``r0`` exceeds zeta*T.
+    Raises :class:`InfeasibleWindow` when zeta*T < L (time weight too small
+    for the horizon) or when the interval is empty.
     """
     if L <= 0.0 or T <= 0.0:
         raise ValueError("L and T must be positive")
     if zeta * T < L * (1.0 - 1e-12):
         raise InfeasibleWindow(f"zeta*T = {zeta * T:.6g} < L = {L:.6g}")
-    if r0 is None:
-        return FeasibilityWindow(zeta=zeta, L=L, T=T)
     t0_min = max(0.0, (L - r0) / zeta)
-    t0_max = T - r0 / zeta
+    t0_max = min(T - r0 / zeta, T)
     if t0_min > t0_max + 1e-12:
         raise InfeasibleWindow(
             f"r0 = {r0:.6g} leaves no admissible t0 (bounds [{t0_min:.6g}, {t0_max:.6g}])")
-    return FeasibilityWindow(zeta=zeta, L=L, T=T, r0=float(r0),
-                             t0_min=t0_min, t0_max=min(t0_max, T))
+    return t0_min, t0_max
 
 
 def optimize_lambda(material, L, T, r0, lambda_grid):
@@ -408,14 +385,14 @@ def optimize_lambda(material, L, T, r0, lambda_grid):
     grid = sorted({float(l) for l in lambda_grid})
     if not grid:
         raise ValueError("lambda grid is empty")
-    if grid[0] <= 0.0:
-        raise ValueError("lambda grid must be positive")
+    if not all(0.0 < lam < math.inf for lam in grid):
+        raise ValueError(f"lambda grid must be positive and finite, got {grid}")
     spec = spectrum(material)
     best = None
     for lam in grid:
         dec = zeta_of_lambda(spec, material, lam)
         try:
-            feasibility_window(dec.zeta, L, T, r0=r0)
+            feasibility_window(dec.zeta, L, T, r0)
         except InfeasibleWindow:
             continue
         if best is None or dec.decay_rate > best[1]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _csvtext
-from .constitutive import TOLERANCES, energy_density, rate_density
+from .constitutive import DECAY_FLOOR, DISCRETE_REL, energy_density, rate_density
 from .material import spectrum as material_spectrum, zeta_of_lambda
 from .solver import replay, trapezoid_weights
 
@@ -339,7 +339,7 @@ def check_diff_inequality(series, tol=None):
     (discretization slack; the inequality is exact in the continuum).
     """
     decay = series.decay
-    tol = TOLERANCES.discrete_rel if tol is None else tol
+    tol = DISCRETE_REL if tol is None else tol
     term_t = series.dE_dt / decay.lam
     margin = -(decay.zeta / decay.lam) * series.dE_dr     # term_r, then the margin
     scale = max(_absmax(series.E), _absmax(margin), _absmax(term_t), 1e-30)
@@ -391,20 +391,16 @@ def check_decay(series, t0, r0, tol=None):
     from .material import InfeasibleWindow, feasibility_window
 
     decay = series.decay
-    tol = TOLERANCES.discrete_rel if tol is None else tol
-    floor = TOLERANCES.decay_floor
-    L = float(series.r[-1])
-    T = float(series.t[-1])
-    window = feasibility_window(decay.zeta, L, T, r0=r0)
-    if not (window.t0_min - 1e-9 <= t0 <= window.t0_max + 1e-9):
-        raise InfeasibleWindow(
-            f"t0 = {t0:.6g} outside [{window.t0_min:.6g}, {window.t0_max:.6g}]")
+    tol = DISCRETE_REL if tol is None else tol
+    t0_min, t0_max = feasibility_window(decay.zeta, float(series.r[-1]), float(series.t[-1]), r0)
+    if not (t0_min - 1e-9 <= t0 <= t0_max + 1e-9):
+        raise InfeasibleWindow(f"t0 = {t0:.6g} outside [{t0_min:.6g}, {t0_max:.6g}]")
 
     tchar = t0 + (r0 - series.r) / decay.zeta
     e_char = np.array([np.interp(tchar[j], series.t, series.E[j])
                        for j in range(series.r.size)])
-    floored = e_char <= floor
-    logs = np.log(np.maximum(e_char, floor))
+    floored = e_char <= DECAY_FLOOR
+    logs = np.log(np.maximum(e_char, DECAY_FLOOR))
     bound = logs[0] - decay.decay_rate * series.r + math.log1p(tol)
     bad = np.argwhere(~floored & (logs > bound)).ravel()
     violations = [(float(series.r[j]), float(logs[j] - bound[j])) for j in bad[:64]]
@@ -418,7 +414,7 @@ def check_decay(series, t0, r0, tol=None):
     # the weighted measure must not rise between neighbouring live samples
     i_char = np.exp(decay.decay_rate * series.r) * e_char
     rises = live[:-1] & live[1:] & (i_char[1:] > i_char[:-1] * (1.0 + tol))
-    chain = [(float(series.r[j + 1]), float(i_char[j + 1] / max(i_char[j], floor) - 1.0))
+    chain = [(float(series.r[j + 1]), float(i_char[j + 1] / max(i_char[j], DECAY_FLOOR) - 1.0))
              for j in np.flatnonzero(rises)]
     return DecayReport(t0=float(t0), r0=float(r0), rate_bound=decay.decay_rate,
                        slope=slope, violations=violations, chain_violations=chain,

@@ -307,10 +307,3 @@ def manufactured_scenario(u_exprs, phi_expr, theta_expr, grid, material,
     )
     return scenario, exact
 
-
-def static_equilibrium_scenario(u_exprs, grid, material, dt="auto", T=1.0):
-    """Scenario whose body force holds a time-independent displacement in
-    equilibrium (zero void fraction and temperature): f = -div S / rho, so
-    the exact trajectory is stationary."""
-    return manufactured_scenario(u_exprs, sp.Integer(0), sp.Integer(0),
-                                 grid, material, dt=dt, T=T)

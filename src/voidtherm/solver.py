@@ -429,7 +429,7 @@ def validate_scenario(scenario):
                 bc, at = groups[g], f"face ({axis}, {side})"
                 if bc.fielddata is not None:
                     data = [_face_data(scenario, (axis, side), g, t) for t in (0.0, 0.5 * T, T)]
-                    if _largest(data) > 1e-14:
+                    if _largest(data, outside[face_slice(axis, side, scenario.grid.dim)]) > 1e-14:
                         errors.append(f"{at} '{g}' field data nonzero outside the support slab")
                 elif not bc.is_zero():
                     errors.append(f"{at} carries nonzero '{g}' data outside the support slab")
@@ -544,11 +544,11 @@ def _difference(f, axis, h, out=None):
     return out
 
 
-def _divergence(fluxes, spacing, out=None, work=None):
+def _divergence(fluxes, spacing, out, work):
     """Sum over axes j of the derivative along j of ``fluxes[j]``, which
     stacks the axis-j components of several fluxes on its leading axis;
     ``work``, shaped like ``fluxes[j]``, holds each derivative after the
-    first (None: a new array)."""
+    first."""
     out = _difference(fluxes[0], 0, spacing[0], out)
     for j in range(1, len(spacing)):
         out += _difference(fluxes[j], j, spacing[j], work)
@@ -777,10 +777,10 @@ class _Operator:
         np.matmul(L, self.packed[:L.shape[1]].reshape(L.shape[1], -1),
                   out=self.flux.reshape(len(L), -1))
 
-    def level(self, t, phidot_lag):
+    def level(self, t):
         """Corrected gradients of (u, phi, theta), the fluxes and the
-        accelerations of (u, phi) at time t, with ``phidot_lag`` in the rate
-        term."""
+        accelerations of (u, phi) at time t, with the phidot row of ``Y`` in
+        the rate term."""
         d, flux = self.d, self.flux
         self.fluxes(t)
         # self.tmp is free here: its last reader, the theta update, came before
@@ -788,7 +788,7 @@ class _Operator:
                     work=self.tmp)
         self.acc[d] += flux[-1]
         if self.tau_acc:
-            self.acc[d] += self.tau_acc * phidot_lag
+            self.acc[d] += self.tau_acc * self.Y[2 * d + 2]
         if "f" in self.sources:
             self.acc[:d] += self.scenario.source("f", t)
         if "ell" in self.sources:
@@ -831,11 +831,11 @@ class _Operator:
         return SimState(t=t, u=Y[:d].copy(), v=Y[d + 2:2 * d + 2].copy(), phi=Y[d].copy(),
                         phidot=Y[2 * d + 2].copy(), theta=Y[d + 1].copy())
 
-    def rates(self, state, phidot_lag):
+    def rates(self, state):
         """Accelerations of (u, phi), stacked, and the temperature rate at a
         state, as copies."""
         self.load(state)
-        self.level(state.t, phidot_lag)
+        self.level(state.t)
         return self.acc.copy(), self._theta_rate(self.grad[-1], state.t, self.rate).copy()
 
     def kinematics(self, state):
@@ -927,7 +927,7 @@ class _Operator:
         theta += tmp[0]
         self._dirichlet(t1, self._theta)
 
-        self.level(t1, Y[2 * d + 2])
+        self.level(t1)
         np.multiply(self.acc, 0.5 * dt, out=tmp)
         W += tmp
         self._dirichlet(t1, self._velocities)
@@ -998,7 +998,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     op = _Operator(scenario, dissipative)
     op.load(SimState(0.0, *initial_arrays(scenario)))
     op.impose(0.0)
-    op.level(0.0, op.Y[-1])
+    op.level(0.0)
 
     weights = trapezoid_weights(grid.counts, grid.spacing)
     theta = op.Y[grid.dim + 1]
@@ -1138,7 +1138,7 @@ def pde_residual(trajectory, boundary_margin=0):
     for k in range(1, len(states) - 1):
         prev, cur, nxt = states[k - 1:k + 2]
         t = float(times[k])
-        acc, rate = op.rates(cur, cur.phidot)
+        acc, rate = op.rates(cur)
         terms = {
             "momentum": ((nxt.u - 2.0 * cur.u + prev.u) / dt ** 2, acc[:d],
                          scenario.source("f", t)),

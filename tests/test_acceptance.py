@@ -81,11 +81,11 @@ def test_acceptance_2_inequality_suite():
     lhs = np.sum(g.S ** 2, axis=(0, 1)) + np.sum(g.h ** 2, axis=0) / m.chi + g.G ** 2
     violations["image_energy"] = int(np.sum(lhs > 2.0 * spec.mu_M * wa * (1 + rel) + 1e-12))
 
-    lhs, rhs = vt.check_flux_bound(rng.normal(size=(3, n)), m, spec=spec)
+    lhs, rhs = vt.check_flux_bound(rng.normal(size=(3, n)), m)
     violations["flux"] = int(np.sum(lhs > rhs * (1 + rel) + 1e-15))
 
     eps = np.resize((0.1, 1.0, 10.0), n)
-    lhs, rhs = vt.check_stress_bound(cn.random_point_state(m, rng, n), m, eps, spec=spec)
+    lhs, rhs = vt.check_stress_bound(cn.random_point_state(m, rng, n), m, eps)
     violations["stress"] = int(np.sum(lhs > rhs * (1 + rel) + 1e-12))
 
     L = rng.normal(size=(n, 3, 3))
@@ -97,7 +97,7 @@ def test_acceptance_2_inequality_suite():
     st = cn.random_point_state(m, rng, n)
     udot = rng.normal(size=(3, n))
     normal = cn.random_unit_vector(3, rng, n)
-    lhs, rhs = vt.check_surface_power_bound(st, udot, normal, m, decay, lam, spec=spec)
+    lhs, rhs = vt.check_surface_power_bound(st, udot, normal, m, decay, lam)
     violations["surface_power"] = int(np.sum(lhs > rhs * (1 + rel) + 1e-12))
 
     elapsed = time.monotonic() - t0

@@ -208,11 +208,11 @@ def test_packed_response_matches_field_response(dim):
     assert close((r.S, r.h, r.G, r.q), (S, h, G, q))
     assert np.array_equal(r.g, m.tau * st.phidot + r.G)
     assert np.array_equal(r.rhoEta, cn.entropy_field(st.e, st.gamma, st.phi, st.theta, m))
-    lhs, _ = cn.check_stress_bound(st, m, 1.0, spec=spec)
+    lhs, _ = cn.check_stress_bound(st, m, 1.0)
     assert close([lhs], [np.sum(S ** 2, axis=(0, 1)) + np.sum(h * h, axis=0) / m.chi])
     udot, normal = rng.normal(size=(dim, 50)), cn.random_unit_vector(dim, rng, 50)
     lhs, _ = cn.check_surface_power_bound(st, udot, normal, m,
-                                          vt.zeta_of_lambda(spec, m, 2.0), 2.0, spec=spec)
+                                          vt.zeta_of_lambda(spec, m, 2.0), 2.0)
     power = (np.einsum("ijn,jn,in->n", S, normal, udot) + np.sum(h * normal, axis=0) * st.phidot
              - st.theta * np.sum(q * normal, axis=0) / m.theta0)
     scale = (np.abs(S).max(axis=(0, 1)) + np.abs(h).max(axis=0) + np.abs(q).max(axis=0)) * (
@@ -245,9 +245,9 @@ def test_batched_checks_equal_pointwise_loop(case):
     def evaluate(s, u, nrm):
         r = vt.response(s, m)
         return (r.S, r.h, r.g, r.G, r.rhoEta, r.q, vt.stored_energy(s, m),
-                *cn.check_flux_bound(s.kappa, m, spec=spec),
-                *cn.check_stress_bound(s, m, 0.5, spec=spec),
-                *cn.check_surface_power_bound(s, u, nrm, m, decay, 2.0, spec=spec))
+                *cn.check_flux_bound(s.kappa, m),
+                *cn.check_stress_bound(s, m, 0.5),
+                *cn.check_surface_power_bound(s, u, nrm, m, decay, 2.0))
 
     loop = [evaluate(point(st, k), udot[:, k], normal[:, k]) for k in range(n)]
     assert all(np.ndim(x) == np.ndim(y) - 1 for x, y in zip(loop[0], evaluate(st, udot, normal)))
@@ -310,9 +310,8 @@ def test_flux_bound_cases(rng):
 def test_flux_bound_random(rng):
     for dim in (2, 3):
         m = random_material(dim, rng)
-        spec = vt.spectrum(m)
         for _ in range(500):
-            lhs, rhs = vt.check_flux_bound(rng.normal(size=dim), m, spec=spec)
+            lhs, rhs = vt.check_flux_bound(rng.normal(size=dim), m)
             assert lhs <= rhs * (1.0 + 1e-12) + 1e-15
 
 
@@ -328,13 +327,12 @@ def test_tensor_splitting_inequality(rng):
 
 def test_stress_bound(rng):
     m = random_material(2, rng)
-    spec = vt.spectrum(m)
     zero = cn.PointState.zero(2)
-    assert vt.check_stress_bound(zero, m, 1.0, spec=spec) == (0.0, 0.0)
+    assert vt.check_stress_bound(zero, m, 1.0) == (0.0, 0.0)
     with pytest.raises(vt.NonPositiveEpsilon):
         vt.check_stress_bound(zero, m, 0.0)
     for eps in (0.1, 1.0, 10.0):
-        lhs, rhs = vt.check_stress_bound(cn.random_point_state(m, rng, 400), m, eps, spec=spec)
+        lhs, rhs = vt.check_stress_bound(cn.random_point_state(m, rng, 400), m, eps)
         assert np.all(lhs <= rhs * (1.0 + 1e-10) + 1e-12)
 
 
@@ -343,7 +341,7 @@ def test_stress_bound_reduces_without_temperature(rng):
     m = random_material(3, rng)
     spec = vt.spectrum(m)
     st = dataclasses.replace(cn.random_point_state(m, rng, 300), theta=0.0)
-    lhs, _ = vt.check_stress_bound(st, m, 1.0, spec=spec)
+    lhs, _ = vt.check_stress_bound(st, m, 1.0)
     wstar = vt.stored_energy(st, m)
     assert np.all(lhs <= 2.0 * spec.mu_M * wstar * (1.0 + 1e-10) + 1e-12)
 
@@ -356,12 +354,12 @@ def test_surface_power_bound(rng):
         decay = vt.zeta_of_lambda(spec, m, lam)
         zero = cn.PointState.zero(dim)
         lhs, rhs = vt.check_surface_power_bound(zero, np.zeros(dim), np.eye(dim)[0],
-                                                m, decay, lam, spec=spec)
+                                                m, decay, lam)
         assert (lhs, rhs) == (0.0, 0.0)
         st = cn.random_point_state(m, rng, 500)
         udot = rng.normal(size=(dim, 500))
         normal = cn.random_unit_vector(dim, rng, 500)
-        lhs, rhs = vt.check_surface_power_bound(st, udot, normal, m, decay, lam, spec=spec)
+        lhs, rhs = vt.check_surface_power_bound(st, udot, normal, m, decay, lam)
         assert np.all(lhs <= rhs * (1.0 + 1e-10) + 1e-12)
 
 
@@ -371,8 +369,7 @@ def test_surface_power_bound_without_conduction(rng):
     spec = vt.spectrum(m, require="energy")
     decay = vt.zeta_of_lambda(spec, m, 2.0)
     st = cn.random_point_state(m, rng, 200)
-    lhs, rhs = vt.check_surface_power_bound(st, rng.normal(size=(1, 200)), [1.0], m, decay, 2.0,
-                                            spec=spec)
+    lhs, rhs = vt.check_surface_power_bound(st, rng.normal(size=(1, 200)), [1.0], m, decay, 2.0)
     assert np.all(np.isfinite(rhs))
     assert np.all(lhs <= rhs * (1.0 + 1e-10) + 1e-12)
 
@@ -383,7 +380,6 @@ def test_surface_power_bound_velocity_only(rng):
     spec = vt.spectrum(m)
     decay = vt.zeta_of_lambda(spec, m, 2.0)
     st = cn.PointState.zero(2)
-    lhs, rhs = vt.check_surface_power_bound(st, [1.0, -2.0], [1.0, 0.0], m, decay, 2.0,
-                                            spec=spec)
+    lhs, rhs = vt.check_surface_power_bound(st, [1.0, -2.0], [1.0, 0.0], m, decay, 2.0)
     assert lhs == 0.0
     assert rhs > 0.0

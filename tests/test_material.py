@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import voidtherm as vt
+from voidtherm import presets
 from voidtherm.material import (epsilon_residual, n_voigt, pack_coupling,
                                 pack_elasticity, random_material,
                                 unpack_coupling, unpack_elasticity, voigt_pairs)
@@ -249,13 +250,17 @@ def test_zeta_monotone_rate(rng):
 
 
 def test_feasibility_window_examples():
-    w = vt.feasibility_window(1.0, 1.0, 2.0, r0=1.0)
-    assert (w.t0_min, w.t0_max) == (0.0, 1.0)
+    assert vt.feasibility_window(1.0, 1.0, 2.0, 1.0) == (0.0, 1.0)
     with pytest.raises(vt.InfeasibleWindow):
-        vt.feasibility_window(1.0, 3.0, 2.0)
-    w = vt.feasibility_window(2.0, 2.0, 1.0, r0=0.0)
-    assert w.t0_min == pytest.approx(1.0)
-    assert w.t0_max == pytest.approx(1.0)
+        vt.feasibility_window(1.0, 3.0, 2.0, 0.0)
+    t0_min, t0_max = vt.feasibility_window(2.0, 2.0, 1.0, 0.0)
+    assert t0_min == pytest.approx(1.0)
+    assert t0_max == pytest.approx(1.0)
+    # a negative r0 pushes T - r0/zeta past T: the bound is clamped to T
+    # before the interval is tested, so [1.5, 1] is empty
+    with pytest.raises(vt.InfeasibleWindow):
+        vt.feasibility_window(1.0, 1.0, 1.0, -0.5)
+    assert vt.feasibility_window(1.0, 1.0, 2.0, -0.5) == (1.5, 2.0)
 
 
 def test_optimize_lambda():
@@ -267,6 +272,9 @@ def test_optimize_lambda():
     lam, rate = vt.optimize_lambda(toy, 1.0, 2.0, 0.0, [1.0, 4.0, 16.0])
     assert lam == 16.0
     assert rate == pytest.approx(16.0 / math.sqrt(8.0), rel=1e-12)
+    for bad in ([math.nan], [math.inf], [1.0, math.nan], [0.0]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            vt.optimize_lambda(presets.reference_material(), 1.0, 1.0, 0.5, bad)
 
 
 # ---------------------------------------------------------------------------

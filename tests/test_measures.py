@@ -319,7 +319,7 @@ def test_surface_power_dominated_by_weighted_density(pulse_trajectory, pulse_rec
         point = cn.PointState(e=e[:, :, idx], gamma=gamma[:, idx], kappa=kappa[:, idx],
                               phi=st.phi[idx], phidot=st.phidot[idx], theta=st.theta[idx])
         lhs, rhs = vt.check_surface_power_bound(point, st.v[:, idx], [1.0], mat,
-                                                decay, pulse_lambda, spec=spec)
+                                                decay, pulse_lambda)
         weighted = math.exp(pulse_lambda * st.t)
         assert abs(power[k]) <= weighted * rhs * (1.0 + 1e-10) + 1e-30
 
@@ -591,7 +591,7 @@ def test_measure_memory_is_its_tables(pulse_file_record):
 
 def _reference_chain(series, t0, r0, tol):
     # check_decay's chain test as a loop over neighbouring samples
-    decay, floor = series.decay, cn.TOLERANCES.decay_floor
+    decay, floor = series.decay, cn.DECAY_FLOOR
     tchar = t0 + (r0 - series.r) / decay.zeta
     e_char = np.array([np.interp(tchar[j], series.t, series.E[j])
                        for j in range(series.r.size)])
@@ -619,7 +619,7 @@ def test_decay_chain_violations_match_the_loop(pulse_series, pulse_scenario):
     h1 = pulse_scenario.grid.spacing[0]
     r0 = math.floor(min(1.0, 0.5 * decay.zeta) / h1) * h1
     t0 = 1.0 - r0 / decay.zeta
-    tol = cn.TOLERANCES.discrete_rel
+    tol = cn.DISCRETE_REL
     rep = vt.check_decay(crafted, t0, r0, tol)
     assert rep.n_floored > 0 and len(rep.chain_violations) > 10
     assert rep.chain_violations == _reference_chain(crafted, t0, r0, tol)

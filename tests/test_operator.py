@@ -74,14 +74,14 @@ def ref_flux_corrections(du, dphi, phi, theta, scenario, t):
         dphi[(axis,) + fs] = x[d]
 
 
-def ref_accelerations(u, phi, theta, phidot_lag, scenario, t, tau_sign):
+def ref_accelerations(u, phi, theta, phidot, scenario, t, tau_sign):
     mat, grid = scenario.material, scenario.grid
     du = np.stack([ref_grad(u[i], grid) for i in range(grid.dim)])
     dphi = ref_grad(phi, grid)
     ref_flux_corrections(du, dphi, phi, theta, scenario, t)
     S, h, G, _ = field_response(0.5 * (du + du.swapaxes(0, 1)), dphi, None, phi, theta, mat)
     div_s = np.stack([ref_divergence(S[i], grid) for i in range(grid.dim)])
-    g = tau_sign * mat.tau * phidot_lag + G
+    g = tau_sign * mat.tau * phidot + G
     acc_u = (div_s + mat.rho * scenario.source("f", t)) / mat.rho
     acc_p = (ref_divergence(h, grid) + g + mat.rho * scenario.source("ell", t)) / (mat.rho * mat.chi)
     return acc_u, acc_p
@@ -152,14 +152,13 @@ def test_operator_matches_reference(dim, dissipative):
         state = SimState(t=0.37, u=rng.normal(size=(dim,) + counts),
                          v=rng.normal(size=(dim,) + counts), phi=rng.normal(size=counts),
                          phidot=rng.normal(size=counts), theta=rng.normal(size=counts))
-        lag = rng.normal(size=counts)
         tau_sign, thermal_sign = (-1.0, 1.0) if dissipative else (1.0, -1.0)
-        acc_u, acc_p = ref_accelerations(state.u, state.phi, state.theta, lag, scen,
+        acc_u, acc_p = ref_accelerations(state.u, state.phi, state.theta, state.phidot, scen,
                                          state.t, tau_sign)
         tdot = ref_theta_rate(state.v, state.phidot, state.theta, scen, state.t, thermal_sign)
 
         op = _Operator(scen, dissipative)
-        got_acc, got_tdot = op.rates(state, lag)
+        got_acc, got_tdot = op.rates(state)
         for got, want in ((got_acc[:dim], acc_u), (got_acc[dim], acc_p), (got_tdot, tdot)):
             gap = rel_gap(got, want)
             worst = max(worst, gap)
@@ -364,7 +363,7 @@ def test_kernel_probed_at_most_once(kinds, probes):
     op = _Operator(scen)
     op.kinematics(state)
     assert response_matrix.cache_info().misses - before == probes
-    op.rates(state, zeros[1])
+    op.rates(state)
     assert response_matrix.cache_info().misses - before == 1
 
 
@@ -389,7 +388,7 @@ def conduction_growth_exponent(scen, T):
         theta.flat[k] = 1.0
         state = SimState(t=0.0, u=zeros[0], v=zeros[0], phi=zeros[1], phidot=zeros[1],
                          theta=theta)
-        _, tdot = op.rates(state, zeros[1])
+        _, tdot = op.rates(state)
         cols.append(tdot.ravel()[nodes])
     return float(np.linalg.eigvals(np.array(cols).T).real.max()) * T
 

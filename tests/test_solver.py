@@ -7,7 +7,7 @@ import pytest
 
 import voidtherm as vt
 from voidtherm import presets
-from voidtherm.mms import manufactured_scenario, static_equilibrium_scenario
+from voidtherm.mms import manufactured_scenario
 from voidtherm.solver import (BoundaryCondition, BoundaryPartition, SimState,
                               Trajectory, _face_data, face_slice, initial_arrays,
                               validate_scenario)
@@ -325,8 +325,8 @@ def test_static_profile_stays_in_equilibrium():
     mat = presets.reference_material()
     grid = vt.Grid(extents=(1.0,), counts=(61,))
     x1 = sp.Symbol("x1", real=True)
-    scen, exact = static_equilibrium_scenario([sp.Float(0.05) * sp.sin(sp.pi * x1)],
-                                              grid, mat, T=0.3)
+    scen, exact = manufactured_scenario([sp.Float(0.05) * sp.sin(sp.pi * x1)], sp.Integer(0),
+                                        sp.Integer(0), grid, mat, T=0.3)
     traj = vt.run(scen, n_samples=4)
     err = exact.errors(traj.states[-1], scen)
     # discrete equilibrium differs from the analytic one by O(h^2) only
@@ -575,12 +575,16 @@ def test_support_check_rejects_source_outside_slab():
 
 
 def test_support_check_rejects_far_face_field_data():
-    # spatially varying data on a lateral face of a 2D plate: nonzero only
-    # at t = T / 2 and only at nodes beyond the slab
+    # spatially varying data on a lateral face of a 2D plate, nonzero only at
+    # t = T / 2: rejected at nodes beyond the slab, accepted inside it
     plate = vt.Scenario(grid=vt.Grid(extents=(1.25, 0.5), counts=(41, 9)),
                         material=presets.reference_material_2d(),
                         boundary=BoundaryPartition.all_dirichlet_zero(2), dt="auto",
                         T=0.2, support_x0=0.25)
+    near = vt.FieldData(value=lambda X, t: np.where(X[0] < 0.2, 0.1 * (t == 0.1), 0.0),
+                        rate=lambda X, t: np.zeros(np.shape(X[0])))
+    plate.boundary.faces[(1, "max")]["thermal"] = BoundaryCondition("dirichlet", fielddata=near)
+    assert validate_scenario(plate) == ([], [])
     bump = vt.FieldData(value=lambda X, t: np.where(X[0] > 0.5, 0.1 * (t == 0.1), 0.0),
                         rate=lambda X, t: np.zeros(np.shape(X[0])))
     plate.boundary.faces[(1, "max")]["void"] = BoundaryCondition("dirichlet", fielddata=bump)
