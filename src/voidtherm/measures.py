@@ -332,26 +332,45 @@ class DiffInequalityReport:
                 f"worst margin {self.worst_margin:.3e} (slack {self.tol:.1e} * {self.scale:.3e})")
 
 
+# table entries per row block of the inequality check: its work tables
+# stay a fixed size whatever the number of samples
+CHECK_BLOCK = 1 << 14
+
+
 def check_diff_inequality(series, tol=None):
     """Check the first-order differential inequality at every (r, t) sample.
 
     The slack is ``tol`` times the largest magnitude among the three terms
-    (discretization slack; the inequality is exact in the continuum).
+    (discretization slack; the inequality is exact in the continuum).  The
+    terms and the margin are formed a block of about ``CHECK_BLOCK`` entries
+    at a time, twice: once for the scale, once for the margin.
     """
     decay = series.decay
     tol = DISCRETE_REL if tol is None else tol
-    term_t = series.dE_dt / decay.lam
-    margin = -(decay.zeta / decay.lam) * series.dE_dr     # term_r, then the margin
-    scale = max(_absmax(series.E), _absmax(margin), _absmax(term_t), 1e-30)
-    margin += term_t
-    del term_t
-    margin += tol * scale
-    margin -= series.E
-    bad = np.argwhere(margin < 0.0)
-    violations = [(float(series.r[j]), float(series.t[k]), float(margin[j, k]))
-                  for j, k in bad[:64]]
-    return DiffInequalityReport(violations=violations, n_checked=int(margin.size),
-                                worst_margin=float(margin.min()), tol=tol, scale=scale)
+    E, n_t = series.E, series.E.shape[1]
+    step = max(1, CHECK_BLOCK // n_t)
+    blocks = [slice(j, j + step) for j in range(0, E.shape[0], step)]
+
+    def margin_terms(rows):   # term_r (later the margin) and term_t of a block
+        return -(decay.zeta / decay.lam) * series.dE_dr[rows], series.dE_dt[rows] / decay.lam
+
+    # np.max, not max: a nan in any block reaches the scale, as on full tables
+    r_max, t_max = np.max([[_absmax(term) for term in margin_terms(rows)] for rows in blocks],
+                          axis=0)
+    scale = max(_absmax(E), float(r_max), float(t_max), 1e-30)
+    violations, minima = [], []
+    for rows in blocks:
+        margin, term_t = margin_terms(rows)
+        margin += term_t
+        del term_t
+        margin += tol * scale
+        margin -= E[rows]
+        minima.append(margin.min())
+        for j, k in np.argwhere(margin < 0.0)[:64 - len(violations)]:
+            violations.append((float(series.r[rows.start + j]), float(series.t[k]),
+                               float(margin[j, k])))
+    return DiffInequalityReport(violations=violations, n_checked=int(E.size),
+                                worst_margin=float(np.min(minima)), tol=tol, scale=scale)
 
 
 @dataclass(eq=False)

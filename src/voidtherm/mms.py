@@ -76,11 +76,16 @@ class _Basis:
 
     ``dx`` and ``dt`` give the derivative of one monomial along one axis and
     of one time factor in t, each split back onto the basis; sympy
-    differentiates each of them once per basis."""
+    differentiates each of them once per basis.
+
+    ``times`` numbers the time factors the fields use, and
+    ``time_values(t)`` evaluates them all at t, through one lambdified
+    function per basis (made again only when a factor is added)."""
 
     def __init__(self, xs):
         self.xs, self.monomials, self._fn, self._cache = xs, {}, None, {}
         self._dx, self._dt = {}, {}
+        self.times, self._time_fn = {}, (None, None)
 
     def dx(self, m, axis):
         """d(monomial m)/d(x_axis) as {monomial index: coefficient}."""
@@ -100,6 +105,12 @@ class _Basis:
                     const, factor = term.as_independent(TIME, as_Add=False)
                     out[factor] = out.get(factor, 0.0) + float(const)
         return self._dt[time]
+
+    def time_values(self, t):
+        """Every time factor at t, as a float array indexed by ``times``."""
+        if self._time_fn[0] != len(self.times):
+            self._time_fn = (len(self.times), sp.lambdify(TIME, list(self.times), "math"))
+        return np.array(self._time_fn[1](t), dtype=float)
 
     def values(self, X):
         hit = self._cache.get(id(X))
@@ -204,17 +215,21 @@ class _Field:
         for c, p in enumerate(parts):
             for (time, m), coef in p.terms.items():
                 self.W[c, m, times.index(time)] = coef
-        self.tau = sp.lambdify(TIME, times, "math")
+        self._columns = [basis.times.setdefault(time, len(basis.times)) for time in times]
         rest = [p.rest for p in parts]
         self.remainder = (sp.lambdify((*basis.xs, TIME), rest, "numpy")
                           if any(r != 0 for r in rest) else None)
         self.basis, self.vector = basis, vector
         self._t = self._coef = None
 
+    def tau(self, t):
+        """The field's time factors at t, in the order of W's last axis."""
+        return self.basis.time_values(t)[self._columns]
+
     def __call__(self, X, t):
         B, shape = self.basis.values(X)
         if t != self._t:
-            self._t, self._coef = t, self.W @ np.array(self.tau(t), dtype=float)
+            self._t, self._coef = t, self.W @ self.tau(t)
         coef = self._coef
         out = (coef @ B).reshape(coef.shape[:1] + shape)
         if self.remainder is not None:

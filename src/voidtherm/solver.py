@@ -779,16 +779,14 @@ class _Operator:
 
     def level(self, t):
         """Corrected gradients of (u, phi, theta), the fluxes and the
-        accelerations of (u, phi) at time t, with the phidot row of ``Y`` in
-        the rate term."""
+        accelerations of (u, phi) at time t, all but the rate term
+        ``tau_acc`` phidot: ``advance`` takes that term implicitly."""
         d, flux = self.d, self.flux
         self.fluxes(t)
         # self.tmp is free here: its last reader, the theta update, came before
         _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), (0.5,) * d, out=self.acc,
                     work=self.tmp)
         self.acc[d] += flux[-1]
-        if self.tau_acc:
-            self.acc[d] += self.tau_acc * self.Y[2 * d + 2]
         if "f" in self.sources:
             self.acc[:d] += self.scenario.source("f", t)
         if "ell" in self.sources:
@@ -836,7 +834,10 @@ class _Operator:
         state, as copies."""
         self.load(state)
         self.level(state.t)
-        return self.acc.copy(), self._theta_rate(self.grad[-1], state.t, self.rate).copy()
+        acc = self.acc.copy()
+        if self.tau_acc:
+            acc[self.d] += self.tau_acc * state.phidot
+        return acc, self._theta_rate(self.grad[-1], state.t, self.rate).copy()
 
     def kinematics(self, state):
         """Strain, void gradient and temperature gradient of a state."""
@@ -906,7 +907,9 @@ class _Operator:
     def advance(self, t, dt):
         """One step from the loaded level at t (its ``level`` evaluated):
         velocity-Verlet for (u, phi), the explicit midpoint rule for theta on
-        the half-step velocities."""
+        the half-step velocities.  The rate term ``tau_acc`` phidot enters
+        the first kick at the loaded phidot and the second implicitly, at the
+        phidot it produces."""
         d, Y, tmp = self.d, self.Y, self.tmp
         t_half, t1 = t + 0.5 * dt, t + dt
         theta, W = Y[d + 1], Y[d + 2:]
@@ -917,6 +920,8 @@ class _Operator:
         self._dirichlet(t_half, self._theta_half)
 
         np.multiply(self.acc, 0.5 * dt, out=tmp)
+        if self.tau_acc:
+            tmp[d] += (0.5 * dt * self.tau_acc) * W[d]
         W += tmp
         np.multiply(W, dt, out=tmp)
         Y[:d + 1] += tmp
@@ -930,6 +935,8 @@ class _Operator:
         self.level(t1)
         np.multiply(self.acc, 0.5 * dt, out=tmp)
         W += tmp
+        if self.tau_acc:
+            W[d] /= 1.0 - 0.5 * dt * self.tau_acc
         self._dirichlet(t1, self._velocities)
 
 
@@ -993,6 +1000,12 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     if dt > dt_max * (1.0 + 1e-12):
         raise CflViolation(f"step {dt:.6g} (from dt = {scenario.dt}) exceeds the wave bound "
                            f"{dt_max:.6g}")
+    mat = scenario.material
+    kick = 0.5 * dt * mat.tau / (mat.rho * mat.chi)
+    if not dissipative and kick >= 1.0:
+        # the implicit kick of the anti-dissipative memory term divides by 1 - kick
+        raise CflViolation(f"step {dt:.6g} makes (dt/2) tau / (rho chi) = {kick:.6g} >= 1 "
+                           f"for the memory term tau = {mat.tau:.6g}")
 
     grid = scenario.grid
     op = _Operator(scenario, dissipative)

@@ -246,6 +246,49 @@ def test_diff_inequality_checker_detects_corruption(pulse_series):
     assert rep.violations
 
 
+def _reference_diff_inequality(series, tol=cn.DISCRETE_REL):
+    # the check on full (r, t) tables, each margin formed in one expression
+    decay = series.decay
+    term_r = -(decay.zeta / decay.lam) * series.dE_dr
+    term_t = series.dE_dt / decay.lam
+    scale = max(float(np.max(np.abs(series.E))), float(np.max(np.abs(term_r))),
+                float(np.max(np.abs(term_t))), 1e-30)
+    margin = (term_r + term_t) + tol * scale - series.E
+    violations = [(float(series.r[j]), float(series.t[k]), float(margin[j, k]))
+                  for j, k in np.argwhere(margin < 0.0)[:64]]
+    return violations, int(margin.size), float(margin.min()), tol, scale
+
+
+def _planted_violations(series, count, seed):
+    # E raised above the right-hand side at ``count`` random samples
+    rng = np.random.default_rng(seed)
+    E = series.E.copy()
+    flat = rng.choice(E.size, size=count, replace=False)
+    E.reshape(-1)[flat] += rng.uniform(1.0, 2.0, count) * np.abs(E).max()
+    return dataclasses.replace(series, E=E)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3000])
+@pytest.mark.parametrize("case", ["reference", "flipped", "planted"])
+def test_diff_inequality_blocks_match_the_full_tables(pulse_series, case, block,
+                                                      monkeypatch):
+    # field for field, whatever the block: one row per block (block 1), a
+    # few rows, or the module's; the planted case caps at 64 violations
+    # spread over many blocks
+    if block is not None:
+        monkeypatch.setattr(vt.measures, "CHECK_BLOCK", block)
+    series = {"reference": pulse_series,
+              "flipped": dataclasses.replace(pulse_series, dE_dr=-pulse_series.dE_dr),
+              "planted": _planted_violations(pulse_series, 300, 5)}[case]
+    rep = vt.check_diff_inequality(series)
+    want = _reference_diff_inequality(series)
+    assert (rep.violations, rep.n_checked, rep.worst_margin, rep.tol, rep.scale) == want
+    if case == "planted":
+        rows = np.searchsorted(series.r, [r for r, _, _ in rep.violations])
+        step = max(1, vt.measures.CHECK_BLOCK // series.t.size)
+        assert len(rep.violations) == 64 and len(set(rows // step)) > 2
+
+
 def test_decay_zero_series_trivially_satisfied():
     scen = presets.pulse_scenario(nodes=51, T=1.0, amplitude=0.0)
     traj = vt.run(scen, n_samples=101)
@@ -579,14 +622,15 @@ def _traced_peak(call):
 
 def test_measure_memory_is_its_tables(pulse_file_record):
     # compute_measure holds its four (r, t) tables and at most two work
-    # tables; the inequality check builds its margin in one table beside
-    # one term (the allocating formulas peaked at 2.75x and 3.1 tables)
+    # tables; the inequality check works in row blocks of a fixed size (the
+    # allocating formulas peaked at 2.75x and 3.1 tables, full-table margins
+    # at 2.2 tables)
     record, geom = pulse_file_record
     series, peak = _traced_peak(lambda: vt.compute_measure(record, geom, 8.0))
     tables = [series.E, series.dE_dr, series.dE_dt, series.I]
     assert peak <= 1.5 * sum(t.nbytes for t in tables)
     rep, peak = _traced_peak(lambda: vt.check_diff_inequality(series))
-    assert rep.ok and peak <= 2.2 * series.E.nbytes
+    assert rep.ok and peak <= 0.25 * series.E.nbytes
 
 
 def _reference_chain(series, t0, r0, tol):

@@ -201,6 +201,32 @@ def test_each_factor_differentiated_once(case, monkeypatch):
         assert remainders == []
 
 
+@pytest.mark.parametrize("case", list(CASES))
+def test_time_factors_lambdified_once(case, monkeypatch):
+    # one lambdify for the scenario's time factors, one for its monomials,
+    # and one per field with a remainder, whatever the fields evaluated
+    calls = []
+    lambdify = sp.lambdify
+
+    def counted(args, *rest, **kwargs):
+        calls.append(args)
+        return lambdify(args, *rest, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counted)
+    scen, exact, _ = build(case)
+    fields = [exact.u, exact.udot, exact.phi, exact.phidot, exact.theta,
+              *scen.sources.values(), *(bc.fielddata.rate for face in scen.boundary.faces.values()
+                                        for bc in face.values())]
+    for t in (0.0, 0.37):
+        for field in fields:
+            field(scen.mesh(), t)
+    monkeypatch.undo()
+    remainders = len({id(f) for f in fields if f.remainder is not None})
+    assert calls.count(mms.TIME) == 1
+    assert len(calls) == 2 + remainders
+    assert (remainders > 0) == (case == "travelling")
+
+
 @pytest.mark.parametrize("dim", (1, 2, 3))
 def test_zero_profile_sources_are_zero_with_shape(dim):
     zero = sp.Integer(0)

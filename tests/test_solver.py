@@ -218,6 +218,22 @@ def test_cfl_checks_the_step_taken(fraction):
         vt.run(scen)
 
 
+@pytest.mark.parametrize("dissipative", [False, True])
+def test_cfl_checks_the_memory_term(dissipative):
+    # the implicit kick divides by 1 - (dt/2) tau / (rho chi), here -0.25 in
+    # the anti-dissipative direction; the dissipative direction damps and runs
+    scen = quiet_scenario()
+    dt = 0.5 * vt.stability_budget(scen)[0]
+    mat = scen.material
+    scen = quiet_scenario(material=dataclasses.replace(mat, tau=2.5 * mat.rho * mat.chi / dt))
+    scen.dt, scen.T = dt, 10 * dt
+    if dissipative:
+        assert np.isfinite(vt.run(scen, dissipative=True).states[-1].phidot).all()
+    else:
+        with pytest.raises(vt.CflViolation, match="memory term tau"):
+            vt.run(scen)
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
 def test_bad_time_step_raises(dt):
     scen = presets.pulse_scenario(nodes=101, dt=dt)
@@ -291,6 +307,24 @@ def test_manufactured_solution_convergence_order():
     for key in ("u", "phi", "theta"):
         ratio = errs[0][key] / errs[1][key]
         assert 3.0 <= ratio <= 5.0, (key, ratio)
+
+
+@pytest.mark.parametrize("tau", [0.5, 2.0])
+def test_memory_term_second_order_in_time(tau):
+    # time-only Richardson triple at fixed 101 nodes: the differences of the
+    # final phi and phidot between dt, dt/2 and dt/4 fall by about 4 (a rate
+    # term lagging by dt/2 reads about 2)
+    mat = dataclasses.replace(presets.reference_material(), tau=tau)
+    u, phi, theta = presets.mms_profiles_1d()
+    grid = vt.Grid(extents=(1.0,), counts=(101,))
+    finals = []
+    for dt in (2e-3, 1e-3, 5e-4):
+        scen, _ = manufactured_scenario(u, phi, theta, grid, mat, dt=dt, T=0.4)
+        finals.append(vt.run(scen, n_samples=2).states[-1])
+    for key in ("phi", "phidot"):
+        a, b, c = (getattr(state, key) for state in finals)
+        ratio = np.abs(a - b).max() / np.abs(b - c).max()
+        assert ratio >= 3.5, (key, ratio)
 
 
 @pytest.mark.parametrize("dim, nodes, T", [(1, (51, 101), 0.4), (2, (17, 33), 0.2)],
