@@ -108,6 +108,13 @@ def _finite_float(text):
     raise argparse.ArgumentTypeError(f"invalid float value: {text!r} (finite numbers only)")
 
 
+def _count(text):
+    """argparse type of --refine and selftest's --seed: an integer >= 0."""
+    if text.isascii() and text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid non-negative integer: {text!r}")
+
+
 def cmd_check_material(args):
     material = read_material_file(args.material)
     report = validate(material)
@@ -389,7 +396,7 @@ def build_parser():
     q.add_argument("--r0", type=_finite_float, default=None)
     q.add_argument("--t0", type=_finite_float, default=None)
     q.add_argument("--out", default=None)
-    q.add_argument("--refine", type=int, default=0,
+    q.add_argument("--refine", type=_count, default=0,
                    help="extra runs at doubled resolution for convergence studies")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_verify_decay)
@@ -402,7 +409,7 @@ def build_parser():
     q.set_defaults(func=cmd_sweep_lambda)
 
     q = sub.add_parser("selftest", help="run the built-in property suites")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_count, default=0)
     q.set_defaults(func=cmd_selftest)
     return p
 

@@ -8,12 +8,13 @@ the time-reflected forward problem; ``dissipative=True`` selects the
 standard dissipative signs instead.
 
 Spatial derivatives are second-order central differences with second-order
-one-sided stencils at boundaries, all from one routine, ``_difference``: it
-differentiates every field stacked on the leading axis of an array along one
-grid axis, with the arithmetic of ``np.gradient(edge_order=2)``.  The
-stepper, ``kinematics`` and the measures use it and nothing else;
-``pde_residual`` measures a trajectory against the operator it was stepped
-with.
+one-sided stencils at boundaries, all from one routine, ``_difference_plan``:
+it binds the derivative along one grid axis of every field stacked on the
+leading axis of an array, with the arithmetic of ``np.gradient(edge_order=2)``,
+into a callable that runs only ufuncs.  The operator binds each difference
+and divergence of a step once, with one gather buffer for all their end
+stencils; ``kinematics`` builds its plans per call.  ``pde_residual``
+measures a trajectory against the operator it was stepped with.
 
 ``run`` is the one way to advance a state: after the support, wave-bound and
 thermal-budget checks it builds one private operator per scenario.  It keeps
@@ -49,7 +50,6 @@ The constitutive law comes from :mod:`voidtherm.constitutive`;
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -480,79 +480,94 @@ class Trajectory:
 # Differences
 
 
-@functools.lru_cache(maxsize=256)
-def _stencil(n, axis, ndim, h):
-    """Index tuples, end nodes and end weights of the difference along grid
-    axis ``axis`` (``n`` nodes, spacing ``h``) of arrays with ``ndim`` axes,
-    the first of which stacks fields.  The two ends are done together:
-    ``nodes[k]`` holds nodes k and n - 3 + k, the k-th term of each end's
-    stencil, and ``terms[k]`` selects term k of the gathered array."""
-    lead = (slice(None),) * (axis + 1)
-    nodes = np.array([[0, n - 3], [1, n - 2], [2, n - 1]])
-    weights = np.array([[-1.5 / h, 0.5 / h], [2.0 / h, -2.0 / h], [-0.5 / h, 1.5 / h]])
-    weights = weights.reshape((3, 2) + (1,) * (ndim - axis - 2))
-    return (lead + (slice(1, -1),), lead + (slice(2, None),), lead + (slice(None, -2),),
-            lead + (slice(0, n, n - 1),), nodes, weights, tuple(lead + (k,) for k in range(3)))
+def _difference_plan(f, axis, h, out, gather=None):
+    """The derivative along grid axis ``axis`` of every field stacked on the
+    leading axis of ``f`` as a callable that writes it into ``out`` and
+    returns ``out``: views and weights are bound once, so a call runs only
+    ufuncs, on what ``f`` holds then.  The end gather goes into the flat
+    buffer ``gather`` (new when None), which plans may share.
 
-
-def _difference(f, axis, h, out=None):
-    """Derivative along grid axis ``axis`` of every field stacked on the
-    leading axis of ``f``: central differences inside, one-sided three-point
-    stencils at the ends, with the arithmetic of
-    ``np.gradient(f, h, axis=axis + 1, edge_order=2)`` bit for bit.  At
-    h = 0.5 the central difference skips its divide by 2 h = 1.0, which is
-    exact: x / 1.0 is x for every double, NaN, inf and -0.0 included.
+    Central differences inside, one-sided three-point stencils at the ends,
+    with the arithmetic of ``np.gradient(f, h, axis=axis + 1, edge_order=2)``
+    bit for bit.  At h = 0.5 the central difference skips its divide by
+    2 h = 1.0, which is exact: x / 1.0 is x for every double, NaN, inf and
+    -0.0 included.
 
     On the last axis of a 2D or 3D grid, rows are short: the central
     difference runs over each field's node block flattened, in one pass, and
     the values it wraps across row ends land only on the end nodes, which
-    the two end-column stencils then overwrite.  There ``out`` must flatten
-    to (fields, nodes) as a view."""
-    if out is None:
-        out = np.empty(f.shape)
+    the two end-column stencils then overwrite.  There ``f`` and ``out``
+    must flatten to (fields, nodes) as views."""
     if f.ndim > 2 and axis == f.ndim - 2:
-        flat = out.reshape(len(out), -1)
-        if not np.may_share_memory(flat, out):
-            raise ValueError(f"out with strides {out.strides} does not flatten as a view")
-        g = f.reshape(len(f), -1)
-        mid = flat[:, 1:-1]
-        np.subtract(g[:, 2:], g[:, :-2], out=mid)
-        if h != 0.5:
-            mid /= 2.0 * h
+        flat, g = out.reshape(len(out), -1), f.reshape(len(f), -1)
+        if not (np.may_share_memory(flat, out) and np.may_share_memory(g, f)):
+            raise ValueError(f"f or out (strides {f.strides}, {out.strides}) does not "
+                             "flatten as a view")
+        mid, above, below = flat[:, 1:-1], g[:, 2:], g[:, :-2]
         first, last = out[..., 0], out[..., -1]
-        np.multiply(-1.5 / h, f[..., 0], out=first)
-        first += (2.0 / h) * f[..., 1]
-        first += (-0.5 / h) * f[..., 2]
-        np.multiply(0.5 / h, f[..., -3], out=last)
-        last += (-2.0 / h) * f[..., -2]
-        last += (1.5 / h) * f[..., -1]
+        f0, f1, f2, f3, f4, f5 = (f[..., k] for k in (0, 1, 2, -3, -2, -1))
+
+        def run():
+            np.subtract(above, below, out=mid)
+            if h != 0.5:
+                np.divide(mid, 2.0 * h, out=mid)
+            np.multiply(-1.5 / h, f0, out=first)
+            np.add(first, (2.0 / h) * f1, out=first)
+            np.add(first, (-0.5 / h) * f2, out=first)
+            np.multiply(0.5 / h, f3, out=last)
+            np.add(last, (-2.0 / h) * f4, out=last)
+            np.add(last, (1.5 / h) * f5, out=last)
+            return out
+        return run
+    # both ends at once: nodes[k] holds nodes k and n - 3 + k, the k-th term
+    # of each end's stencil, and terms[k] is term k of the gathered array
+    lead, n = (slice(None),) * (axis + 1), f.shape[axis + 1]
+    mid, above, below = (out[lead + (slice(1, -1),)], f[lead + (slice(2, None),)],
+                         f[lead + (slice(None, -2),)])
+    nodes = np.array([[0, n - 3], [1, n - 2], [2, n - 1]])
+    weights = np.array([[-1.5 / h, 0.5 / h], [2.0 / h, -2.0 / h], [-0.5 / h, 1.5 / h]])
+    weights = weights.reshape((3, 2) + (1,) * (f.ndim - axis - 2))
+    shape = f.shape[:axis + 1] + (3, 2) + f.shape[axis + 2:]
+    g = np.empty(shape) if gather is None else gather[:math.prod(shape)].reshape(shape)
+    edge, terms = out[lead + (slice(0, n, n - 1),)], [g[lead + (k,)] for k in range(3)]
+
+    def run():
+        np.subtract(above, below, out=mid)
+        if h != 0.5:
+            np.divide(mid, 2.0 * h, out=mid)
+        # the indices are in range: mode="clip" writes out= directly, where
+        # the default mode="raise" gathers through a buffer
+        f.take(nodes, axis=axis + 1, out=g, mode="clip")
+        np.multiply(g, weights, out=g)
+        # the terms summed in np.gradient's order; a reduction would start
+        # from +0.0 and lose the sign of a -0.0 sum
+        np.add(terms[0], terms[1], out=edge)
+        np.add(edge, terms[2], out=edge)
         return out
-    inner, above, below, ends, nodes, weights, terms = _stencil(f.shape[axis + 1], axis,
-                                                                f.ndim, h)
-    mid = out[inner]
-    np.subtract(f[above], f[below], out=mid)
-    if h != 0.5:
-        mid /= 2.0 * h
-    # both ends at once: gather their six nodes, weight them, and sum the
-    # terms in np.gradient's order; a reduction would start from +0.0 and
-    # lose the sign of a -0.0 sum
-    g = f.take(nodes, axis=axis + 1)
-    g *= weights
-    edge = out[ends]
-    np.add(g[terms[0]], g[terms[1]], out=edge)
-    edge += g[terms[2]]
-    return out
+    return run
 
 
-def _divergence(fluxes, spacing, out, work):
+def _difference(f, axis, h, out=None):
+    """The derivative of :func:`_difference_plan`, computed once (into a new
+    array when ``out`` is None)."""
+    return _difference_plan(f, axis, h, np.empty(f.shape) if out is None else out)()
+
+
+def _divergence_plan(fluxes, spacing, out, work, gather=None):
     """Sum over axes j of the derivative along j of ``fluxes[j]``, which
-    stacks the axis-j components of several fluxes on its leading axis;
-    ``work``, shaped like ``fluxes[j]``, holds each derivative after the
-    first."""
-    out = _difference(fluxes[0], 0, spacing[0], out)
-    for j in range(1, len(spacing)):
-        out += _difference(fluxes[j], j, spacing[j], work)
-    return out
+    stacks the axis-j components of several fluxes on its leading axis, as a
+    callable like :func:`_difference_plan`'s; ``work``, shaped like
+    ``fluxes[j]``, holds each derivative after the first."""
+    first = _difference_plan(fluxes[0], 0, spacing[0], out, gather)
+    rest = [_difference_plan(fluxes[j], j, spacing[j], work, gather)
+            for j in range(1, len(spacing))]
+
+    def run():
+        first()
+        for plan in rest:
+            np.add(out, plan(), out=out)
+        return out
+    return run
 
 
 def trapezoid_weights(counts, spacings):
@@ -587,7 +602,6 @@ class _FacePlan:
     rows: slice
     flux: np.ndarray | None
     inverse: np.ndarray | None
-    heat: bool
 
 
 def _face_plans(scenario):
@@ -607,8 +621,7 @@ def _face_plans(scenario):
             face=(axis, side), index=face_slice(axis, side, d),
             sigma=-1.0 if side == "min" else 1.0, bcs=groups,
             dirichlet=tuple(g for g in GROUPS if groups[g].kind == "dirichlet"),
-            mechanical=mech, rows=rows, flux=flux, inverse=inverse,
-            heat=groups["thermal"].kind == "flux"))
+            mechanical=mech, rows=rows, flux=flux, inverse=inverse))
     return plans
 
 
@@ -634,6 +647,8 @@ class _Operator:
         self.d, self.h = scenario.grid.dim, scenario.grid.spacing
         self.dissipative = dissipative
         self.faces = _face_plans(scenario)
+        self._mechanical = [plan for plan in self.faces if plan.mechanical]
+        self._heat = [plan for plan in self.faces if plan.bcs["thermal"].kind == "flux"]
         self.sources = {k for k in ("f", "ell", "r") if scenario.sources.get(k) is not None}
         self.Y = self._energy = None
 
@@ -670,6 +685,28 @@ class _Operator:
         self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
         self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
         self.theta_half, self.rate = self.scratch[3 * d + 1], self.scratch[3 * d + 2]
+
+        # every difference of a step, bound once, the end gathers sharing one
+        # buffer sized for the gradients of (u, phi, theta); the divergences
+        # work in self.tmp, whose contents advance has used up when they run
+        F, h, half = Y[:d + 2], self.h, (0.5,) * d
+        gather = np.empty(max(6 * F.size // n for n in counts[:max(1, d - 1)]))
+        self._grad_plans = [_difference_plan(F, j, h[j], self.grad[:, j], gather)
+                            for j in range(d)]
+        self._half_plans = [_difference_plan(self.theta_half[None], j, h[j],
+                                             self.kappa_half[:, j], gather) for j in range(d)]
+        self._acc_plan = _divergence_plan(self.flux[:-1].reshape((d, d + 1) + counts), half,
+                                          self.acc, self.tmp, gather)
+        self._heat_plan = _divergence_plan(self.heat[:, None], half, self.rate[None],
+                                           self.tmp[:1], gather)
+        # what the matmuls read and write, as (rows, nodes) views
+        self._packed_rows = self.packed[:self.L.shape[1]].reshape(self.L.shape[1], -1)
+        self._flux_rows = self.flux.reshape(len(self.L), -1)
+        self._kappa_rows = self.grad[-1].reshape(d, -1)
+        self._kappa_half_rows = self.kappa_half[0].reshape(d, -1)
+        self._heat_rows = self.heat.reshape(d, -1)
+        self._velocity_rows = Y[d + 2:].reshape(d + 1, -1)
+        self._tmp_rows = self.tmp[:d].reshape(d, -1)
 
         self._positions = self._writes({"displacement": Y[:d], "void": Y[d]})
         self._velocities = self._writes({"displacement": Y[d + 2:2 * d + 2],
@@ -722,9 +759,7 @@ class _Operator:
         matches the data: the flux is affine in x = (du[:, a], dphi[a]), so
         x_sel += N_sel^-1 (sigma data - flux)."""
         d = self.d
-        for plan in self.faces:
-            if not plan.mechanical:
-                continue
+        for plan in self._mechanical:
             z = np.concatenate([
                 grad[(slice(None, d + 1), slice(None)) + plan.index].reshape(d * (d + 1), -1),
                 F[(slice(d, d + 2),) + plan.index].reshape(2, -1)])
@@ -743,9 +778,7 @@ class _Operator:
         """Overwrite the normal temperature derivative on heat-flux faces so
         the nodal heat flux matches the data."""
         K = self.mat.K
-        for plan in self.faces:
-            if not plan.heat:
-                continue
+        for plan in self._heat:
             a = plan.face[0]
             data = self._data(plan, "thermal", t)
             acc = plan.sigma * (0.0 if data is None else data)
@@ -756,54 +789,50 @@ class _Operator:
 
     # -- right-hand side ---------------------------------------------------
 
-    def _gradients(self, F, t, out):
-        """Derivatives out[r, s] = d_s F[r], corrected at time t; F is
-        (u, phi, theta), or theta alone, which has only heat-flux faces."""
-        for j in range(self.d):
-            _difference(F, j, self.h[j], out[:, j])
+    def _gradients(self, plans, F, t, out):
+        """Derivatives out[r, s] = d_s F[r], corrected at time t, from the
+        per-axis ``plans`` that difference F into out; F is (u, phi, theta),
+        or theta alone, which has only heat-flux faces."""
+        for plan in plans:
+            plan()
         if len(F) > 1:
             self._correct_mechanical(out, F, t)
         self._correct_heat(out[-1], t)
-        return out
 
     def fluxes(self, t):
         """Corrected gradients of (u, phi, theta) at time t and the normal
         fluxes (S[:, j] / rho, h[j] / (rho chi)) / (2 h_j) per axis j and the
         intrinsic force G / (rho chi) of the loaded state."""
-        d, Y, L = self.d, self.Y, self.L
+        d, Y = self.d, self.Y
         self._energy = None
-        self._gradients(Y[:d + 2], t, self.grad)
+        self._gradients(self._grad_plans, Y[:d + 2], t, self.grad)
         self.packed[:2] = Y[d:d + 2]
-        np.matmul(L, self.packed[:L.shape[1]].reshape(L.shape[1], -1),
-                  out=self.flux.reshape(len(L), -1))
+        np.matmul(self.L, self._packed_rows, out=self._flux_rows)
 
     def level(self, t):
         """Corrected gradients of (u, phi, theta), the fluxes and the
         accelerations of (u, phi) at time t, all but the rate term
         ``tau_acc`` phidot: ``advance`` takes that term implicitly."""
-        d, flux = self.d, self.flux
+        d = self.d
         self.fluxes(t)
-        # self.tmp is free here: its last reader, the theta update, came before
-        _divergence(flux[:-1].reshape((d, d + 1) + flux.shape[1:]), (0.5,) * d, out=self.acc,
-                    work=self.tmp)
-        self.acc[d] += flux[-1]
+        self._acc_plan()
+        self.acc[d] += self.flux[-1]
         if "f" in self.sources:
             self.acc[:d] += self.scenario.source("f", t)
         if "ell" in self.sources:
             self.acc[d] += self.scenario.source("ell", t) / self.mat.chi
 
-    def _theta_rate(self, kappa, t, out):
-        """Temperature rate from the entropy balance at the velocities in
-        ``Y``; the coupling M:grad v + aVec.grad phidot is the divergence of
-        M^T v + aVec phidot, so it joins the heat flux in one divergence."""
-        d, Y, tmp = self.d, self.Y, self.tmp
-        # self.tmp is free here: advance writes it only after this returns
-        heat = self.heat.reshape(d, -1)
-        np.matmul(self.K_rate, kappa.reshape(d, -1), out=heat)
-        heat += np.matmul(self.W_rate, Y[d + 2:].reshape(d + 1, -1), out=tmp[:d].reshape(d, -1))
-        _divergence(self.heat[:, None], (0.5,) * d, out=out[None], work=tmp[:1])
+    def _theta_rate(self, kappa, t):
+        """Temperature rate, into ``rate``, from the entropy balance at the
+        gradient rows ``kappa`` (d x nodes) and the velocities in ``Y``; the
+        coupling M:grad v + aVec.grad phidot is the divergence of M^T v +
+        aVec phidot, so it joins the heat flux in one divergence."""
+        d, Y, out, heat = self.d, self.Y, self.rate, self._heat_rows
+        np.matmul(self.K_rate, kappa, out=heat)
+        heat += np.matmul(self.W_rate, self._velocity_rows, out=self._tmp_rows)
+        self._heat_plan()
         if self.m_rate:
-            out -= np.multiply(self.m_rate, Y[2 * d + 2], out=tmp[0])
+            out -= np.multiply(self.m_rate, Y[2 * d + 2], out=self.tmp[0])
         if "r" in self.sources:
             out += self.r_rate * self.scenario.source("r", t)
         return out
@@ -837,13 +866,15 @@ class _Operator:
         acc = self.acc.copy()
         if self.tau_acc:
             acc[self.d] += self.tau_acc * state.phidot
-        return acc, self._theta_rate(self.grad[-1], state.t, self.rate).copy()
+        return acc, self._theta_rate(self._kappa_rows, state.t).copy()
 
     def kinematics(self, state):
         """Strain, void gradient and temperature gradient of a state."""
         d = self.d
         F = np.concatenate([state.u, state.phi[None], state.theta[None]])
-        grad = self._gradients(F, state.t, np.empty((d + 2, d) + F.shape[1:]))
+        grad = np.empty((d + 2, d) + F.shape[1:])
+        self._gradients([_difference_plan(F, j, self.h[j], grad[:, j]) for j in range(d)],
+                        F, state.t, grad)
         return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1)), grad[d], grad[d + 1]
 
     def energy(self):
@@ -914,7 +945,7 @@ class _Operator:
         t_half, t1 = t + 0.5 * dt, t + dt
         theta, W = Y[d + 1], Y[d + 2:]
 
-        self._theta_rate(self.grad[-1], t, self.rate)
+        self._theta_rate(self._kappa_rows, t)
         np.multiply(self.rate, 0.5 * dt, out=self.theta_half)
         self.theta_half += theta
         self._dirichlet(t_half, self._theta_half)
@@ -927,8 +958,8 @@ class _Operator:
         Y[:d + 1] += tmp
         self._dirichlet(t1, self._positions)
 
-        kappa = self._gradients(self.theta_half[None], t_half, self.kappa_half)[0]
-        np.multiply(self._theta_rate(kappa, t_half, self.rate), dt, out=tmp[0])
+        self._gradients(self._half_plans, self.theta_half[None], t_half, self.kappa_half)
+        np.multiply(self._theta_rate(self._kappa_half_rows, t_half), dt, out=tmp[0])
         theta += tmp[0]
         self._dirichlet(t1, self._theta)
 

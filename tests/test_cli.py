@@ -475,6 +475,10 @@ MALFORMED = [
      "--lambda values must be positive and finite, got 'abc'"),
     ("verify-decay --scenario {d}/pulse.scn --lambda 2,x --out {d}/o", None, 1,
      "--lambda values must be positive and finite, got '2,x'"),
+    # counts below zero name their flag: no silently skipped study, no numpy error
+    ("verify-decay --scenario {d}/pulse.scn --refine -1 --out {d}/o", None, 1,
+     "argument --refine: invalid non-negative integer: '-1'"),
+    ("selftest --seed -1", None, 1, "argument --seed: invalid non-negative integer: '-1'"),
 ]
 
 

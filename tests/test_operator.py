@@ -8,6 +8,7 @@ oracle the operator's stacked differences, packed contraction and face plans
 must reproduce.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -220,6 +221,50 @@ def test_difference_is_np_gradient(shape):
             # no axis wrote outside its own view
             assert same_bits(grad, np.stack(wants, 1))
     assert np.signbit(wants[0][shape[0], -1]).all()  # -0.0 end values were checked
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.5))
+@pytest.mark.parametrize("dissipative", (False, True))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_bound_plans_follow_the_state(dim, dissipative, tau):
+    # the operator binds its differences, divergences and matmul views once:
+    # after each step, an operator built from the stepped state evaluates
+    # the same level and temperature rate bit for bit, and the half-step
+    # temperature gradient and rate that the step left equal one-off
+    # differences of copies of their inputs (m = 0 and no sources, so that
+    # rate is the heat divergence alone)
+    rng = np.random.default_rng(80 + dim)
+    mat = dataclasses.replace(vt.random_material(dim, rng), tau=tau, m=0.0)
+    grid = vt.Grid(extents=(1.0, 0.8, 1.2)[:dim], counts=(9, 7, 6)[:dim])
+    counts, h, dt = grid.counts, grid.spacing, 1e-3
+    for kinds in itertools.product(("dirichlet", "flux"), repeat=3):
+        scen = vt.Scenario(grid=grid, material=mat,
+                           boundary=BoundaryPartition(faces=random_faces(dim, grid, kinds, rng)),
+                           dt=dt, T=1.0, support_x0=1.0)
+        op = _Operator(scen, dissipative)
+        op.load(SimState(t=0.0, u=rng.normal(size=(dim,) + counts),
+                         v=rng.normal(size=(dim,) + counts), phi=rng.normal(size=counts),
+                         phidot=rng.normal(size=counts), theta=rng.normal(size=counts)))
+        op.level(0.0)
+        for k in range(3):
+            op.advance(k * dt, dt)
+            assert np.isfinite(op.Y).all()
+            fresh = _Operator(scen, dissipative)
+            fresh.load(op.state((k + 1) * dt))
+            fresh.level((k + 1) * dt)
+            for name in ("grad", "flux", "acc"):
+                assert same_bits(getattr(op, name), getattr(fresh, name)), (kinds, k, name)
+            theta_half = op.theta_half[None].copy()
+            kappa = np.stack([vt.solver._difference(theta_half, j, h[j]) for j in range(dim)], 1)
+            op._correct_heat(kappa[0], (k + 0.5) * dt)
+            assert same_bits(op.kappa_half, kappa), (kinds, k)
+            rate = vt.solver._divergence_plan(op.heat[:, None].copy(), (0.5,) * dim,
+                                              np.empty((1,) + counts), np.empty((1,) + counts))()
+            assert same_bits(op.rate, rate[0]), (kinds, k)
+            # and the next step's first temperature rate, which reads the velocities
+            for each in (op, fresh):
+                each._theta_rate(each._kappa_rows, (k + 1) * dt)
+            assert same_bits(op.rate, fresh.rate), (kinds, k)
 
 
 @pytest.mark.parametrize("shape", [(3, 9, 5), (2, 4, 5, 6)])

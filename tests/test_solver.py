@@ -309,17 +309,23 @@ def test_manufactured_solution_convergence_order():
         assert 3.0 <= ratio <= 5.0, (key, ratio)
 
 
-@pytest.mark.parametrize("tau", [0.5, 2.0])
-def test_memory_term_second_order_in_time(tau):
-    # time-only Richardson triple at fixed 101 nodes: the differences of the
-    # final phi and phidot between dt, dt/2 and dt/4 fall by about 4 (a rate
-    # term lagging by dt/2 reads about 2)
-    mat = dataclasses.replace(presets.reference_material(), tau=tau)
-    u, phi, theta = presets.mms_profiles_1d()
-    grid = vt.Grid(extents=(1.0,), counts=(101,))
+@pytest.mark.parametrize("dim, tau", [(1, 0.5), (1, 2.0), (2, 0.5), (2, 2.0)],
+                         ids=("0.5", "2.0", "2d-0.5", "2d-2.0"))
+def test_memory_term_second_order_in_time(dim, tau):
+    # time-only Richardson triple at fixed nodes (101 in 1D, 33 x 33 in 2D):
+    # the differences of the final phi and phidot between dt, dt/2 and dt/4
+    # fall by about 4 (a rate term lagging by dt/2 reads about 2)
+    if dim == 1:
+        mat, profiles, n, dt, T = (presets.reference_material(), presets.mms_profiles_1d(), 101,
+                                   2e-3, 0.4)
+    else:
+        mat, profiles, n, dt, T = (presets.reference_material_2d(), presets.mms_profiles_2d(),
+                                   33, 4e-3, 0.2)
+    mat = dataclasses.replace(mat, tau=tau)
+    grid = vt.Grid(extents=(1.0,) * dim, counts=(n,) * dim)
     finals = []
-    for dt in (2e-3, 1e-3, 5e-4):
-        scen, _ = manufactured_scenario(u, phi, theta, grid, mat, dt=dt, T=0.4)
+    for step in (dt, dt / 2, dt / 4):
+        scen, _ = manufactured_scenario(*profiles, grid, mat, dt=step, T=T)
         finals.append(vt.run(scen, n_samples=2).states[-1])
     for key in ("phi", "phidot"):
         a, b, c = (getattr(state, key) for state in finals)
@@ -699,15 +705,16 @@ def test_residual_sees_the_time_direction():
         assert wrong >= 1e3 * right, (dissipative, wrong, right)
 
 
-@pytest.mark.parametrize("case", ["insulated", "manufactured"])
+@pytest.mark.parametrize("case", ["insulated", "manufactured", "manufactured-tau"])
 def test_reversed_run_solves_the_antidissipative_equations(case):
     if case == "insulated":
         scen = presets.insulated_relaxation_scenario(nodes=151, T=0.3)
-    else:   # volume sources and spatially varying Dirichlet data
+    else:   # volume sources and spatially varying Dirichlet data; tau > 0 in one case
         grid = vt.Grid(extents=(1.0,), counts=(81,))
-        scen, _ = manufactured_scenario(*presets.mms_profiles_1d(length=1.0), grid,
-                                        presets.reference_material(), dt=0.2 / 80, T=0.3,
-                                        dissipative=True)
+        mat = dataclasses.replace(presets.reference_material(),
+                                  tau=0.5 if case == "manufactured-tau" else 0.0)
+        scen, _ = manufactured_scenario(*presets.mms_profiles_1d(length=1.0), grid, mat,
+                                        dt=0.2 / 80, T=0.3, dissipative=True)
     fwd = vt.run(scen, n_samples=61, dissipative=True)
     res_fwd = vt.pde_residual(fwd)  # dissipative residual of the forward run
     rev = vt.reverse_time(fwd)
