@@ -224,21 +224,21 @@ def energy_density(material, g, phi, w, theta):
     """The energy density P = (rho |v|^2 + rho chi phidot^2 + aHeat theta^2
     + z^T H z) / 2 at n nodes: ``g`` (d (d + 1), n) the derivatives of
     (u, phi) in (field, axis) order, ``phi`` and ``theta`` (n,), ``w``
-    (d + 1, n) the velocities (v, phidot); z = (g, phi)."""
+    (d + 1, n) the velocities (v, phidot); z = (g, phi); leading axes stack."""
     d, H = material.dim, energy_matrix(material)
     # H is symmetric, so z^T H z = g^T H_gg g + (2 H_phi,g g + H_phi,phi phi) phi
     Hg = H[:-1, :-1] @ g
-    return 0.5 * (material.rho * np.einsum("kn,kn->n", w[:d], w[:d])
-                  + material.rho * material.chi * w[d] ** 2 + material.aHeat * theta ** 2
-                  + np.einsum("kn,kn->n", g, Hg)
+    return 0.5 * (material.rho * np.einsum("...kn,...kn->...n", w[..., :d, :], w[..., :d, :])
+                  + material.rho * material.chi * w[..., d, :] ** 2 + material.aHeat * theta ** 2
+                  + np.einsum("...kn,...kn->...n", g, Hg)
                   + (2.0 * (H[-1, :-1] @ g) + H[-1, -1] * phi) * phi)
 
 
 def rate_density(material, phidot, kappa):
     """The rate and conduction density R = tau phidot^2 + K kappa . kappa /
-    theta0 at n nodes: ``phidot`` (n,), ``kappa`` (d, n)."""
+    theta0 at n nodes: ``phidot`` (n,), ``kappa`` (d, n); leading axes stack."""
     return (material.tau * phidot ** 2
-            + np.einsum("kn,kn->n", kappa, material.K @ kappa) / material.theta0)
+            + np.einsum("...kn,...kn->...n", kappa, material.K @ kappa) / material.theta0)
 
 
 def response(state, material):

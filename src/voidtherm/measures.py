@@ -120,9 +120,9 @@ class SampleRecord:
     sample, from which the measure, the energy identity and the surface
     power follow for any time weight lambda (the density is lambda P + R):
 
-    - ``profiles``: the lateral profiles of P, of R and of the power through
-      the x1-planes, integrated over every axis but the first: one (3, n1)
-      array per sample;
+    - ``profile_blocks``: the lateral profiles of P, of R and of the power
+      through the x1-planes, integrated over every axis but the first: one
+      (3, samples, n1) array per sample block;
     - ``box_P``, ``box_R``: the integrals of P and R over the box ``region``,
       a tuple of inclusive (lo, hi) node-index pairs per axis (None: the
       whole grid);
@@ -131,17 +131,16 @@ class SampleRecord:
 
     A record is a reducer: pass it to ``run(..., reducers=[record])`` to
     fill it while stepping, or replay a snapshot trajectory into it with
-    :func:`record_trajectory`; both call it on the same operator level and
-    integrate what the operator's ``energy_parts``, ``normal_power`` and
-    ``source_work`` return.
+    :func:`record_trajectory`; both hand it the same sample blocks, and it
+    integrates what their ``energy_parts``, ``normal_power`` and
+    ``source_work`` return; a whole-grid ``box_P`` is their ``energy_total``.
     """
 
     def __init__(self, scenario, region=None):
         grid = scenario.grid
         self.scenario = scenario
-        if region is None:
-            region = tuple((0, n - 1) for n in grid.counts)
-        self.region = tuple((int(lo), int(hi)) for lo, hi in region)
+        whole = tuple((0, n - 1) for n in grid.counts)
+        self.region = tuple((int(lo), int(hi)) for lo, hi in (whole if region is None else region))
         if len(self.region) != grid.dim or not all(
                 0 <= lo < hi < n for (lo, hi), n in zip(self.region, grid.counts)):
             raise ValueError(f"region {self.region} not a box inside the grid")
@@ -155,27 +154,32 @@ class SampleRecord:
             for ii, sign in ((lo, -1.0), (hi, 1.0)):
                 sel = self._box[:axis] + (ii,) + self._box[axis + 1:]
                 self._faces.append((axis, sel, sign * weights))
+        self._whole = self.region == whole
         self._lateral = trapezoid_weights(grid.counts[1:], grid.spacing[1:]).reshape(-1)
-        self.t, self.profiles = [], []
+        self.t, self.profile_blocks = [], []
         self.box_P, self.box_R, self.box_power, self.box_work = [], [], [], []
 
-    def __call__(self, op, t):
-        P, R = op.energy_parts()
-        box, n1 = self._box, len(P)
-        self.t.append(t)
-        plane_power = op.normal_power(0)  # the box faces normal to x1 are slices of it
-        profiles = np.empty((3, n1))
+    def __call__(self, block):
+        P, R = block.energy_parts()
+        (m, n1), box = P.shape[:2], (slice(None),) + self._box
+        self.t.extend(block.times)
+
+        def total(weights, density):   # one sum per sample
+            return (weights * density).reshape(m, -1).sum(axis=1)
+        plane_power = block.normal_power(0)  # the box faces normal to x1 are slices of it
+        profiles = np.empty((3, m, n1))
         for profile, density in zip(profiles, (P, R, plane_power)):
-            np.dot(density.reshape(n1, -1), self._lateral, out=profile)
-        self.profiles.append(profiles)
-        self.box_P.append(float((self._volume * P[box]).sum()))
-        self.box_R.append(float((self._volume * R[box]).sum()))
-        self.box_power.append(sum(
-            float((w * (plane_power[sel] if axis == 0 else op.normal_power(axis, sel))).sum())
-            for axis, sel, w in self._faces))
-        work = op.source_work(t)
-        self.box_work.append(0.0 if work is None else
-                             self.scenario.material.rho * float((self._volume * work[box]).sum()))
+            np.matmul(density.reshape(m, n1, -1), self._lateral, out=profile)
+        self.profile_blocks.append(profiles)
+        self.box_P.extend(block.energy_total if self._whole else
+                          total(self._volume, P[box]).tolist())
+        self.box_R.extend(total(self._volume, R[box]).tolist())
+        self.box_power.extend(sum(total(w, plane_power[(slice(None),) + sel] if axis == 0 else
+                                        block.normal_power(axis, sel))
+                                  for axis, sel, w in self._faces).tolist())
+        work = block.source_work()
+        self.box_work.extend([0.0] * m if work is None else
+                             (self.scenario.material.rho * total(self._volume, work[box])).tolist())
 
 
 def record_trajectory(trajectory, region=None):
@@ -222,11 +226,11 @@ def compute_measure(record, geometry, lam):
     h1 = grid.spacing[0]
     idx = _plane_index(grid, geometry.x0 + geometry.r_samples, "r_samples")
 
-    # the weighted profile e^{lam t} (lam P + R), one row per sample
-    weighted = np.empty((times.size, record.profiles[0].shape[1]))
-    for k, p in enumerate(record.profiles):
-        np.multiply(p[0], lam, out=weighted[k])
-        weighted[k] += p[1]
+    # the weighted profile e^{lam t} (lam P + R), a row per sample, by blocks
+    weighted = np.empty((times.size, record.profile_blocks[0].shape[2]))
+    ends = np.cumsum([0] + [p.shape[1] for p in record.profile_blocks])
+    for p, rows in zip(record.profile_blocks, map(slice, ends[:-1], ends[1:])):  # no view outlives
+        np.add(np.multiply(p[0], lam, out=weighted[rows]), p[1], out=weighted[rows])
     weighted *= np.exp(lam * times)[:, None]
 
     # suffix sums of the cell integrals: column j holds the integral over
@@ -260,7 +264,8 @@ def surface_power(record, r, lam):
     :class:`SampleRecord`."""
     scenario = record.scenario
     idx = int(_plane_index(scenario.grid, scenario.support_x0 + r, "plane"))
-    return np.exp(lam * np.array(record.t)) * np.array([p[2, idx] for p in record.profiles])
+    return np.exp(lam * np.array(record.t)) * np.concatenate(
+        [p[2, :, idx] for p in record.profile_blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,8 @@ from .material import (Material, read_key_values, read_material_file, read_numbe
                        spectrum as material_spectrum)
 
 GROUPS = ("displacement", "void", "thermal")
+# node-samples per sample block of ``run``: B = max(1, SAMPLE_BLOCK // nodes)
+SAMPLE_BLOCK = 4096
 
 
 class CflViolation(ValueError):
@@ -639,7 +642,7 @@ class _Operator:
 
     The rows of axis j of ``flux`` (the G row excepted) and of ``heat``
     carry 1 / (2 h_j), so their divergences difference with h = 0.5, which
-    skips a divide; ``normal_power`` multiplies the 2 h_j back in.
+    skips a divide; ``SampleBlock.normal_power`` multiplies the 2 h_j back in.
     """
 
     def __init__(self, scenario, dissipative=False):
@@ -650,7 +653,7 @@ class _Operator:
         self._mechanical = [plan for plan in self.faces if plan.mechanical]
         self._heat = [plan for plan in self.faces if plan.bcs["thermal"].kind == "flux"]
         self.sources = {k for k in ("f", "ell", "r") if scenario.sources.get(k) is not None}
-        self.Y = self._energy = None
+        self.Y = None
 
     def _allocate(self):
         """The stepping coefficients and buffers; ``kinematics`` alone needs
@@ -673,13 +676,14 @@ class _Operator:
         self.tau_acc = tau_sign * mat.tau / (mat.rho * mat.chi)
         self.power_scale = np.outer(2.0 * np.array(self.h), mass)
 
-        self.Y = Y = np.empty((2 * d + 3,) + counts)
-        # phi, theta and the gradients: the first 2 + d (d + 1) rows are the
-        # input of the constitutive matmul
-        self.packed = np.empty((2 + d * (d + 2),) + counts)
+        # the rows a sample copies, in one buffer: the state Y; phi, theta and
+        # the gradients, the first 2 + d (d + 1) the constitutive matmul's input
+        self.splits = [2 * d + 3, 2 * d + 5 + d * (d + 2)]
+        self.rows = np.empty((self.splits[1] + d * (d + 1) + 1,) + counts)
+        self.Y, self.packed, self.flux = np.split(self.rows, self.splits)
         self.grad = self.packed[2:].reshape((d + 2, d) + counts)
         self.acc = np.empty((d + 1,) + counts)
-        self.flux = np.empty((d * (d + 1) + 1,) + counts)
+        self.weights = trapezoid_weights(counts, self.h)
         # the scratch rows of one step
         self.scratch = np.empty((3 * d + 3,) + counts)
         self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
@@ -689,7 +693,7 @@ class _Operator:
         # every difference of a step, bound once, the end gathers sharing one
         # buffer sized for the gradients of (u, phi, theta); the divergences
         # work in self.tmp, whose contents advance has used up when they run
-        F, h, half = Y[:d + 2], self.h, (0.5,) * d
+        F, h, half = self.Y[:d + 2], self.h, (0.5,) * d
         gather = np.empty(max(6 * F.size // n for n in counts[:max(1, d - 1)]))
         self._grad_plans = [_difference_plan(F, j, h[j], self.grad[:, j], gather)
                             for j in range(d)]
@@ -705,13 +709,13 @@ class _Operator:
         self._kappa_rows = self.grad[-1].reshape(d, -1)
         self._kappa_half_rows = self.kappa_half[0].reshape(d, -1)
         self._heat_rows = self.heat.reshape(d, -1)
-        self._velocity_rows = Y[d + 2:].reshape(d + 1, -1)
+        self._velocity_rows = self.Y[d + 2:].reshape(d + 1, -1)
         self._tmp_rows = self.tmp[:d].reshape(d, -1)
 
-        self._positions = self._writes({"displacement": Y[:d], "void": Y[d]})
-        self._velocities = self._writes({"displacement": Y[d + 2:2 * d + 2],
-                                         "void": Y[2 * d + 2]}, rate=True)
-        self._theta = self._writes({"thermal": Y[d + 1]})
+        self._positions = self._writes({"displacement": self.Y[:d], "void": self.Y[d]})
+        self._velocities = self._writes({"displacement": self.Y[d + 2:2 * d + 2],
+                                         "void": self.Y[2 * d + 2]}, rate=True)
+        self._theta = self._writes({"thermal": self.Y[d + 1]})
         self._theta_half = self._writes({"thermal": self.theta_half})
 
     # -- boundary ----------------------------------------------------------
@@ -804,7 +808,6 @@ class _Operator:
         fluxes (S[:, j] / rho, h[j] / (rho chi)) / (2 h_j) per axis j and the
         intrinsic force G / (rho chi) of the loaded state."""
         d, Y = self.d, self.Y
-        self._energy = None
         self._gradients(self._grad_plans, Y[:d + 2], t, self.grad)
         self.packed[:2] = Y[d:d + 2]
         np.matmul(self.L, self._packed_rows, out=self._flux_rows)
@@ -854,9 +857,7 @@ class _Operator:
 
     def state(self, t):
         """A snapshot that owns its memory."""
-        d, Y = self.d, self.Y
-        return SimState(t=t, u=Y[:d].copy(), v=Y[d + 2:2 * d + 2].copy(), phi=Y[d].copy(),
-                        phidot=Y[2 * d + 2].copy(), theta=Y[d + 1].copy())
+        return SampleBlock(self, self.rows[:, None], [t]).states()[0]
 
     def rates(self, state):
         """Accelerations of (u, phi), stacked, and the temperature rate at a
@@ -876,51 +877,6 @@ class _Operator:
         self._gradients([_difference_plan(F, j, self.h[j], grad[:, j]) for j in range(d)],
                         F, state.t, grad)
         return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1)), grad[d], grad[d + 1]
-
-    def energy(self):
-        """The energy density P (kinetic, void-kinetic, thermal and stored) at
-        the level evaluated by ``fluxes``, computed once per level."""
-        if self._energy is None:
-            d, Y, n = self.d, self.Y, self.Y[0].size
-            P = energy_density(self.mat, self.grad[:d + 1].reshape(d * (d + 1), n),
-                               Y[d].reshape(n), Y[d + 2:].reshape(d + 1, n), Y[d + 1].reshape(n))
-            self._energy = P.reshape(Y.shape[1:])
-        return self._energy
-
-    def energy_parts(self):
-        """The parts (P, R) of the measure density lambda P + R at the level
-        evaluated by ``fluxes``: P from :meth:`energy`, R the rate and
-        conduction terms."""
-        d, Y, n = self.d, self.Y, self.Y[0].size
-        R = rate_density(self.mat, Y[2 * d + 2].reshape(n), self.grad[d + 1].reshape(d, n))
-        return self.energy(), R.reshape(Y.shape[1:])
-
-    def normal_power(self, axis, sel=()):
-        """Power S n.v + h.n phidot - q.n theta/theta0 through a face with
-        normal e_axis, at the nodes ``sel`` (an index into the grid axes) of
-        the level evaluated by ``fluxes``: S and h from its fluxes, q from its
-        temperature gradient."""
-        d, mat, Y = self.d, self.mat, self.Y
-        at = (slice(None),) + sel
-        flux = self.flux[axis * (d + 1):(axis + 1) * (d + 1)][at]
-        q = mat.K[axis] @ self.grad[d + 1][at].reshape(d, -1)
-        power = (self.power_scale[axis] @ (flux * Y[d + 2:][at]).reshape(d + 1, -1)
-                 - q * Y[d + 1][sel].reshape(-1) / mat.theta0)
-        return power.reshape(flux.shape[1:])
-
-    def source_work(self, t):
-        """Work of the volume sources per unit mass, f.v + ell phidot -
-        r theta/theta0, at the loaded level and time t; None without
-        sources."""
-        d, Y, source = self.d, self.Y, self.scenario.source
-        work = []
-        if "f" in self.sources:
-            work.append(np.einsum("i...,i...->...", source("f", t), Y[d + 2:2 * d + 2]))
-        if "ell" in self.sources:
-            work.append(source("ell", t) * Y[2 * d + 2])
-        if "r" in self.sources:
-            work.append(-source("r", t) * Y[d + 1] / self.mat.theta0)
-        return sum(work) if work else None
 
     def check_finite(self, t):
         """Raise on the first non-finite node, named by field and index."""
@@ -971,6 +927,86 @@ class _Operator:
         self._dirichlet(t1, self._velocities)
 
 
+class SampleBlock:
+    """Sampled levels of a run: ``times`` and, laid out (rows, samples, *grid)
+    and valid during a reducer call only, ``Y`` the state, ``grad`` the
+    gradients (field-major) and ``flux`` the fluxes.  Kernels see (samples,
+    rows, nodes), so a matmul makes a BLAS call per sample: bits per sample."""
+
+    def __init__(self, op, rows, times):
+        self.op, self.d, self.times = op, op.d, times
+        self.Y, packed, self.flux = np.split(rows, op.splits)
+        self.grad = packed[2:]
+
+    def _stack(self, rows):
+        """(rows, samples, ...) as (samples, rows, nodes)."""
+        return rows.reshape(len(rows), len(self.times), -1).swapaxes(0, 1)
+
+    @cached_property
+    def energy(self):
+        """The energy density P (kinetic, void-kinetic, thermal and stored)."""
+        d, Y, m = self.d, self.Y, len(self.times)
+        return energy_density(self.op.mat, self._stack(self.grad[:-d]), Y[d].reshape(m, -1),
+                              self._stack(Y[d + 2:]), Y[d + 1].reshape(m, -1)).reshape(Y.shape[1:])
+
+    @cached_property
+    def energy_total(self):
+        """The trapezoid integral of P over the grid, a float per sample."""
+        return (self.op.weights * self.energy).reshape(len(self.times), -1).sum(1).tolist()
+
+    def energy_parts(self):
+        """The parts (P, R) of the measure density lambda P + R."""
+        R = rate_density(self.op.mat, self._stack(self.Y[-1:])[:, 0],
+                         self._stack(self.grad[-self.d:]))
+        return self.energy, R.reshape(self.Y.shape[1:])
+
+    def normal_power(self, axis, sel=()):
+        """Power S n.v + h.n phidot - q.n theta/theta0 through a face with
+        normal e_axis, at the nodes ``sel`` (an index into the grid axes)."""
+        d, mat, Y = self.d, self.op.mat, self.Y
+        at = (slice(None), slice(None)) + sel
+        flux = self.flux[axis * (d + 1):(axis + 1) * (d + 1)][at]
+        q = mat.K[axis] @ self._stack(self.grad[-d:][at])
+        power = (self.op.power_scale[axis] @ self._stack(flux * Y[d + 2:][at])
+                 - q * Y[d + 1][at[1:]].reshape(len(self.times), -1) / mat.theta0)
+        return power.reshape(flux.shape[1:])
+
+    def source_work(self):
+        """Work of the volume sources per unit mass, f.v + ell phidot -
+        r theta/theta0; None without sources."""
+        d, Y, op = self.d, self.Y, self.op
+        terms = {"f": lambda f: np.einsum("i...,i...->...", f, Y[d + 2:2 * d + 2]),
+                 "ell": lambda s: s * Y[2 * d + 2], "r": lambda s: -s * Y[d + 1] / op.mat.theta0}
+        work = [term(np.stack([op.scenario.source(key, t) for t in self.times], axis=-d - 1))
+                for key, term in terms.items() if key in op.sources]
+        return sum(work) if work else None
+
+    def states(self):
+        """The samples as snapshots that own their memory."""
+        d = self.d   # SimState(t, u, v, phi, phidot, theta)
+        return [SimState(t, y[:d].copy(), y[d + 2:-1].copy(), y[d].copy(), y[-1].copy(),
+                         y[d + 1].copy()) for t, y in zip(self.times, self.Y.swapaxes(0, 1))]
+
+
+def _sampler(op, reducers):
+    """``sample(t)`` copies op's level into a block of B samples (a view at
+    B = 1) that goes to the reducers when full; ``sample()`` sends the rest."""
+    size, times = max(1, SAMPLE_BLOCK // op.Y[0].size), []
+    rows = op.rows[:, None] if size == 1 else np.empty((len(op.rows), size) + op.Y.shape[1:])
+
+    def sample(t=None):
+        if t is not None:
+            if size > 1:
+                rows[:, len(times)] = op.rows
+            times.append(t)
+        if times and (t is None or len(times) == size):
+            block = SampleBlock(op, rows[:, :len(times)], times.copy())
+            times.clear()
+            for reducer in reducers:
+                reducer(block)
+    return sample
+
+
 def kinematics(state, scenario):
     """Strain, void gradient, temperature gradient of a state, with the
     boundary-flux corrections applied as during stepping."""
@@ -978,15 +1014,15 @@ def kinematics(state, scenario):
 
 
 def replay(trajectory, reducers):
-    """Call each reducer as ``reducer(op, t)`` on every snapshot of a
-    trajectory, with an operator holding the snapshot's level, as
-    :func:`run` calls them while stepping."""
+    """Hand a trajectory's snapshots to the reducers in sample blocks, as :func:`run` does."""
     op = _Operator(trajectory.scenario, trajectory.dissipative)
+    op._allocate()
+    sample = _sampler(op, reducers)
     for st in trajectory.states:
         op.load(st)
         op.fluxes(st.t)
-        for reducer in reducers:
-            reducer(op, st.t)
+        sample(st.t)
+    sample()
 
 
 def run(scenario, n_samples=None, dissipative=False, reducers=None):
@@ -1003,15 +1039,14 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     identical trajectories.
 
     Every reader of a sample is a reducer: a callable of ``reducers``,
-    called as ``reducer(op, t)`` at every sample, with the stepping operator
-    holding the sample's level: ``op.Y`` the state, ``op.energy_parts()``
-    the parts (P, R) of the measure density, ``op.normal_power(axis, sel)``
-    the power through a grid plane and ``op.source_work(t)`` the work of the
-    volume sources.  The default reducer keeps a copy of every sample in
-    ``states``; given reducers, ``states`` keeps only the final state, so
-    memory does not grow with the sample count.  ``times`` and the log are
-    the same either way; the log reads only P, so R is computed only for a
-    reducer that asks for it.
+    called as ``reducer(block)`` on :class:`SampleBlock` s of B =
+    ``SAMPLE_BLOCK // nodes`` samples (at least one), in sample order, the
+    last one partial: ``block.energy_parts()`` the parts (P, R) of the
+    measure density, ``block.normal_power(axis, sel)`` the power through a
+    grid plane, ``block.source_work()`` the work of the volume sources.  The
+    default reducer keeps a copy of every sample in ``states``; given
+    reducers, only the final state, so memory is bounded by B, not the
+    sample count.  ``times`` and the log (which computes no R) are the same.
     """
     errors, warnings = validate_scenario(scenario)
     if errors:
@@ -1038,24 +1073,20 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
         raise CflViolation(f"step {dt:.6g} makes (dt/2) tau / (rho chi) = {kick:.6g} >= 1 "
                            f"for the memory term tau = {mat.tau:.6g}")
 
-    grid = scenario.grid
     op = _Operator(scenario, dissipative)
     op.load(SimState(0.0, *initial_arrays(scenario)))
     op.impose(0.0)
     op.level(0.0)
 
-    weights = trapezoid_weights(grid.counts, grid.spacing)
-    theta = op.Y[grid.dim + 1]
     times, states, energies, theta_max = [], [], [], []
-    reducers = reducers or [lambda op, t: states.append(op.state(t))]
 
-    def sample(t):
-        times.append(t)
-        energies.append(float((weights * op.energy()).sum()))
-        theta_max.append(float(np.abs(theta).max()))
-        for reducer in reducers:
-            reducer(op, t)
+    def log(block):
+        times.extend(block.times)
+        energies.extend(block.energy_total)
+        theta_max.extend(np.abs(block.Y[op.d + 1]).reshape(len(block.times), -1).max(1).tolist())
 
+    # the log goes last: it holds no density while a reducer runs
+    sample = _sampler(op, [*(reducers or [lambda block: states.extend(block.states())]), log])
     sample(0.0)
     for k in range(nsteps):
         op.advance(k * dt, dt)
@@ -1063,6 +1094,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
         op.check_finite(t1)
         if (k + 1) % stride == 0 or k + 1 == nsteps:
             sample(t1)
+    sample()
     states = states or [op.state(times[-1])]
 
     log = {"dt": dt, "nsteps": nsteps, "growth_factor": growth,
@@ -1336,8 +1368,8 @@ class TrajectoryCsvWriter:
     row-major.  The coordinate prefix of every row is formatted once per
     run.  A sample goes out in blocks of nodes of about ``SLAB`` values
     (one block on the 1D reference pulse): each formats its fields gathered
-    from ``op.Y``, and the sample time, in one call of the vectorised
-    ``%.17g`` kernel and makes one write."""
+    from the sample block's ``Y``, and the sample time, in one call of the
+    vectorised ``%.17g`` kernel and makes one write."""
 
     def __init__(self, scenario, fh):
         d = scenario.grid.dim
@@ -1348,15 +1380,16 @@ class TrajectoryCsvWriter:
         fh.write(",".join(["t"] + [f"{c}{i + 1}" for c in "xuv" for i in range(d)]
                           + ["phi", "phidot", "theta"]) + "\n")
 
-    def __call__(self, op, t):
-        block = op.Y[self.rows].reshape(len(self.rows), -1).T
+    def __call__(self, block):
         step = max(1, (_csvtext.SLAB - 1) // len(self.rows))
-        for start in range(0, len(block), step):
-            part = block[start:start + step]
-            cells = _csvtext.g17_cells(np.append(t, part))
-            t_lead = np.append(cells[0][cells[0] != 0], np.uint8(ord(",")))
-            self.fh.write(_csvtext.csv_text(cells[1:].reshape(part.shape + (-1,)),
-                                            t_lead, self.coords[start:start + step]))
+        for k, t in enumerate(block.times):
+            table = block.Y[self.rows, k].reshape(len(self.rows), -1).T
+            for start in range(0, len(table), step):
+                part = table[start:start + step]
+                cells = _csvtext.g17_cells(np.append(t, part))
+                t_lead = np.append(cells[0][cells[0] != 0], np.uint8(ord(",")))
+                self.fh.write(_csvtext.csv_text(cells[1:].reshape(part.shape + (-1,)),
+                                                t_lead, self.coords[start:start + step]))
 
 
 def write_trajectory_csv(trajectory, path):

@@ -497,6 +497,26 @@ def test_malformed_input_exit_codes(workdir, capsys, command, setup, code, repor
     assert not outdir.exists() or not list(outdir.iterdir())
 
 
+def test_blow_up_mid_block_leaves_no_trajectory(workdir, monkeypatch, capsys):
+    # the pulse overflows at its 11th sample: at B = 4 two full blocks have
+    # gone to trajectory.csv's temporary file and two samples wait in the
+    # third when NonFiniteField is raised
+    (workdir / "huge.scn").write_text(
+        PULSE_FILE.format(nodes=161).replace("amplitude=0.01", "amplitude=1e305"))
+    scen = vt.read_scenario_file(workdir / "huge.scn")
+    for size, handed_out in ((1, [1] * 10), (4, [4, 4])):
+        monkeypatch.setattr(vt.solver, "SAMPLE_BLOCK", size * 161)
+        sizes = []
+        with pytest.raises(vt.NonFiniteField), np.errstate(over="ignore", invalid="ignore"):
+            vt.run(scen, reducers=[lambda block: sizes.append(len(block.times))])
+        assert sizes == handed_out
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--scenario", str(workdir / "huge.scn"),
+                     "--out", str(workdir / "o")]) == 1
+    assert "NonFiniteField" in capsys.readouterr().err
+    assert list((workdir / "o").iterdir()) == []
+
+
 def test_help_exits_zero(capsys):
     assert main(["simulate", "--help"]) == 0
     assert "usage: voidtherm simulate" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import tracemalloc
 from pathlib import Path
@@ -500,8 +501,11 @@ def test_streamed_record_matches_replay(name):
 
     for record, box in zip(records, (None, region)):
         replayed = vt.record_trajectory(snap, box)
-        for key in ("t", "profiles", "box_P", "box_R", "box_power", "box_work"):
-            assert _gap(getattr(record, key), getattr(replayed, key)) <= 1e-12, key
+        for key in ("t", "profile_blocks", "box_P", "box_R", "box_power", "box_work"):
+            got, want = getattr(record, key), getattr(replayed, key)
+            if key == "profile_blocks":   # blocks of the same sizes, one sample axis
+                got, want = np.concatenate(got, axis=1), np.concatenate(want, axis=1)
+            assert _gap(got, want) <= 1e-12, key
         got = vt.check_energy_identity(record, lam)
         want = vt.check_energy_identity(replayed, lam)
         for key in ("lhs", "rhs", "scale"):
@@ -526,6 +530,64 @@ def test_streamed_record_matches_replay(name):
 
 
 # ---------------------------------------------------------------------------
+# sample blocks: the block size changes no bit of what the reducers see
+
+
+def _sampled_outputs(scen, n_samples, region, tmp_path):
+    """What a run and the replays of its snapshots hand out, by name; and
+    the sizes of the blocks the run handed its reducers."""
+    records = [vt.SampleRecord(scen), vt.SampleRecord(scen, region)]
+    fh, sizes = io.StringIO(), []
+    streamed = vt.run(scen, n_samples=n_samples, reducers=[
+        *records, vt.TrajectoryCsvWriter(scen, fh), lambda block: sizes.append(len(block.times))])
+    snap = vt.run(scen, n_samples=n_samples)
+    vt.write_trajectory_csv(snap, tmp_path / "replayed.csv")
+    out = {"streamed csv": fh.getvalue(), "replayed csv": (tmp_path / "replayed.csv").read_text()}
+    for name, traj in (("streamed", streamed), ("snapshots", snap)):
+        out[f"{name} times"] = traj.times
+        for key in ("energy", "theta_max"):
+            out[f"{name} {key}"] = traj.log[key]
+        for key in ("u", "v", "phi", "phidot", "theta"):
+            out[f"{name} {key}"] = np.stack([getattr(st, key) for st in traj.states])
+    replayed = [vt.record_trajectory(snap), vt.record_trajectory(snap, region)]
+    for name, pair in (("streamed", records), ("replayed", replayed)):
+        for box, record in zip(("grid", "region"), pair):
+            out[f"{name} {box} profiles"] = np.concatenate(record.profile_blocks, axis=1)
+            for key in ("t", "box_P", "box_R", "box_power", "box_work"):
+                out[f"{name} {box} {key}"] = np.array(getattr(record, key))
+    return out, sizes
+
+
+@pytest.mark.parametrize("name", ["pulse1d", "plate2d", "box3d", "manufactured"])
+def test_sample_block_size_changes_no_bit(name, tmp_path, monkeypatch):
+    # B = 1 (a view of the operator's rows, the arithmetic of one sample),
+    # B = 3, and one partial block for the whole run: the record's fields,
+    # the log, the states, the streamed and the replayed trajectory.csv and
+    # the replayed records are bit for bit the same
+    scen, n_samples, _, region = _stream_case(name)
+    nodes = math.prod(scen.grid.counts)
+    results = []
+    for size in (1, 3, n_samples + 1):
+        monkeypatch.setattr(vt.solver, "SAMPLE_BLOCK", size * nodes)
+        out, sizes = _sampled_outputs(scen, n_samples, region, tmp_path)
+        count = len(out["streamed times"])
+        assert sizes == [size] * (count // size) + ([count % size] if count % size else [])
+        results.append(out)
+    assert count > 3   # so B = 3 gives several blocks, and the last size one partial block
+    for key, want in results[0].items():
+        for got in results[1:]:
+            assert np.array_equal(got[key], want), key
+
+
+def test_whole_grid_box_energy_is_the_energy_log():
+    # one whole-grid sum per sample: the record reads the log's number
+    scen, n_samples, _, _ = _stream_case("plate2d")
+    record = vt.SampleRecord(scen)
+    traj = vt.run(scen, n_samples=n_samples, reducers=[record])
+    assert record.box_P == traj.log["energy"].tolist()
+
+
+# ---------------------------------------------------------------------------
 # the measure tables in bounded memory, against the allocating formulas
 
 
@@ -547,7 +609,7 @@ def _reference_measure(record, geometry, lam, decay_rate):
     h1 = record.scenario.grid.spacing[0]
     times = np.asarray(record.t)
     idx = np.round((geometry.x0 + geometry.r_samples) / h1).astype(int)
-    prof = np.array([lam * p[0] + p[1] for p in record.profiles])
+    prof = np.concatenate([lam * p[0] + p[1] for p in record.profile_blocks])
     weighted = np.exp(lam * times)[:, None] * prof
     suffix = np.zeros(weighted.shape)
     cell = 0.5 * h1 * (weighted[:, :-1] + weighted[:, 1:])

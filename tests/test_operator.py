@@ -357,11 +357,28 @@ def test_dirichlet_writes_match_face_data():
     assert phidot[0, 0, 0] == gauss.rate(t) and phi[0, 0, -1] == t * arrays["void"][0]
 
 
+def random_states(rng, dim, counts, times):
+    return [SimState(t=t, u=rng.normal(size=(dim,) + counts), v=rng.normal(size=(dim,) + counts),
+                     phi=rng.normal(size=counts), phidot=rng.normal(size=counts),
+                     theta=rng.normal(size=counts)) for t in times]
+
+
+def read_block(scen, states, read):
+    """``read(block)`` on the one sample block that replays ``states``, taken
+    during the reducer call, while the block's rows are valid."""
+    got = []
+    vt.replay(vt.Trajectory(scen, np.array([st.t for st in states]), states),
+              [lambda block: got.append(read(block))])
+    (result,) = got
+    return result
+
+
 @pytest.mark.parametrize("dim", (2, 3))
 def test_normal_power_matches_independent_reference(dim):
     # S n.v + h.n phidot - q.n theta/theta0 from the corrected kinematics and
     # the pointwise law, on a grid whose spacings differ by axis (the fluxes
-    # the operator keeps carry 1 / (2 h_axis)), with flux data on every face
+    # the operator keeps carry 1 / (2 h_axis)), with flux data on every face;
+    # a block of three samples, each against the reference of its own state
     rng = np.random.default_rng(70 + dim)
     mat = vt.random_material(dim, rng)
     grid = vt.Grid(extents=(1.0, 0.3, 2.0)[:dim], counts=(9, 7, 6)[:dim])
@@ -369,26 +386,26 @@ def test_normal_power_matches_independent_reference(dim):
     scen = vt.Scenario(grid=grid, material=mat,
                        boundary=BoundaryPartition(faces=random_faces(dim, grid, ("flux",) * 3, rng)),
                        dt="auto", T=1.0, support_x0=1.0)
-    state = SimState(t=0.4, u=rng.normal(size=(dim,) + counts), v=rng.normal(size=(dim,) + counts),
-                     phi=rng.normal(size=counts), phidot=rng.normal(size=counts),
-                     theta=rng.normal(size=counts))
-    op = _Operator(scen)
-    op.load(state)
-    op.fluxes(state.t)
-    e, gamma, kappa = op.kinematics(state)
-    S, h, _, q = field_response(e, gamma, kappa, state.phi, state.theta, mat)
-    for axis in range(dim):
-        want = (np.einsum("i...,i...->...", S[:, axis], state.v) + h[axis] * state.phidot
-                - q[axis] * state.theta / mat.theta0)
+    states = random_states(rng, dim, counts, (0.4, 0.5, 0.6))
+
+    def sels(axis):
         plane = (slice(None),) * axis
         box = tuple(slice(1, n - 2) for n in counts)
-        sels = [(), plane + (0,), plane + (counts[axis] - 1,), plane + (2,),
+        return [(), plane + (0,), plane + (counts[axis] - 1,), plane + (2,),
                 box[:axis] + (counts[axis] - 1,) + box[axis + 1:],
                 box[:axis] + (1,) + box[axis + 1:]]
-        for sel in sels:
-            got = op.normal_power(axis, sel)
-            assert got.shape == want[sel].shape
-            assert rel_gap(got, want[sel]) <= 1e-13, (axis, sel)
+    powers = read_block(scen, states, lambda block: [
+        [block.normal_power(axis, sel) for sel in sels(axis)] for axis in range(dim)])
+    op = _Operator(scen)
+    for k, state in enumerate(states):
+        e, gamma, kappa = op.kinematics(state)
+        S, h, _, q = field_response(e, gamma, kappa, state.phi, state.theta, mat)
+        for axis in range(dim):
+            want = (np.einsum("i...,i...->...", S[:, axis], state.v) + h[axis] * state.phidot
+                    - q[axis] * state.theta / mat.theta0)
+            for sel, got in zip(sels(axis), powers[axis], strict=True):
+                assert got.shape == (len(states),) + want[sel].shape
+                assert rel_gap(got[k], want[sel]) <= 1e-13, (k, axis, sel)
 
 
 @pytest.mark.parametrize("kinds, probes", [
@@ -490,20 +507,21 @@ def test_packed_energy_matches_quadratic_form(dim):
     scen = vt.Scenario(grid=grid, material=mat,
                        boundary=BoundaryPartition(faces=random_faces(dim, grid, ("flux",) * 3, rng)),
                        dt="auto", T=1.0, support_x0=1.0)
-    state = SimState(t=0.2, u=rng.normal(size=(dim,) + counts), v=rng.normal(size=(dim,) + counts),
-                     phi=rng.normal(size=counts), phidot=rng.normal(size=counts),
-                     theta=rng.normal(size=counts))
+    # a block of two samples, each against the form at its own state
+    states = random_states(rng, dim, counts, (0.2, 0.3))
+    P, R = read_block(scen, states, lambda block: block.energy_parts())
+    assert P.shape == R.shape == (len(states),) + counts
     op = _Operator(scen)
-    op.load(state)
-    op.fluxes(state.t)
-    P, R = op.energy_parts()
-    e, gamma, kappa = op.kinematics(state)
     Q = vt.assemble_quadratic_form(mat)
-    for idx in np.ndindex(*counts):
-        z = PointState(e=e[(slice(None), slice(None)) + idx], gamma=gamma[(slice(None),) + idx],
-                       kappa=0.0, phi=state.phi[idx], phidot=0.0, theta=0.0).scaled_coords(mat)
-        v, k, pdot = state.v[(slice(None),) + idx], kappa[(slice(None),) + idx], state.phidot[idx]
-        want_P = 0.5 * (mat.rho * v @ v + mat.rho * mat.chi * pdot ** 2
-                        + mat.aHeat * state.theta[idx] ** 2 + z @ Q @ z)
-        assert P[idx] == pytest.approx(want_P, rel=1e-12)
-        assert R[idx] == pytest.approx(mat.tau * pdot ** 2 + k @ mat.K @ k / mat.theta0, rel=1e-12)
+    for s, state in enumerate(states):
+        e, gamma, kappa = op.kinematics(state)
+        for idx in np.ndindex(*counts):
+            z = PointState(e=e[(slice(None), slice(None)) + idx], gamma=gamma[(slice(None),) + idx],
+                           kappa=0.0, phi=state.phi[idx], phidot=0.0, theta=0.0).scaled_coords(mat)
+            v, k, pdot = (state.v[(slice(None),) + idx], kappa[(slice(None),) + idx],
+                          state.phidot[idx])
+            want_P = 0.5 * (mat.rho * v @ v + mat.rho * mat.chi * pdot ** 2
+                            + mat.aHeat * state.theta[idx] ** 2 + z @ Q @ z)
+            assert P[(s,) + idx] == pytest.approx(want_P, rel=1e-12)
+            assert R[(s,) + idx] == pytest.approx(mat.tau * pdot ** 2 + k @ mat.K @ k / mat.theta0,
+                                                  rel=1e-12)
