@@ -2,9 +2,10 @@
 
 A displacement pulse acts on the near face of a 1D bar for t <= 0.2; all
 other data vanish, so the data support is the slab x <= 0.25.  The script
-integrates the (anti-dissipative) system, builds the measure E(r, t),
-certifies the first-order differential inequality, and follows ln E along
-the characteristic to exhibit the exponential decay estimate.
+certifies the (anti-dissipative) run with ``vt.certify``: the measure
+E(r, t), its energy identity, the first-order differential inequality and
+the decay estimate.  It then follows ln E along the characteristic to
+exhibit the exponential decay.
 """
 
 import math
@@ -15,8 +16,6 @@ import voidtherm as vt
 from voidtherm import presets
 
 scen = presets.pulse_scenario()
-mat = scen.material
-spec = vt.spectrum(mat)
 geom = vt.support_geometry(scen)
 print(f"bar length {scen.grid.extents[0]}, slab depth x0 = {scen.support_x0}, "
       f"L = {geom.L}, T = {scen.T}")
@@ -24,33 +23,22 @@ print(f"bar length {scen.grid.extents[0]}, slab depth x0 = {scen.support_x0}, "
 dt_max, growth = vt.stability_budget(scen)
 print(f"wave dt bound {dt_max:.3e}; worst-case thermal amplification {growth:.1f}")
 
-lam, rate = vt.optimize_lambda(mat, geom.L, scen.T, r0=0.5,
-                               lambda_grid=(2, 4, 8, 16, 32))
-decay = vt.zeta_of_lambda(spec, mat, lam)
+# one streamed run: lambda from the grid 2, 4, ..., 32, the automatic
+# anchor, and the three checks with their slacks
+verdict, series = vt.certify(scen)
+lam, decay = series.lam, series.decay
 print(f"time weight lambda = {lam}: epsilon = {decay.epsilon:.5f}, "
       f"zeta = {decay.zeta:.5f}, decay rate = {decay.decay_rate:.3f}")
 
-record = vt.SampleRecord(scen)      # filled while run steps: no snapshots kept
-traj = vt.run(scen, n_samples=801, reducers=[record])
-print(f"integrated {traj.log['nsteps']} steps of {traj.log['dt']:.3e}")
-
-series = vt.compute_measure(record, geom, lam)
 print("\nE(r, T) profile (every 50th depth):")
 for j in range(0, series.r.size, 50):
     print(f"  r = {series.r[j]:.3f}   E = {series.E[j, -1]:.6e}")
 
-rep = vt.check_diff_inequality(series)
-print(f"\n{rep}")
-
-identity = vt.check_energy_identity(record, lam)
-print(identity)
-
-h1 = scen.grid.spacing[0]
-r0 = math.floor(min(geom.L, 0.5 * decay.zeta * scen.T) / h1) * h1
-t0 = scen.T - r0 / decay.zeta
-drep = vt.check_decay(series, t0, r0)
-print(f"\nanchors: t0 = {t0:.4f}, r0 = {r0:.4f}")
-print(drep)
+for key in ("energy_identity", "diff_inequality", "decay"):
+    print(f"{key}: {verdict[key]}")
+t0, r0 = verdict["window"]["t0"], verdict["window"]["r0"]
+print(f"\nanchors: t0 = {t0:.4f}, r0 = {r0:.4f}; certificate "
+      f"{'PASS' if verdict['passed'] else 'FAIL'}")
 
 print("\nln E along the characteristic vs the certified line:")
 tchar = t0 + (r0 - series.r) / decay.zeta

@@ -70,6 +70,7 @@ from .measures import (
     SupportGeometry,
     check_decay,
     check_diff_inequality,
+    certify,
     check_energy_identity,
     compute_measure,
     record_trajectory,

@@ -1,5 +1,5 @@
 """Command-line front end: material admissibility, simulation, and the
-decay-verification pipeline.
+decay certificate of :func:`voidtherm.measures.certify`, rendered here.
 
 Exit codes: 0 pass, 1 invalid input, 2 infeasible window, 3 verification
 failure; errors map to their code in one table, :data:`EXIT_TABLE`, read
@@ -10,6 +10,7 @@ outputs round-trip and identical configs give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,10 +21,9 @@ import numpy as np
 from . import material as mat_mod
 from . import measures, solver
 from ._csvtext import replace_on_success
-from .constitutive import DISCRETE_REL
 from .material import (InfeasibleWindow, MaterialFileError, NoFeasibleLambda,
-                       NotPositiveDefinite, optimize_lambda, read_material_file,
-                       spectrum, validate, zeta_of_lambda)
+                       NotPositiveDefinite, read_material_file, spectrum, validate,
+                       zeta_of_lambda)
 # write_trajectory_csv is unused here: bench/run.py traces it by this name
 from .solver import (BudgetExceeded, CflViolation, NonFiniteField, ScenarioFileError,
                      TrajectoryCsvWriter, read_scenario_file, run, write_trajectory_csv)
@@ -41,11 +41,6 @@ EXIT_TABLE = (
       CflViolation, NonFiniteField, ValueError), EXIT_INVALID, "invalid input"),
 )
 
-# reference resolution of the decay pipeline: 400 cells over a 1.25 bar
-REF_SPACING = 1.25 / 400
-ENERGY_IDENTITY_TOL = 5e-4
-AUTO_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0)
-
 
 def _fmt(x):
     return f"{x:.17g}"
@@ -57,35 +52,6 @@ def _load_material(path):
     if not report.ok:
         raise NotPositiveDefinite("material inadmissible:\n" + str(report))
     return material
-
-
-def _resolution_factor(scenario):
-    h1 = scenario.grid.spacing[0]
-    return max(1.0, (h1 / REF_SPACING) ** 2)
-
-
-def _auto_anchor(zeta, L, T, h1):
-    r0 = min(L, 0.5 * zeta * T)
-    r0 = max(h1, math.floor(r0 / h1 + 1e-9) * h1)
-    t0 = T - r0 / zeta
-    return t0, r0
-
-
-def _feasible_anchor(zeta, geometry, scenario):
-    """The automatic (t0, r0) anchor at spatial speed ``zeta``, or None when
-    its feasibility window is empty."""
-    t0, r0 = _auto_anchor(zeta, geometry.L, scenario.T, scenario.grid.spacing[0])
-    try:
-        mat_mod.feasibility_window(zeta, geometry.L, scenario.T, r0)
-    except InfeasibleWindow:
-        return None
-    return t0, r0
-
-
-def _sample_count(T, lam, floor=801):
-    """Samples of a run measured at time weight ``lam``: one per 0.05 / lam
-    of time, at least ``floor`` and at most 1601."""
-    return min(1601, max(floor, int(math.ceil(T * lam / 0.05))))
 
 
 def _parse_lambdas(text):
@@ -162,96 +128,19 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def verify_decay_pipeline(scenario, lambdas=None, r0=None, t0=None, seed=0):
-    """Core of ``verify-decay``: returns (exit_code, summary, series).
-
-    Exit policy: the energy-identity residual, the differential-inequality
-    violations, and the decay violations must all sit inside the
-    resolution-scaled slacks.
-    """
-    material = scenario.material
-    spec = spectrum(material)
-    res_factor = _resolution_factor(scenario)
-    geometry = measures.support_geometry(scenario)
-    h1 = scenario.grid.spacing[0]
-
-    lam_grid = list(lambdas) if lambdas else list(AUTO_LAMBDAS)
-    probe_r0 = r0 if r0 is not None else min(geometry.L, h1 * (len(geometry.r_samples) // 2))
-    lam, rate = optimize_lambda(material, geometry.L, scenario.T, probe_r0, lam_grid)
-    decay = zeta_of_lambda(spec, material, lam)
-    if r0 is None or t0 is None:
-        t0_auto, r0_auto = _auto_anchor(decay.zeta, geometry.L, scenario.T, h1)
-        r0 = r0_auto if r0 is None else r0
-        t0 = t0_auto if t0 is None else t0
-
-    record = measures.SampleRecord(scenario)
-    traj = run(scenario, n_samples=_sample_count(scenario.T, lam), reducers=[record])
-    series = measures.compute_measure(record, geometry, lam)
-
-    identity = measures.check_energy_identity(record, lam)
-    identity_tol = ENERGY_IDENTITY_TOL * res_factor
-    diff_rep = measures.check_diff_inequality(series, tol=DISCRETE_REL * res_factor)
-    decay_rep = measures.check_decay(series, t0, r0, tol=DISCRETE_REL * res_factor)
-
-    warnings = list(traj.log["warnings"])
-    if res_factor > 1.0:
-        warnings.append(
-            f"resolution-limited: grid spacing {h1:.6g} above the reference "
-            f"{REF_SPACING:.6g}; slacks enlarged by {res_factor:.6g}")
-
-    passed = (identity.residual <= identity_tol and diff_rep.ok and decay_rep.ok)
-    summary = {
-        "label": scenario.label,
-        "seed": seed,
-        "spectrum": {"mu_m": spec.mu_m, "mu_M": spec.mu_M, "k_m": spec.k_m,
-                     "k_M": spec.k_M, "M2": spec.M2},
-        "lambda": lam,
-        "epsilon": decay.epsilon,
-        "zeta": decay.zeta,
-        "decay_rate": decay.decay_rate,
-        "window": {"t0": t0, "r0": r0, "L": geometry.L, "T": scenario.T},
-        "energy_identity": {"residual": identity.residual,
-                            "residual_max": identity.residual_max,
-                            "tolerance": identity_tol},
-        "diff_inequality": {"violations": len(diff_rep.violations),
-                            "checked": diff_rep.n_checked,
-                            "worst_margin": diff_rep.worst_margin,
-                            "tolerance": diff_rep.tol},
-        "decay": {"violations": len(decay_rep.violations),
-                  "chain_violations": len(decay_rep.chain_violations),
-                  "slope": decay_rep.slope,
-                  "slope_bound": -decay.decay_rate,
-                  "floored_samples": decay_rep.n_floored,
-                  "tolerance": decay_rep.tol},
-        "resolution_factor": res_factor,
-        "warnings": warnings,
-        "passed": passed,
-    }
-    return (EXIT_OK if passed else EXIT_VERIFY), summary, series
-
-
-def _refined_copy(scenario, factor):
-    import dataclasses
-
-    grid = solver.Grid(extents=scenario.grid.extents,
-                       counts=tuple((n - 1) * factor + 1 for n in scenario.grid.counts))
-    return dataclasses.replace(scenario, grid=grid, dt="auto")
-
-
 def _refinement_study(scenario, lam, levels):
     """Energy-identity residuals on a doubling grid hierarchy."""
-    residuals = []
-    notes = []
+    residuals, notes = [], []
     for level in range(levels + 1):
-        refined = _refined_copy(scenario, 2 ** level)
-        record = measures.SampleRecord(refined)
+        counts = tuple((n - 1) * 2 ** level + 1 for n in scenario.grid.counts)
+        refined = dataclasses.replace(
+            scenario, grid=solver.Grid(extents=scenario.grid.extents, counts=counts), dt="auto")
         try:
-            run(refined, n_samples=_sample_count(refined.T, lam, floor=401), reducers=[record])
+            record, _ = measures.stream_record(refined, lam, floor=401)
         except BudgetExceeded as exc:
             notes.append(f"level {level}: skipped ({exc})")
             break
-        rep = measures.check_energy_identity(record, lam)
-        residuals.append(rep.residual)
+        residuals.append(measures.check_energy_identity(record, lam).residual)
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
     return {"residuals": residuals, "ratios": ratios, "notes": notes}
@@ -260,8 +149,8 @@ def _refinement_study(scenario, lam, levels):
 def cmd_verify_decay(args):
     scenario = read_scenario_file(args.scenario)
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else None
-    code, summary, series = verify_decay_pipeline(
-        scenario, lambdas=lambdas, r0=args.r0, t0=args.t0, seed=args.seed)
+    verdict, series = measures.certify(scenario, lambdas=lambdas, r0=args.r0, t0=args.t0)
+    summary = {"label": scenario.label, "seed": args.seed, **verdict}
     if args.refine > 0:
         summary["refinement"] = _refinement_study(scenario, summary["lambda"], args.refine)
 
@@ -277,12 +166,12 @@ def cmd_verify_decay(args):
     for w in summary["warnings"]:
         print(f"warning: {w}")
     print("PASS" if summary["passed"] else "FAIL")
-    return code
+    return EXIT_OK if summary["passed"] else EXIT_VERIFY
 
 
 def cmd_sweep_lambda(args):
     material = _load_material(args.material)
-    lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(AUTO_LAMBDAS)
+    lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(measures.AUTO_LAMBDAS)
     spec = spectrum(material)
 
     scenario = None
@@ -290,13 +179,20 @@ def cmd_sweep_lambda(args):
         scenario = read_scenario_file(args.scenario, material=material)
         geometry = measures.support_geometry(scenario)
     decays = [zeta_of_lambda(spec, material, lam) for lam in lambdas]
-    anchors = [_feasible_anchor(decay.zeta, geometry, scenario) if scenario else None
-               for decay in decays]
+    anchors = [None] * len(decays)
+    if scenario:
+        for k, decay in enumerate(decays):
+            # the automatic anchor, kept when its window over the whole length L is feasible
+            anchor = measures.anchor(decay.zeta, geometry, scenario)
+            try:
+                measures.check_window(decay.zeta, geometry.L, scenario.T, *anchor)
+            except InfeasibleWindow:
+                continue
+            anchors[k] = anchor
     feasible_lambdas = [lam for lam, anchor in zip(lambdas, anchors) if anchor]
     if feasible_lambdas:
         # one run, sampled for the largest feasible lambda; none if no window is feasible
-        record = measures.SampleRecord(scenario)
-        run(scenario, n_samples=_sample_count(scenario.T, max(feasible_lambdas)), reducers=[record])
+        record, _ = measures.stream_record(scenario, max(feasible_lambdas))
 
     lines = ["lambda,epsilon,zeta,rate,zeta_over_sqrt_lambda,feasible,slope_measured"]
     for lam, decay, anchor in zip(lambdas, decays, anchors):

@@ -1,7 +1,7 @@
 """Time-weighted volume measure of a trajectory, its r- and t-derivatives,
-and the runtime certificates: the energy identity, the first-order
+the runtime certificates (the energy identity, the first-order
 differential inequality, and the spatial decay estimate along
-characteristics.
+characteristics) and :func:`certify`, the policy that combines them.
 
 Geometry is restricted to slab supports on rectilinear boxes: the data
 slab is x1 <= x0, the body beyond depth r is B_r = {x1 > x0 + r}, and the
@@ -15,6 +15,9 @@ once, while ``run`` steps (``run(..., reducers=[record])``) or by replaying
 snapshots (:func:`record_trajectory`).  The measure, the energy identity and
 the surface power take the record alone, for any lambda: the material, the
 grid, the box and the sample times are the record's.
+
+:func:`certify` combines them into the certificate of one streamed run,
+with the lambda, anchor and slack policy of ``verify-decay``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csvtext
+from . import _csvtext, solver
 from .constitutive import DECAY_FLOOR, DISCRETE_REL, energy_density, rate_density
-from .material import spectrum as material_spectrum, zeta_of_lambda
+from .material import (InfeasibleWindow, feasibility_window, optimize_lambda,
+                       spectrum as material_spectrum, zeta_of_lambda)
 from .solver import replay, trapezoid_weights
 
 
@@ -402,6 +406,14 @@ class DecayReport:
                 f"vs bound {-self.rate_bound:.4g} ({self.n_floored} floored samples)")
 
 
+def check_window(zeta, L, T, t0, r0):
+    """Raise :class:`~voidtherm.material.InfeasibleWindow` unless t0 lies in
+    the feasibility window of the anchor (t0, r0), to within 1e-9."""
+    t0_min, t0_max = feasibility_window(zeta, L, T, r0)
+    if not (t0_min - 1e-9 <= t0 <= t0_max + 1e-9):
+        raise InfeasibleWindow(f"t0 = {t0:.6g} outside [{t0_min:.6g}, {t0_max:.6g}]")
+
+
 def check_decay(series, t0, r0, tol=None):
     """Certify the exponential decay estimate along the characteristic
     t(r) = t0 + (r0 - r)/zeta.
@@ -412,13 +424,9 @@ def check_decay(series, t0, r0, tol=None):
     :class:`~voidtherm.material.InfeasibleWindow` for anchors outside the
     admissible window.
     """
-    from .material import InfeasibleWindow, feasibility_window
-
     decay = series.decay
     tol = DISCRETE_REL if tol is None else tol
-    t0_min, t0_max = feasibility_window(decay.zeta, float(series.r[-1]), float(series.t[-1]), r0)
-    if not (t0_min - 1e-9 <= t0 <= t0_max + 1e-9):
-        raise InfeasibleWindow(f"t0 = {t0:.6g} outside [{t0_min:.6g}, {t0_max:.6g}]")
+    check_window(decay.zeta, float(series.r[-1]), float(series.t[-1]), t0, r0)
 
     tchar = t0 + (r0 - series.r) / decay.zeta
     e_char = np.array([np.interp(tchar[j], series.t, series.E[j])
@@ -444,6 +452,96 @@ def check_decay(series, t0, r0, tol=None):
                        slope=slope, violations=violations, chain_violations=chain,
                        n_floored=int(floored.sum()), n_samples=int(series.r.size),
                        tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Certification policy
+
+# default time weights; energy-identity tolerance; reference resolution, 400
+# cells over a 1.25 bar: coarser grids scale every slack by (h1 / REF_SPACING)^2
+AUTO_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0)
+ENERGY_IDENTITY_TOL = 5e-4
+REF_SPACING = 1.25 / 400
+
+
+def stream_record(scenario, lam, floor=801):
+    """Run ``scenario`` into a streaming :class:`SampleRecord`, sampled for
+    time weight ``lam``: one sample per 0.05 / lam of time, at least
+    ``floor`` and at most 1601.  Returns (record, trajectory)."""
+    record = SampleRecord(scenario)
+    n_samples = min(1601, max(floor, math.ceil(scenario.T * lam / 0.05)))
+    return record, solver.run(scenario, n_samples=n_samples, reducers=[record])
+
+
+def anchor(zeta, geometry, scenario, r0=None, t0=None):
+    """The anchor (t0, r0) of the decay check at spatial speed ``zeta``:
+    r0 defaults to min(L, zeta T / 2) snapped down to the grid (one cell at
+    least), t0 to T - r0/zeta on that or the given r0."""
+    h1 = scenario.grid.spacing[0]
+    if r0 is None:
+        r0 = max(h1, math.floor(min(geometry.L, 0.5 * zeta * scenario.T) / h1 + 1e-9) * h1)
+    return (scenario.T - r0 / zeta if t0 is None else t0), r0
+
+
+def certify(scenario, lambdas=None, r0=None, t0=None):
+    """Certify one streamed run of ``scenario`` at the feasible lambda of
+    ``lambdas`` (default :data:`AUTO_LAMBDAS`) with the largest decay rate;
+    the anchor's window is checked before the run.  It passes when the
+    energy-identity residual and the inequality and decay violations sit
+    inside the resolution-scaled slacks.  Returns (verdict, series): a
+    JSON-ready dict, ``passed`` its outcome, and the :class:`MeasureSeries`.
+    """
+    material = scenario.material
+    spec = material_spectrum(material)
+    geometry = support_geometry(scenario)
+    h1 = scenario.grid.spacing[0]
+    res_factor = max(1.0, (h1 / REF_SPACING) ** 2)
+
+    probe_r0 = r0 if r0 is not None else min(geometry.L, h1 * (len(geometry.r_samples) // 2))
+    lam, _ = optimize_lambda(material, geometry.L, scenario.T, probe_r0, lambdas or AUTO_LAMBDAS)
+    decay = zeta_of_lambda(spec, material, lam)
+    t0, r0 = anchor(decay.zeta, geometry, scenario, r0, t0)
+    check_window(decay.zeta, float(geometry.r_samples[-1]), scenario.T, t0, r0)
+
+    record, traj = stream_record(scenario, lam)
+    series = compute_measure(record, geometry, lam)
+    identity = check_energy_identity(record, lam)
+    del record
+    identity_tol = ENERGY_IDENTITY_TOL * res_factor
+    diff_rep = check_diff_inequality(series, tol=DISCRETE_REL * res_factor)
+    decay_rep = check_decay(series, t0, r0, tol=DISCRETE_REL * res_factor)
+
+    warnings = list(traj.log["warnings"])
+    if res_factor > 1.0:
+        warnings.append(
+            f"resolution-limited: grid spacing {h1:.6g} above the reference "
+            f"{REF_SPACING:.6g}; slacks enlarged by {res_factor:.6g}")
+    verdict = {
+        "spectrum": {"mu_m": spec.mu_m, "mu_M": spec.mu_M, "k_m": spec.k_m,
+                     "k_M": spec.k_M, "M2": spec.M2},
+        "lambda": lam,
+        "epsilon": decay.epsilon,
+        "zeta": decay.zeta,
+        "decay_rate": decay.decay_rate,
+        "window": {"t0": t0, "r0": r0, "L": geometry.L, "T": scenario.T},
+        "energy_identity": {"residual": identity.residual,
+                            "residual_max": identity.residual_max,
+                            "tolerance": identity_tol},
+        "diff_inequality": {"violations": len(diff_rep.violations),
+                            "checked": diff_rep.n_checked,
+                            "worst_margin": diff_rep.worst_margin,
+                            "tolerance": diff_rep.tol},
+        "decay": {"violations": len(decay_rep.violations),
+                  "chain_violations": len(decay_rep.chain_violations),
+                  "slope": decay_rep.slope,
+                  "slope_bound": -decay.decay_rate,
+                  "floored_samples": decay_rep.n_floored,
+                  "tolerance": decay_rep.tol},
+        "resolution_factor": res_factor,
+        "warnings": warnings,
+        "passed": identity.residual <= identity_tol and diff_rep.ok and decay_rep.ok,
+    }
+    return verdict, series
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,52 @@ def test_verify_decay_infeasible_window(workdir, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("r0", ["0.9", "0.2"])
+def test_verify_decay_given_r0_sets_t0(workdir, tmp_path, r0):
+    # with --r0 alone, t0 = T - r0/zeta follows the given r0, not the automatic one
+    out = tmp_path / "r0"
+    assert main(["verify-decay", "--scenario", str(workdir / "pulse.scn"),
+                 "--r0", r0, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    window = summary["window"]
+    assert window["r0"] == float(r0)
+    assert window["t0"] == window["T"] - float(r0) / summary["zeta"]
+
+
+def test_verify_decay_anchor_rejected_before_the_run(workdir, tmp_path, monkeypatch, capsys):
+    # a t0 outside its window exits 2 without stepping the scenario; the
+    # positive control, the automatic anchor, steps it once under the same patch
+    runs = []
+    real_run = vt.solver.run
+    monkeypatch.setattr(vt.solver, "run",
+                        lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    for t0, code in ((None, 0), ("0.0", 2)):
+        assert main(["verify-decay", "--scenario", str(workdir / "coarse.scn"),
+                     "--out", str(tmp_path / "t0")] + (["--t0", t0] if t0 else [])) == code
+        assert len(runs) == 1
+    assert "t0 = 0 outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, lambdas", [
+    (PULSE_FILE.format(nodes=161), None),
+    # the 5 x 4 plate over twice its horizon: at T = 0.3 no window is
+    # feasible, and its few steps sample too coarsely for lambda >= 8
+    (PLATE_FILE.replace("T = 0.3", "T = 0.6"), "2,4")], ids=["coarse", "plate"])
+def test_certify_matches_summary(workdir, tmp_path, text, lambdas):
+    # summary.json is the verdict of certify behind the label and the seed
+    (workdir / "case.scn").write_text(text)
+    out = tmp_path / "cli"
+    code = main(["verify-decay", "--scenario", str(workdir / "case.scn"), "--out", str(out),
+                 "--seed", "3"] + (["--lambda", lambdas] if lambdas else []))
+    scenario = vt.read_scenario_file(workdir / "case.scn")
+    verdict, series = vt.certify(
+        scenario, lambdas=[float(v) for v in lambdas.split(",")] if lambdas else None)
+    assert code == (0 if verdict["passed"] else 3)
+    expected = json.loads(json.dumps({"label": scenario.label, "seed": 3, **verdict}))
+    assert json.loads((out / "summary.json").read_text()) == expected
+    assert series.lam == verdict["lambda"]
+
+
 def test_verify_decay_coarse_grid_warns(workdir, tmp_path, capsys):
     out = tmp_path / "coarse"
     code = main(["verify-decay", "--scenario", str(workdir / "coarse.scn"),
@@ -266,10 +312,10 @@ def test_sweep_lambda_asymptotic_tail(tmp_path, capsys):
 def test_sweep_lambda_marks_infeasible(workdir, monkeypatch, capsys):
     # short horizon: every moderate lambda is infeasible, none gets a slope,
     # and the scenario is not run at all
-    from voidtherm import cli
-
     runs = []
-    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(a))
+    real_run = vt.solver.run
+    monkeypatch.setattr(vt.solver, "run",
+                        lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
     code = main(["sweep-lambda", "--material", str(workdir / "ref.mat"),
                  "--lambda", "0.05,8", "--scenario", str(workdir / "short.scn")])
     assert code == 0 and runs == []
@@ -282,6 +328,10 @@ def test_sweep_lambda_marks_infeasible(workdir, monkeypatch, capsys):
         cells = row.split(",")
         assert cells[5] == "no" and cells[6] == "-"
         assert cells[:5] == row_bare.split(",")[:5]
+    # the positive control: a feasible lambda makes exactly one run under the same patch
+    assert main(["sweep-lambda", "--material", str(workdir / "ref.mat"),
+                 "--lambda", "8", "--scenario", str(workdir / "coarse.scn")]) == 0
+    assert len(runs) == 1
 
 
 def test_sweep_lambda_feasible_slopes(workdir, capsys):
@@ -306,8 +356,9 @@ def test_sweep_lambda_memory_flat_in_lambdas(workdir, tmp_path, monkeypatch, cap
     scenario = vt.read_scenario_file(workdir / "pulse.scn")
     nr = vt.support_geometry(scenario).r_samples.size
     runs = []
-    real_run = cli.run
-    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    real_run = vt.solver.run
+    monkeypatch.setattr(vt.solver, "run",
+                        lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
     peaks = []
     for lambdas in ("32", "2,4,8,16,32"):
         gc.collect()
@@ -531,7 +582,6 @@ def test_verify_decay_memory_flat_in_samples(monkeypatch):
     import dataclasses
     import tracemalloc
 
-    from voidtherm import cli
     from voidtherm.solver import BoundaryCondition, BoundaryPartition, Grid, Scenario
 
     mat = dataclasses.replace(presets.reference_material_2d(), K=1e-7 * np.eye(2))
@@ -543,13 +593,14 @@ def test_verify_decay_memory_flat_in_samples(monkeypatch):
                     dt=2.5e-4, T=0.225, support_x0=0.1)
     state_bytes = (2 * grid.dim + 3) * np.prod(grid.counts) * 8
     runs = []
-    real_run = cli.run
-    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    real_run = vt.solver.run
+    monkeypatch.setattr(vt.solver, "run",
+                        lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
     peaks = []
     for lam in (2.0, 256.0):   # 900 steps: 451 and 901 samples
         tracemalloc.start()
         try:
-            cli.verify_decay_pipeline(scen, lambdas=[lam])
+            vt.certify(scen, lambdas=[lam])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
