@@ -43,7 +43,10 @@ for lam in (1e4, 1e5, 1e6):
     d = vt.zeta_of_lambda(ts, toy, lam)
     print(f"  lambda = {lam:8.0e}   zeta/sqrt(lambda) = {d.zeta / np.sqrt(lam):.6f}")
 
-# the window L <= zeta*t0 + r0 <= zeta*T limits how small lambda may be
-L, T = 1.0, 1.0
-lam, rate = vt.optimize_lambda(mat, L, T, r0=0.5, lambda_grid=(2, 4, 8, 16, 32))
-print(f"\nbest feasible lambda on the grid: {lam} (decay rate {rate:.3f})")
+# the window L <= zeta*t0 + r0 <= zeta*T limits how small lambda may be, and
+# the sampling of the run how large: the scan of the reference pulse (L = 1)
+for T in (1.0, 0.5):
+    print(f"\nadmissible time weights of the reference pulse at T = {T}:")
+    for row in vt.admissible_lambdas(presets.pulse_scenario(material=mat, T=T), (2, 32, 1000)):
+        status = row.reason or "admissible, anchor (t0, r0) = ({:.4f}, {:.4f})".format(*row.anchor)
+        print(f"  lambda = {row.lam:6.1f}: {status}")

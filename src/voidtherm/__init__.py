@@ -14,7 +14,6 @@ from .material import (
     epsilon_of_lambda,
     epsilon_residual,
     feasibility_window,
-    optimize_lambda,
     random_material,
     read_material_file,
     spectrum,
@@ -68,6 +67,7 @@ from .measures import (
     MeasureSeries,
     SampleRecord,
     SupportGeometry,
+    admissible_lambdas,
     check_decay,
     check_diff_inequality,
     certify,

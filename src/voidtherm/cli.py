@@ -174,31 +174,20 @@ def cmd_sweep_lambda(args):
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else list(measures.AUTO_LAMBDAS)
     spec = spectrum(material)
 
-    scenario = None
+    anchors = [None] * len(lambdas)   # the anchor (t0, r0) of each admissible lambda
     if args.scenario:
         scenario = read_scenario_file(args.scenario, material=material)
         geometry = measures.support_geometry(scenario)
-    decays = [zeta_of_lambda(spec, material, lam) for lam in lambdas]
-    anchors = [None] * len(decays)
-    if scenario:
-        for k, decay in enumerate(decays):
-            # the automatic anchor, kept when its window over the whole length L is feasible
-            anchor = measures.anchor(decay.zeta, geometry, scenario)
-            try:
-                measures.check_window(decay.zeta, geometry.L, scenario.T, *anchor)
-            except InfeasibleWindow:
-                continue
-            anchors[k] = anchor
-    feasible_lambdas = [lam for lam, anchor in zip(lambdas, anchors) if anchor]
-    if feasible_lambdas:
-        # one run, sampled for the largest feasible lambda; none if no window is feasible
-        record, _ = measures.stream_record(scenario, max(feasible_lambdas))
+        anchors = [row.anchor for row in measures.admissible_lambdas(scenario, lambdas)]
+    admissible = [lam for lam, anchor in zip(lambdas, anchors) if anchor]
+    if admissible:
+        # one run, sampled for the largest admissible lambda; none if no lambda is
+        record, _ = measures.stream_record(scenario, max(admissible))
 
     lines = ["lambda,epsilon,zeta,rate,zeta_over_sqrt_lambda,feasible,slope_measured"]
-    for lam, decay, anchor in zip(lambdas, decays, anchors):
-        feasible = slope = "-"
-        if scenario:
-            feasible = "yes" if anchor else "no"
+    for lam, anchor in zip(lambdas, anchors):
+        decay = zeta_of_lambda(spec, material, lam)
+        feasible, slope = ("yes" if anchor else "no") if args.scenario else "-", "-"
         if anchor:
             # the series is dropped before the next lambda's is computed
             slope = _fmt(measures.check_decay(

@@ -32,7 +32,7 @@ class InfeasibleWindow(ValueError):
 
 
 class NoFeasibleLambda(ValueError):
-    """Every candidate time weight violates the feasibility constraint."""
+    """No time weight of a grid is admissible (``measures.admissible_lambdas``)."""
 
 
 class MaterialFileError(ValueError):
@@ -374,34 +374,6 @@ def feasibility_window(zeta, L, T, r0):
         raise InfeasibleWindow(
             f"r0 = {r0:.6g} leaves no admissible t0 (bounds [{t0_min:.6g}, {t0_max:.6g}])")
     return t0_min, t0_max
-
-
-def optimize_lambda(material, L, T, r0, lambda_grid):
-    """Feasible grid point maximizing the decay rate lam/zeta(lam).
-
-    Ties break toward the smallest lambda.  Raises
-    :class:`NoFeasibleLambda` when the whole grid is infeasible.
-    """
-    grid = sorted({float(l) for l in lambda_grid})
-    if not grid:
-        raise ValueError("lambda grid is empty")
-    if not all(0.0 < lam < math.inf for lam in grid):
-        raise ValueError(f"lambda grid must be positive and finite, got {grid}")
-    spec = spectrum(material)
-    best = None
-    for lam in grid:
-        dec = zeta_of_lambda(spec, material, lam)
-        try:
-            feasibility_window(dec.zeta, L, T, r0)
-        except InfeasibleWindow:
-            continue
-        if best is None or dec.decay_rate > best[1]:
-            best = (lam, dec.decay_rate)
-    if best is None:
-        raise NoFeasibleLambda(
-            f"no lambda in {grid} satisfies L <= zeta*t0 + r0 <= zeta*T "
-            f"(L={L:.6g}, T={T:.6g}, r0={r0:.6g})")
-    return best
 
 
 # ---------------------------------------------------------------------------

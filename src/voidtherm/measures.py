@@ -16,21 +16,22 @@ snapshots (:func:`record_trajectory`).  The measure, the energy identity and
 the surface power take the record alone, for any lambda: the material, the
 grid, the box and the sample times are the record's.
 
-:func:`certify` combines them into the certificate of one streamed run,
-with the lambda, anchor and slack policy of ``verify-decay``.
+:func:`admissible_lambdas` is the one rule for the time weight (the anchor's
+window, the sampling of e^{lambda t}) that ``certify`` and ``sweep-lambda`` read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _csvtext, solver
 from .constitutive import DECAY_FLOOR, DISCRETE_REL, energy_density, rate_density
-from .material import (InfeasibleWindow, feasibility_window, optimize_lambda,
+from .material import (InfeasibleWindow, NoFeasibleLambda, feasibility_window,
                        spectrum as material_spectrum, zeta_of_lambda)
 from .solver import replay, trapezoid_weights
 
@@ -75,11 +76,14 @@ def support_geometry(scenario):
     """Grid-aligned geometry for a scenario's declared support slab.
 
     The last sample stops one cell short of the far end so every B_r keeps
-    at least one interior cell.
+    at least one interior cell; a slab that leaves fewer than two depths is
+    rejected.
     """
     grid = scenario.grid
     i0 = _plane_index(grid, scenario.support_x0, "support depth x0")
     idx = np.arange(i0, grid.counts[0] - 1)
+    if idx.size < 2:
+        raise ValueError(f"support slab x1 <= {scenario.support_x0:.6g} leaves {idx.size} depths r")
     return SupportGeometry(x0=scenario.support_x0,
                            L=grid.extents[0] - scenario.support_x0,
                            r_samples=(idx - i0) * grid.spacing[0])
@@ -225,7 +229,7 @@ def compute_measure(record, geometry, lam):
     times = np.asarray(record.t)
     if len(times) < 2:
         raise ValueError("need at least two samples")
-    if lam * float(np.max(np.diff(times))) > 0.25:
+    if lam * float(np.max(np.diff(times))) > MAX_LAMBDA_DT:
         raise ValueError("trajectory sampled too coarsely for this time weight")
     h1 = grid.spacing[0]
     idx = _plane_index(grid, geometry.x0 + geometry.r_samples, "r_samples")
@@ -458,50 +462,80 @@ def check_decay(series, t0, r0, tol=None):
 # Certification policy
 
 # default time weights; energy-identity tolerance; reference resolution, 400
-# cells over a 1.25 bar: coarser grids scale every slack by (h1 / REF_SPACING)^2
+# cells over a 1.25 bar: coarser grids scale every slack by (h1 / REF_SPACING)^2;
+# the largest lambda times the sample spacing that resolves the weight e^{lambda t}
 AUTO_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0)
 ENERGY_IDENTITY_TOL = 5e-4
 REF_SPACING = 1.25 / 400
+MAX_LAMBDA_DT = 0.25
+
+
+def _sample_cap(scenario, lam, floor=801):
+    """One sample per 0.05 / lam of time, at least ``floor``, at most 1601."""
+    return min(1601, max(floor, math.ceil(scenario.T * lam / 0.05)))
 
 
 def stream_record(scenario, lam, floor=801):
     """Run ``scenario`` into a streaming :class:`SampleRecord`, sampled for
-    time weight ``lam``: one sample per 0.05 / lam of time, at least
-    ``floor`` and at most 1601.  Returns (record, trajectory)."""
+    time weight ``lam`` (:func:`_sample_cap`).  Returns (record, trajectory)."""
     record = SampleRecord(scenario)
-    n_samples = min(1601, max(floor, math.ceil(scenario.T * lam / 0.05)))
-    return record, solver.run(scenario, n_samples=n_samples, reducers=[record])
+    return record, solver.run(scenario, n_samples=_sample_cap(scenario, lam, floor),
+                              reducers=[record])
 
 
-def anchor(zeta, geometry, scenario, r0=None, t0=None):
-    """The anchor (t0, r0) of the decay check at spatial speed ``zeta``:
-    r0 defaults to min(L, zeta T / 2) snapped down to the grid (one cell at
-    least), t0 to T - r0/zeta on that or the given r0."""
+LambdaRow = namedtuple("LambdaRow", "lam decay anchor reason")
+
+
+def admissible_lambdas(scenario, lambdas=None, r0=None, t0=None):
+    """One ``LambdaRow`` (lam, decay, anchor, reason) per lambda of ``lambdas``
+    (default :data:`AUTO_LAMBDAS`), in order, with no run: the anchor (t0, r0)
+    if lambda is admissible, else None and the reason.  r0 = min(L, zeta T/2)
+    snapped down to the grid (one cell at least) or the given r0; t0 = T -
+    r0/zeta or the given t0.  Admissible: the anchor's window over the whole
+    length L is feasible, and lambda times the sample spacing of the
+    :func:`stream_record` run is at most :data:`MAX_LAMBDA_DT`."""
+    lambdas = [float(lam) for lam in (lambdas or AUTO_LAMBDAS)]
+    if not all(0.0 < lam < math.inf for lam in lambdas):
+        raise ValueError(f"lambda grid must be positive and finite, got {lambdas}")
+    spec, T = material_spectrum(scenario.material), scenario.T
+    geometry = support_geometry(scenario)
     h1 = scenario.grid.spacing[0]
-    if r0 is None:
-        r0 = max(h1, math.floor(min(geometry.L, 0.5 * zeta * scenario.T) / h1 + 1e-9) * h1)
-    return (scenario.T - r0 / zeta if t0 is None else t0), r0
+    rows = []
+    for lam in lambdas:
+        decay = zeta_of_lambda(spec, scenario.material, lam)
+        r0_lam = r0 if r0 is not None else max(
+            h1, math.floor(min(geometry.L, 0.5 * decay.zeta * T) / h1 + 1e-9) * h1)
+        anchor = (T - r0_lam / decay.zeta if t0 is None else t0), r0_lam
+        dt, _, stride = solver.time_grid(scenario, _sample_cap(scenario, lam))
+        try:
+            check_window(decay.zeta, geometry.L, T, *anchor)
+            reason = None if lam * stride * dt <= MAX_LAMBDA_DT else (
+                f"sampled too coarsely: lambda * spacing {lam * stride * dt:.6g} > {MAX_LAMBDA_DT}")
+        except InfeasibleWindow as exc:
+            reason = str(exc)
+        rows.append(LambdaRow(lam, decay, None if reason else anchor, reason))
+    return rows
 
 
 def certify(scenario, lambdas=None, r0=None, t0=None):
-    """Certify one streamed run of ``scenario`` at the feasible lambda of
-    ``lambdas`` (default :data:`AUTO_LAMBDAS`) with the largest decay rate;
-    the anchor's window is checked before the run.  It passes when the
-    energy-identity residual and the inequality and decay violations sit
-    inside the resolution-scaled slacks.  Returns (verdict, series): a
-    JSON-ready dict, ``passed`` its outcome, and the :class:`MeasureSeries`.
-    """
-    material = scenario.material
-    spec = material_spectrum(material)
+    """Certify one streamed run of ``scenario`` at the lambda of
+    :func:`admissible_lambdas` with the largest decay rate, the smallest on
+    a tie (none admissible: ``NoFeasibleLambda``, before any run).  It
+    passes when the energy-identity residual and the inequality and decay
+    violations sit inside the resolution-scaled slacks.  Returns (verdict,
+    series): a JSON-ready dict, ``passed`` its outcome, and the
+    :class:`MeasureSeries`."""
+    spec = material_spectrum(scenario.material)
     geometry = support_geometry(scenario)
     h1 = scenario.grid.spacing[0]
     res_factor = max(1.0, (h1 / REF_SPACING) ** 2)
 
-    probe_r0 = r0 if r0 is not None else min(geometry.L, h1 * (len(geometry.r_samples) // 2))
-    lam, _ = optimize_lambda(material, geometry.L, scenario.T, probe_r0, lambdas or AUTO_LAMBDAS)
-    decay = zeta_of_lambda(spec, material, lam)
-    t0, r0 = anchor(decay.zeta, geometry, scenario, r0, t0)
-    check_window(decay.zeta, float(geometry.r_samples[-1]), scenario.T, t0, r0)
+    rows = admissible_lambdas(scenario, lambdas, r0, t0)
+    admissible = [row for row in rows if row.anchor]
+    if not admissible:
+        raise NoFeasibleLambda("no admissible lambda: " + "; ".join(
+            f"lambda = {row.lam:.6g}: {row.reason}" for row in rows))
+    lam, decay, (t0, r0), _ = max(admissible, key=lambda row: (row.decay.decay_rate, -row.lam))
 
     record, traj = stream_record(scenario, lam)
     series = compute_measure(record, geometry, lam)

@@ -1054,15 +1054,7 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
     if scenario.T > 0.0 and n_samples is not None and n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 (t = 0 and t = T), got {n_samples}")
     dt_max, growth = stability_budget(scenario, enforce=not dissipative)
-    dt = scenario.resolve_dt(dt_max)
-    nsteps = max(1, int(round(scenario.T / dt))) if scenario.T > 0.0 else 0
-    if n_samples is None:
-        n_samples = min(nsteps + 1, 801)
-    stride = max(1, math.ceil(nsteps / max(1, n_samples - 1))) if nsteps else 1
-    if nsteps:
-        # pad so the stride divides the step count: samples stay uniform
-        nsteps = stride * math.ceil(nsteps / stride)
-        dt = scenario.T / nsteps
+    dt, nsteps, stride = time_grid(scenario, n_samples, dt_max)
     if dt > dt_max * (1.0 + 1e-12):
         raise CflViolation(f"step {dt:.6g} (from dt = {scenario.dt}) exceeds the wave bound "
                            f"{dt_max:.6g}")
@@ -1102,6 +1094,18 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
            "warnings": warnings}
     return Trajectory(scenario=scenario, times=np.array(times), states=states, log=log,
                       dissipative=dissipative)
+
+
+def time_grid(scenario, n_samples=None, dt_max=None):
+    """(dt, nsteps, stride) of :func:`run`; its samples are ``stride * dt`` apart."""
+    dt = scenario.resolve_dt(dt_max)
+    if scenario.T <= 0.0:
+        return dt, 0, 1
+    nsteps = max(1, int(round(scenario.T / dt)))
+    cap = min(nsteps + 1, 801) if n_samples is None else n_samples
+    stride = max(1, math.ceil(nsteps / max(1, cap - 1)))
+    nsteps = stride * math.ceil(nsteps / stride)   # padded: the samples stay uniform
+    return scenario.T / nsteps, nsteps, stride
 
 
 def stability_budget(scenario, enforce=True):

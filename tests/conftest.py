@@ -26,10 +26,10 @@ def pulse_geometry(pulse_scenario):
 
 
 @pytest.fixture(scope="session")
-def pulse_lambda(pulse_scenario, pulse_geometry):
-    lam, _ = vt.optimize_lambda(pulse_scenario.material, pulse_geometry.L,
-                                pulse_scenario.T, 0.5, (2.0, 4.0, 8.0, 16.0, 32.0))
-    return lam
+def pulse_lambda(pulse_scenario):
+    # the admissible lambda of the default grid with the largest decay rate
+    rows = [row for row in vt.admissible_lambdas(pulse_scenario) if row.anchor]
+    return max(rows, key=lambda row: row.decay.decay_rate).lam
 
 
 @pytest.fixture(scope="session")

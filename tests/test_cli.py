@@ -252,9 +252,11 @@ def test_verify_decay_anchor_rejected_before_the_run(workdir, tmp_path, monkeypa
 
 @pytest.mark.parametrize("text, lambdas", [
     (PULSE_FILE.format(nodes=161), None),
-    # the 5 x 4 plate over twice its horizon: at T = 0.3 no window is
-    # feasible, and its few steps sample too coarsely for lambda >= 8
-    (PLATE_FILE.replace("T = 0.3", "T = 0.6"), "2,4")], ids=["coarse", "plate"])
+    # the 5 x 4 plate over twice its horizon (at T = 0.3 no window is
+    # feasible), on two lambdas and on the default grid, whose lambda >= 8
+    # are ruled out before the run: its few steps sample them too coarsely
+    (PLATE_FILE.replace("T = 0.3", "T = 0.6"), "2,4"),
+    (PLATE_FILE.replace("T = 0.3", "T = 0.6"), None)], ids=["coarse", "plate", "plate-default"])
 def test_certify_matches_summary(workdir, tmp_path, text, lambdas):
     # summary.json is the verdict of certify behind the label and the seed
     (workdir / "case.scn").write_text(text)
@@ -268,6 +270,67 @@ def test_certify_matches_summary(workdir, tmp_path, text, lambdas):
     expected = json.loads(json.dumps({"label": scenario.label, "seed": 3, **verdict}))
     assert json.loads((out / "summary.json").read_text()) == expected
     assert series.lam == verdict["lambda"]
+
+
+@pytest.mark.parametrize("T", ["0.6", "1.0"])
+def test_default_grid_skips_coarsely_sampled_lambdas(workdir, tmp_path, capsys, T):
+    # the 5 x 4 plate takes few steps, too few to sample e^{lambda t} for
+    # lambda >= 8: the default grid certifies at lambda = 4, and the sweep
+    # marks 8, 16 and 32 as not admissible
+    (workdir / "case.scn").write_text(PLATE_FILE.replace("T = 0.3", f"T = {T}"))
+    out = tmp_path / "vd"
+    assert main(["verify-decay", "--scenario", str(workdir / "case.scn"),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["lambda"] == 4.0
+    capsys.readouterr()
+    assert main(["sweep-lambda", "--material", str(workdir / "ref2.mat"),
+                 "--scenario", str(workdir / "case.scn")]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [(float(row[0]), row[5]) for row in rows] == [
+        (2.0, "yes"), (4.0, "yes"), (8.0, "no"), (16.0, "no"), (32.0, "no")]
+    assert all((row[6] == "-") == (row[5] == "no") for row in rows)
+
+
+@pytest.mark.parametrize("T", ["0.3", "0.6"], ids=["window", "sampling"])
+def test_sweep_rows_match_certify(workdir, monkeypatch, capsys, T):
+    # one rule: where a sweep row reads no, certify at that lambda alone
+    # raises before any run; where it reads yes, certify runs once
+    (workdir / "case.scn").write_text(PLATE_FILE.replace("T = 0.3", f"T = {T}"))
+    assert main(["sweep-lambda", "--material", str(workdir / "ref2.mat"),
+                 "--scenario", str(workdir / "case.scn")]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    scenario = vt.read_scenario_file(workdir / "case.scn")
+    runs = []
+    real_run = vt.solver.run
+    monkeypatch.setattr(vt.solver, "run",
+                        lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    for row in rows:
+        before = len(runs)
+        if row[5] == "no":
+            with pytest.raises(vt.NoFeasibleLambda):
+                vt.certify(scenario, lambdas=[float(row[0])])
+            assert len(runs) == before
+        else:
+            assert row[5] == "yes"
+            vt.certify(scenario, lambdas=[float(row[0])])
+            assert len(runs) == before + 1
+    assert {row[5] for row in rows} == ({"no"} if T == "0.3" else {"yes", "no"})
+
+
+@pytest.mark.parametrize("x0", ["1.0", "0.75"], ids=["far-end", "one-depth"])
+def test_support_slab_without_two_depths(workdir, tmp_path, monkeypatch, capsys, x0):
+    # a slab at the far end, or one cell short of it, leaves fewer than two
+    # depths r: both commands exit 1 naming the slab, before any run
+    (workdir / "slab.scn").write_text(PLATE_FILE.replace("T = 0.3", "T = 0.6").replace(
+        "support_x0 = 0.25", f"support_x0 = {x0}"))
+    runs = []
+    monkeypatch.setattr(vt.solver, "run", lambda *a, **k: runs.append(a))
+    assert main(["verify-decay", "--scenario", str(workdir / "slab.scn"),
+                 "--out", str(tmp_path / "slab")]) == 1
+    assert main(["sweep-lambda", "--material", str(workdir / "ref2.mat"),
+                 "--scenario", str(workdir / "slab.scn")]) == 1
+    assert runs == []
+    assert capsys.readouterr().err.count(f"support slab x1 <= {float(x0):g}") == 2
 
 
 def test_verify_decay_coarse_grid_warns(workdir, tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import voidtherm as vt
-from voidtherm import presets
 from voidtherm.material import (epsilon_residual, n_voigt, pack_coupling,
                                 pack_elasticity, random_material,
                                 unpack_coupling, unpack_elasticity, voigt_pairs)
@@ -246,7 +245,7 @@ def test_zeta_monotone_rate(rng):
 
 
 # ---------------------------------------------------------------------------
-# window and lambda optimization
+# feasibility window
 
 
 def test_feasibility_window_examples():
@@ -261,20 +260,6 @@ def test_feasibility_window_examples():
     with pytest.raises(vt.InfeasibleWindow):
         vt.feasibility_window(1.0, 1.0, 1.0, -0.5)
     assert vt.feasibility_window(1.0, 1.0, 2.0, -0.5) == (1.5, 2.0)
-
-
-def test_optimize_lambda():
-    toy = toy_material()
-    lam, rate = vt.optimize_lambda(toy, 1.0, 2.0, 0.0, [1.0])
-    assert lam == 1.0
-    with pytest.raises(vt.NoFeasibleLambda):
-        vt.optimize_lambda(toy, 10.0, 0.5, 0.0, [0.01, 0.02])
-    lam, rate = vt.optimize_lambda(toy, 1.0, 2.0, 0.0, [1.0, 4.0, 16.0])
-    assert lam == 16.0
-    assert rate == pytest.approx(16.0 / math.sqrt(8.0), rel=1e-12)
-    for bad in ([math.nan], [math.inf], [1.0, math.nan], [0.0]):
-        with pytest.raises(ValueError, match="positive and finite"):
-            vt.optimize_lambda(presets.reference_material(), 1.0, 1.0, 0.5, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -339,5 +324,3 @@ def test_nonpositive_lambda_rejected():
     s = vt.spectrum(toy)
     with pytest.raises(ValueError):
         vt.epsilon_of_lambda(s, toy, 0.0)
-    with pytest.raises(ValueError):
-        vt.optimize_lambda(toy, 1.0, 2.0, 0.0, [])

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -327,6 +328,60 @@ def test_decay_r0_endpoint_never_violates(pulse_series, pulse_scenario):
 def test_decay_infeasible_window_raises(pulse_series):
     with pytest.raises(vt.InfeasibleWindow):
         vt.check_decay(pulse_series, t0=0.99, r0=0.9)  # t0 above t0_max
+
+
+# ---------------------------------------------------------------------------
+# admissible time weights
+
+
+def test_admissible_lambdas_keep_the_given_order(pulse_scenario):
+    rows = vt.admissible_lambdas(pulse_scenario, [8.0, 2.0, 8.0])
+    assert [row.lam for row in rows] == [8.0, 2.0, 8.0]
+    assert rows[0].anchor == rows[2].anchor and rows[0].decay == rows[2].decay
+    # an empty grid is the default one
+    assert [row.lam for row in vt.admissible_lambdas(pulse_scenario, [])] == [
+        2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [0.0], [1.0, math.nan]])
+def test_admissible_lambdas_reject_bad_grids(pulse_scenario, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        vt.admissible_lambdas(pulse_scenario, bad)
+
+
+def test_certify_takes_the_largest_rate_and_the_smallest_lambda_on_a_tie(pulse_scenario,
+                                                                         monkeypatch):
+    class Chosen(Exception):
+        pass
+
+    def chosen(scenario, lam):
+        raise Chosen(lam)
+
+    monkeypatch.setattr(vt.measures, "stream_record", chosen)
+    with pytest.raises(Chosen) as info:
+        vt.certify(pulse_scenario, lambdas=[8.0, 2.0, 4.0])
+    assert info.value.args == (8.0,)   # the decay rate grows with lambda
+    real = vt.measures.zeta_of_lambda
+    monkeypatch.setattr(vt.measures, "zeta_of_lambda", lambda spec, material, lam:
+                        dataclasses.replace(real(spec, material, lam), decay_rate=1.0))
+    with pytest.raises(Chosen) as info:
+        vt.certify(pulse_scenario, lambdas=[8.0, 2.0, 4.0])
+    assert info.value.args == (2.0,)
+
+
+@pytest.mark.parametrize("T, lambdas, reason", [
+    (0.5, None, "zeta\\*T = "),
+    (1.0, [1000.0, 2000.0], "sampled too coarsely"),
+], ids=["window", "sampling"])
+def test_certify_without_admissible_lambda_makes_no_run(pulse_scenario, monkeypatch,
+                                                        T, lambdas, reason):
+    runs = []
+    monkeypatch.setattr(vt.solver, "run", lambda *a, **k: runs.append(a))
+    with pytest.raises(vt.NoFeasibleLambda) as info:
+        vt.certify(dataclasses.replace(pulse_scenario, T=T), lambdas=lambdas)
+    assert runs == []
+    for lam in lambdas or (2, 4, 8, 16, 32):
+        assert re.search(f"lambda = {lam:g}: {reason}", str(info.value))
 
 
 # ---------------------------------------------------------------------------
