@@ -1,10 +1,12 @@
 """Command-line front end: material admissibility, simulation, and the
 decay certificate of :func:`voidtherm.measures.certify`, rendered here.
 
-Exit codes: 0 pass, 1 invalid input, 2 infeasible window, 3 verification
-failure; errors map to their code in one table, :data:`EXIT_TABLE`, read
-by :func:`main`.  All numbers are printed with 17 significant digits so
-outputs round-trip and identical configs give byte-identical files.
+Exit codes: 0 pass, 1 invalid input, 2 no admissible lambda (each ruled
+out by its window or by its sampling) or an infeasible window, 3
+verification failure; errors map to their code in one table,
+:data:`EXIT_TABLE`, read by :func:`main`.  All numbers are printed with
+17 significant digits so outputs round-trip and identical configs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ EXIT_VERIFY = 3
 # (exception types, exit code, message prefix), first match wins: the two
 # infeasibility errors are ValueErrors and must be matched before them
 EXIT_TABLE = (
-    ((InfeasibleWindow, NoFeasibleLambda), EXIT_INFEASIBLE, "infeasible window"),
+    (NoFeasibleLambda, EXIT_INFEASIBLE, "no admissible lambda"),
+    (InfeasibleWindow, EXIT_INFEASIBLE, "infeasible window"),
     ((OSError, MaterialFileError, ScenarioFileError, NotPositiveDefinite, BudgetExceeded,
       CflViolation, NonFiniteField, ValueError), EXIT_INVALID, "invalid input"),
 )

@@ -176,8 +176,11 @@ class SampleRecord:
             return (weights * density).reshape(m, -1).sum(axis=1)
         plane_power = block.normal_power(0)  # the box faces normal to x1 are slices of it
         profiles = np.empty((3, m, n1))
+        # a BLAS call per sample, bits per sample; a lateral weight that is one
+        # number (1D) rounds no sum, so there one call takes the whole block
+        stack = (1, m * n1) if self._lateral.size == 1 else (m, n1)
         for profile, density in zip(profiles, (P, R, plane_power)):
-            np.matmul(density.reshape(m, n1, -1), self._lateral, out=profile)
+            np.matmul(density.reshape(stack + (-1,)), self._lateral, out=profile.reshape(stack))
         self.profile_blocks.append(profiles)
         self.box_P.extend(block.energy_total if self._whole else
                           total(self._volume, P[box]).tolist())
@@ -223,7 +226,9 @@ def compute_measure(record, geometry, lam):
     Space integrals are cell-midpoint quadrature with nodal averages
     (trapezoid weights), the time integral is the trapezoid rule on the
     sample times.  Derivatives are computed directly from their own volume
-    and surface integrals, not by differencing E.
+    and surface integrals, not by differencing E.  The tables start at x0,
+    the first depth's column: the suffix sums run from the far end, so no
+    column at or beyond x0 reads one inside the data slab.
     """
     grid, material = record.scenario.grid, record.scenario.material
     times = np.asarray(record.t)
@@ -233,12 +238,15 @@ def compute_measure(record, geometry, lam):
         raise ValueError("trajectory sampled too coarsely for this time weight")
     h1 = grid.spacing[0]
     idx = _plane_index(grid, geometry.x0 + geometry.r_samples, "r_samples")
+    i0, idx = idx[0], idx - idx[0]
 
-    # the weighted profile e^{lam t} (lam P + R), a row per sample, by blocks
-    weighted = np.empty((times.size, record.profile_blocks[0].shape[2]))
+    # the weighted profile e^{lam t} (lam P + R) from x0 on, a row per
+    # sample, by blocks
+    weighted = np.empty((times.size, record.profile_blocks[0].shape[2] - i0))
     ends = np.cumsum([0] + [p.shape[1] for p in record.profile_blocks])
     for p, rows in zip(record.profile_blocks, map(slice, ends[:-1], ends[1:])):  # no view outlives
-        np.add(np.multiply(p[0], lam, out=weighted[rows]), p[1], out=weighted[rows])
+        np.add(np.multiply(p[0, :, i0:], lam, out=weighted[rows]), p[1, :, i0:],
+               out=weighted[rows])
     weighted *= np.exp(lam * times)[:, None]
 
     # suffix sums of the cell integrals: column j holds the integral over
@@ -512,7 +520,7 @@ def admissible_lambdas(scenario, lambdas=None, r0=None, t0=None):
             reason = None if lam * stride * dt <= MAX_LAMBDA_DT else (
                 f"sampled too coarsely: lambda * spacing {lam * stride * dt:.6g} > {MAX_LAMBDA_DT}")
         except InfeasibleWindow as exc:
-            reason = str(exc)
+            reason = f"infeasible window: {exc}"
         rows.append(LambdaRow(lam, decay, None if reason else anchor, reason))
     return rows
 
@@ -533,7 +541,7 @@ def certify(scenario, lambdas=None, r0=None, t0=None):
     rows = admissible_lambdas(scenario, lambdas, r0, t0)
     admissible = [row for row in rows if row.anchor]
     if not admissible:
-        raise NoFeasibleLambda("no admissible lambda: " + "; ".join(
+        raise NoFeasibleLambda("; ".join(
             f"lambda = {row.lam:.6g}: {row.reason}" for row in rows))
     lam, decay, (t0, r0), _ = max(admissible, key=lambda row: (row.decay.decay_rate, -row.lam))
 

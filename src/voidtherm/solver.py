@@ -13,8 +13,12 @@ it binds the derivative along one grid axis of every field stacked on the
 leading axis of an array, with the arithmetic of ``np.gradient(edge_order=2)``,
 into a callable that runs only ufuncs.  The operator binds each difference
 and divergence of a step once, with one gather buffer for all their end
-stencils; ``kinematics`` builds its plans per call.  ``pde_residual``
-measures a trajectory against the operator it was stepped with.
+stencils; ``kinematics`` builds its plans per call.  On a 1D grid whose two
+faces hold theta by Dirichlet data, the stepping divergence of the
+temperature rate skips its two end stencils, whose values the step would
+overwrite with the data unread.  ``rates`` differences every node, by a
+divergence built per call, so ``pde_residual`` measures a trajectory
+against the operator it was stepped with.
 
 ``run`` is the one way to advance a state: after the support, wave-bound and
 thermal-budget checks it builds one private operator per scenario.  It keeps
@@ -483,12 +487,14 @@ class Trajectory:
 # Differences
 
 
-def _difference_plan(f, axis, h, out, gather=None):
+def _difference_plan(f, axis, h, out, gather=None, ends=True):
     """The derivative along grid axis ``axis`` of every field stacked on the
     leading axis of ``f`` as a callable that writes it into ``out`` and
     returns ``out``: views and weights are bound once, so a call runs only
     ufuncs, on what ``f`` holds then.  The end gather goes into the flat
-    buffer ``gather`` (new when None), which plans may share.
+    buffer ``gather`` (new when None), which plans may share.  With
+    ``ends=False`` a call differences the interior alone, and the two end
+    nodes of ``out`` keep what they held.
 
     Central differences inside, one-sided three-point stencils at the ends,
     with the arithmetic of ``np.gradient(f, h, axis=axis + 1, edge_order=2)``
@@ -501,7 +507,7 @@ def _difference_plan(f, axis, h, out, gather=None):
     the values it wraps across row ends land only on the end nodes, which
     the two end-column stencils then overwrite.  There ``f`` and ``out``
     must flatten to (fields, nodes) as views."""
-    if f.ndim > 2 and axis == f.ndim - 2:
+    if ends and f.ndim > 2 and axis == f.ndim - 2:
         flat, g = out.reshape(len(out), -1), f.reshape(len(f), -1)
         if not (np.may_share_memory(flat, out) and np.may_share_memory(g, f)):
             raise ValueError(f"f or out (strides {f.strides}, {out.strides}) does not "
@@ -527,6 +533,13 @@ def _difference_plan(f, axis, h, out, gather=None):
     lead, n = (slice(None),) * (axis + 1), f.shape[axis + 1]
     mid, above, below = (out[lead + (slice(1, -1),)], f[lead + (slice(2, None),)],
                          f[lead + (slice(None, -2),)])
+    if not ends:
+        def interior():
+            np.subtract(above, below, out=mid)
+            if h != 0.5:
+                np.divide(mid, 2.0 * h, out=mid)
+            return out
+        return interior
     nodes = np.array([[0, n - 3], [1, n - 2], [2, n - 1]])
     weights = np.array([[-1.5 / h, 0.5 / h], [2.0 / h, -2.0 / h], [-0.5 / h, 1.5 / h]])
     weights = weights.reshape((3, 2) + (1,) * (f.ndim - axis - 2))
@@ -556,14 +569,16 @@ def _difference(f, axis, h, out=None):
     return _difference_plan(f, axis, h, np.empty(f.shape) if out is None else out)()
 
 
-def _divergence_plan(fluxes, spacing, out, work, gather=None):
+def _divergence_plan(fluxes, spacing, out, work, gather=None, ends=True):
     """Sum over axes j of the derivative along j of ``fluxes[j]``, which
     stacks the axis-j components of several fluxes on its leading axis, as a
-    callable like :func:`_difference_plan`'s; ``work``, shaped like
-    ``fluxes[j]``, holds each derivative after the first."""
-    first = _difference_plan(fluxes[0], 0, spacing[0], out, gather)
-    rest = [_difference_plan(fluxes[j], j, spacing[j], work, gather)
+    callable like :func:`_difference_plan`'s (``ends`` passed on); ``work``,
+    shaped like ``fluxes[j]``, holds each derivative after the first."""
+    first = _difference_plan(fluxes[0], 0, spacing[0], out, gather, ends)
+    rest = [_difference_plan(fluxes[j], j, spacing[j], work, gather, ends)
             for j in range(1, len(spacing))]
+    if not rest:
+        return first
 
     def run():
         first()
@@ -684,8 +699,9 @@ class _Operator:
         self.grad = self.packed[2:].reshape((d + 2, d) + counts)
         self.acc = np.empty((d + 1,) + counts)
         self.weights = trapezoid_weights(counts, self.h)
-        # the scratch rows of one step
-        self.scratch = np.empty((3 * d + 3,) + counts)
+        # the scratch rows of one step, zeroed: end nodes of ``rate`` that
+        # the step skips hold finite values
+        self.scratch = np.zeros((3 * d + 3,) + counts)
         self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
         self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
         self.theta_half, self.rate = self.scratch[3 * d + 1], self.scratch[3 * d + 2]
@@ -701,8 +717,9 @@ class _Operator:
                                              self.kappa_half[:, j], gather) for j in range(d)]
         self._acc_plan = _divergence_plan(self.flux[:-1].reshape((d, d + 1) + counts), half,
                                           self.acc, self.tmp, gather)
+        # 1D with theta Dirichlet on both faces: the step overwrites the ends
         self._heat_plan = _divergence_plan(self.heat[:, None], half, self.rate[None],
-                                           self.tmp[:1], gather)
+                                           self.tmp[:1], gather, ends=d > 1 or bool(self._heat))
         # what the matmuls read and write, as (rows, nodes) views
         self._packed_rows = self.packed[:self.L.shape[1]].reshape(self.L.shape[1], -1)
         self._flux_rows = self.flux.reshape(len(self.L), -1)
@@ -825,15 +842,16 @@ class _Operator:
         if "ell" in self.sources:
             self.acc[d] += self.scenario.source("ell", t) / self.mat.chi
 
-    def _theta_rate(self, kappa, t):
+    def _theta_rate(self, kappa, t, divergence=None):
         """Temperature rate, into ``rate``, from the entropy balance at the
         gradient rows ``kappa`` (d x nodes) and the velocities in ``Y``; the
         coupling M:grad v + aVec.grad phidot is the divergence of M^T v +
-        aVec phidot, so it joins the heat flux in one divergence."""
+        aVec phidot, so it joins the heat flux in one divergence, the
+        stepping one unless ``divergence`` is given."""
         d, Y, out, heat = self.d, self.Y, self.rate, self._heat_rows
         np.matmul(self.K_rate, kappa, out=heat)
         heat += np.matmul(self.W_rate, self._velocity_rows, out=self._tmp_rows)
-        self._heat_plan()
+        (divergence or self._heat_plan)()
         if self.m_rate:
             out -= np.multiply(self.m_rate, Y[2 * d + 2], out=self.tmp[0])
         if "r" in self.sources:
@@ -861,13 +879,16 @@ class _Operator:
 
     def rates(self, state):
         """Accelerations of (u, phi), stacked, and the temperature rate at a
-        state, as copies."""
+        state, as copies; the rate is differenced at every node, by a
+        divergence built per call, since the stepping one may skip the ends."""
         self.load(state)
         self.level(state.t)
         acc = self.acc.copy()
         if self.tau_acc:
             acc[self.d] += self.tau_acc * state.phidot
-        return acc, self._theta_rate(self._kappa_rows, state.t).copy()
+        full = _divergence_plan(self.heat[:, None], (0.5,) * self.d, self.rate[None],
+                                self.tmp[:1])
+        return acc, self._theta_rate(self._kappa_rows, state.t, full).copy()
 
     def kinematics(self, state):
         """Strain, void gradient and temperature gradient of a state."""
@@ -879,15 +900,17 @@ class _Operator:
         return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1)), grad[d], grad[d + 1]
 
     def check_finite(self, t):
-        """Raise on the first non-finite node, named by field and index."""
-        if np.isfinite(self.Y).all():
+        """Raise on the first non-finite node, named by field and index.  One
+        sum decides: a NaN or an inf makes it non-finite, and a finite state
+        whose sum overflows (numpy warns) is scanned and passes."""
+        if math.isfinite(self.Y.sum()):
             return
         st = self.state(t)
         for name, arr in (("u", st.u), ("udot", st.v), ("phi", st.phi),
                           ("phidot", st.phidot), ("theta", st.theta)):
             if not np.isfinite(arr).all():
-                idx = np.argwhere(~np.isfinite(arr))[0]
-                raise NonFiniteField(f"field '{name}' non-finite at node {tuple(idx)}, t = {t:.6g}")
+                idx = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+                raise NonFiniteField(f"field '{name}' non-finite at node {idx}, t = {t:.6g}")
 
     # -- one step ----------------------------------------------------------
 

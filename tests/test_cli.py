@@ -291,6 +291,20 @@ def test_default_grid_skips_coarsely_sampled_lambdas(workdir, tmp_path, capsys, 
     assert all((row[6] == "-") == (row[5] == "no") for row in rows)
 
 
+def test_lambda_ruled_out_by_sampling_names_the_sampling(workdir, tmp_path, capsys):
+    # at T = 0.6 the plate's window is feasible for lambda = 8, but its few
+    # steps sample e^{lambda t} too coarsely: exit 2, and stderr names the
+    # sampling rule, not an infeasible window
+    (workdir / "case.scn").write_text(PLATE_FILE.replace("T = 0.3", "T = 0.6"))
+    assert main(["verify-decay", "--scenario", str(workdir / "case.scn"), "--lambda", "8",
+                 "--out", str(tmp_path / "vd")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("no admissible lambda [NoFeasibleLambda]: lambda = 8: "
+                          "sampled too coarsely: lambda * spacing ")
+    assert "infeasible" not in err
+    assert not (tmp_path / "vd" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("T", ["0.3", "0.6"], ids=["window", "sampling"])
 def test_sweep_rows_match_certify(workdir, monkeypatch, capsys, T):
     # one rule: where a sweep row reads no, certify at that lambda alone

@@ -370,7 +370,7 @@ def test_certify_takes_the_largest_rate_and_the_smallest_lambda_on_a_tie(pulse_s
 
 
 @pytest.mark.parametrize("T, lambdas, reason", [
-    (0.5, None, "zeta\\*T = "),
+    (0.5, None, "infeasible window: zeta\\*T = "),
     (1.0, [1000.0, 2000.0], "sampled too coarsely"),
 ], ids=["window", "sampling"])
 def test_certify_without_admissible_lambda_makes_no_run(pulse_scenario, monkeypatch,

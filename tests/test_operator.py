@@ -10,6 +10,7 @@ must reproduce.
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -232,7 +233,9 @@ def test_bound_plans_follow_the_state(dim, dissipative, tau):
     # the same level and temperature rate bit for bit, and the half-step
     # temperature gradient and rate that the step left equal one-off
     # differences of copies of their inputs (m = 0 and no sources, so that
-    # rate is the heat divergence alone)
+    # rate is the heat divergence alone); the rate is compared on the nodes
+    # the step reads: on a 1D grid whose two faces hold theta by Dirichlet
+    # data, all but the two ends, whose values the step overwrites
     rng = np.random.default_rng(80 + dim)
     mat = dataclasses.replace(vt.random_material(dim, rng), tau=tau, m=0.0)
     grid = vt.Grid(extents=(1.0, 0.8, 1.2)[:dim], counts=(9, 7, 6)[:dim])
@@ -241,6 +244,7 @@ def test_bound_plans_follow_the_state(dim, dissipative, tau):
         scen = vt.Scenario(grid=grid, material=mat,
                            boundary=BoundaryPartition(faces=random_faces(dim, grid, kinds, rng)),
                            dt=dt, T=1.0, support_x0=1.0)
+        read = slice(1, -1) if dim == 1 and kinds[2] == "dirichlet" else slice(None)
         op = _Operator(scen, dissipative)
         op.load(SimState(t=0.0, u=rng.normal(size=(dim,) + counts),
                          v=rng.normal(size=(dim,) + counts), phi=rng.normal(size=counts),
@@ -260,11 +264,80 @@ def test_bound_plans_follow_the_state(dim, dissipative, tau):
             assert same_bits(op.kappa_half, kappa), (kinds, k)
             rate = vt.solver._divergence_plan(op.heat[:, None].copy(), (0.5,) * dim,
                                               np.empty((1,) + counts), np.empty((1,) + counts))()
-            assert same_bits(op.rate, rate[0]), (kinds, k)
+            assert same_bits(op.rate[..., read], rate[0][..., read]), (kinds, k)
             # and the next step's first temperature rate, which reads the velocities
             for each in (op, fresh):
                 each._theta_rate(each._kappa_rows, (k + 1) * dt)
-            assert same_bits(op.rate, fresh.rate), (kinds, k)
+            assert same_bits(op.rate[..., read], fresh.rate[..., read]), (kinds, k)
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.5))
+@pytest.mark.parametrize("dissipative", (False, True))
+@pytest.mark.parametrize("thermal", [("dirichlet", "dirichlet"), ("dirichlet", "flux"),
+                                     ("flux", "flux")], ids=["dd", "df", "ff"])
+def test_skipped_rate_ends_are_never_read(monkeypatch, thermal, dissipative, tau):
+    # on a 1D grid whose two faces hold theta by Dirichlet data the step skips
+    # the temperature rate's end stencils: with both end nodes of the rate set
+    # to NaN before every step, the states, the record and the log keep every
+    # bit (m != 0, with sources), and the NaN is still there after the run;
+    # with a heat-flux face the step computes both ends over the NaN
+    rng = np.random.default_rng(90)
+    mat = vt.random_material(1, rng)
+    mat = dataclasses.replace(mat, K=1e-3 * mat.K, tau=tau)
+    assert mat.m != 0.0
+    grid = vt.Grid(extents=(1.0,), counts=(21,))
+    faces = random_faces(1, grid, ("dirichlet", "flux", "dirichlet"), rng)
+    for face, kind in zip(faces.values(), thermal):
+        face["thermal"] = dataclasses.replace(face["thermal"], kind=kind)
+    scen = vt.Scenario(grid=grid, material=mat, boundary=BoundaryPartition(faces=faces),
+                       dt="auto", T=0.2, support_x0=1.0, sources=random_sources(1, rng))
+
+    def stepped():
+        record, states = vt.SampleRecord(scen), []
+        traj = vt.run(scen, n_samples=9, dissipative=dissipative,
+                      reducers=[record, lambda block: states.extend(block.states())])
+        fields = [getattr(st, name) for st in states for name in ("u", "v", "phi", "phidot",
+                                                                   "theta")]
+        return (fields + [np.array(record.t), *record.profile_blocks, np.array(record.box_P),
+                          np.array(record.box_R), np.array(record.box_power),
+                          np.array(record.box_work), traj.times, traj.log["energy"],
+                          traj.log["theta_max"], np.array([traj.log["dt"],
+                                                           traj.log["nsteps"]])])
+
+    clean, ops, advance = stepped(), [], _Operator.advance
+
+    def poisoned(op, t, dt):
+        ops.append(op)
+        op.rate[[0, -1]] = np.nan
+        advance(op, t, dt)
+    monkeypatch.setattr(_Operator, "advance", poisoned)
+    got = stepped()
+    assert len(got) == len(clean) and len(ops) > 20
+    assert all(same_bits(a, b) for a, b in zip(got, clean))
+    assert np.isnan(ops[-1].rate[[0, -1]]).all() == (thermal == ("dirichlet", "dirichlet"))
+
+
+def test_check_finite_reads_one_sum():
+    # a finite state whose sum overflows passes; one NaN or one inf at a
+    # chosen node raises NonFiniteField naming that field and node
+    scen = vt.Scenario(grid=vt.Grid(extents=(1.0, 0.5), counts=(6, 4)),
+                       material=vt.random_material(2, np.random.default_rng(5)),
+                       boundary=BoundaryPartition.all_dirichlet_zero(2), dt="auto", T=0.1,
+                       support_x0=1.0)
+    op = _Operator(scen)
+    op.load(SimState(0.0, *vt.solver.initial_arrays(scen)))
+    d, finite = op.d, op.Y.copy()
+    op.Y[d + 2][0, 1] = op.Y[d + 1][4, 2] = 1e308
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(op.Y.sum())
+        op.check_finite(0.5)
+    for name, row, node, value in (("phidot", 2 * d + 2, (3, 1), np.nan),
+                                   ("theta", d + 1, (5, 0), -np.inf)):
+        op.Y[...] = finite
+        op.Y[row][node] = value
+        with pytest.raises(vt.NonFiniteField,
+                           match=re.escape(f"field '{name}' non-finite at node {node}, t = 0.5")):
+            op.check_finite(0.5)
 
 
 @pytest.mark.parametrize("shape", [(3, 9, 5), (2, 4, 5, 6)])
