@@ -514,11 +514,14 @@ def admissible_lambdas(scenario, lambdas=None, r0=None, t0=None):
         r0_lam = r0 if r0 is not None else max(
             h1, math.floor(min(geometry.L, 0.5 * decay.zeta * T) / h1 + 1e-9) * h1)
         anchor = (T - r0_lam / decay.zeta if t0 is None else t0), r0_lam
-        dt, _, stride = solver.time_grid(scenario, _sample_cap(scenario, lam))
+        # the widest gap between the times run records, formed as it forms
+        # them, which compute_measure reads; stride * dt can round lower
+        dt, nsteps, stride = solver.time_grid(scenario, _sample_cap(scenario, lam))
+        spacing = float(np.diff(np.arange(0, nsteps + 1, stride) * dt).max(initial=0.0))
         try:
             check_window(decay.zeta, geometry.L, T, *anchor)
-            reason = None if lam * stride * dt <= MAX_LAMBDA_DT else (
-                f"sampled too coarsely: lambda * spacing {lam * stride * dt:.6g} > {MAX_LAMBDA_DT}")
+            reason = None if lam * spacing <= MAX_LAMBDA_DT else (
+                f"sampled too coarsely: lambda * spacing {lam * spacing!r} > {MAX_LAMBDA_DT}")
         except InfeasibleWindow as exc:
             reason = f"infeasible window: {exc}"
         rows.append(LambdaRow(lam, decay, None if reason else anchor, reason))

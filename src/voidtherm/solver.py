@@ -498,15 +498,23 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
 
     Central differences inside, one-sided three-point stencils at the ends,
     with the arithmetic of ``np.gradient(f, h, axis=axis + 1, edge_order=2)``
-    bit for bit.  At h = 0.5 the central difference skips its divide by
-    2 h = 1.0, which is exact: x / 1.0 is x for every double, NaN, inf and
-    -0.0 included.
+    bit for bit.  np.gradient divides the central difference by 2 h; the
+    plan chooses how once.  At 2 h = 1 it skips the pass: x / 1.0 is x for
+    every double, NaN, inf and -0.0 included.  Where 2 h is a power of two
+    whose reciprocal is finite, it multiplies by 1 / (2 h): x / 2^k and
+    x * 2^-k are the same real number, so the same correctly rounded double
+    (IEEE 754), and a multiply pass is the cheaper.  At any other h, and
+    where 2 h < 2^-1023 makes the reciprocal overflow, it divides.
 
     On the last axis of a 2D or 3D grid, rows are short: the central
     difference runs over each field's node block flattened, in one pass, and
     the values it wraps across row ends land only on the end nodes, which
     the two end-column stencils then overwrite.  There ``f`` and ``out``
     must flatten to (fields, nodes) as views."""
+    scale = factor = None
+    if 2.0 * h != 1.0:
+        exact = math.frexp(2.0 * h)[0] == 0.5 and math.isfinite(0.5 / h)
+        scale, factor = (np.multiply, 0.5 / h) if exact else (np.divide, 2.0 * h)
     if ends and f.ndim > 2 and axis == f.ndim - 2:
         flat, g = out.reshape(len(out), -1), f.reshape(len(f), -1)
         if not (np.may_share_memory(flat, out) and np.may_share_memory(g, f)):
@@ -518,8 +526,8 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
 
         def run():
             np.subtract(above, below, out=mid)
-            if h != 0.5:
-                np.divide(mid, 2.0 * h, out=mid)
+            if scale:
+                scale(mid, factor, out=mid)
             np.multiply(-1.5 / h, f0, out=first)
             np.add(first, (2.0 / h) * f1, out=first)
             np.add(first, (-0.5 / h) * f2, out=first)
@@ -536,8 +544,8 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
     if not ends:
         def interior():
             np.subtract(above, below, out=mid)
-            if h != 0.5:
-                np.divide(mid, 2.0 * h, out=mid)
+            if scale:
+                scale(mid, factor, out=mid)
             return out
         return interior
     nodes = np.array([[0, n - 3], [1, n - 2], [2, n - 1]])
@@ -549,8 +557,8 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
 
     def run():
         np.subtract(above, below, out=mid)
-        if h != 0.5:
-            np.divide(mid, 2.0 * h, out=mid)
+        if scale:
+            scale(mid, factor, out=mid)
         # the indices are in range: mode="clip" writes out= directly, where
         # the default mode="raise" gathers through a buffer
         f.take(nodes, axis=axis + 1, out=g, mode="clip")
@@ -658,6 +666,9 @@ class _Operator:
     The rows of axis j of ``flux`` (the G row excepted) and of ``heat``
     carry 1 / (2 h_j), so their divergences difference with h = 0.5, which
     skips a divide; ``SampleBlock.normal_power`` multiplies the 2 h_j back in.
+    The gradient plans difference at h_j: where 2 h_j is a power of two (2^k
+    + 1 nodes per unit length) they multiply by 1 / (2 h_j), bit for bit the
+    divide they replace, and elsewhere they divide.
     """
 
     def __init__(self, scenario, dissipative=False):
@@ -696,6 +707,7 @@ class _Operator:
         self.splits = [2 * d + 3, 2 * d + 5 + d * (d + 2)]
         self.rows = np.empty((self.splits[1] + d * (d + 1) + 1,) + counts)
         self.Y, self.packed, self.flux = np.split(self.rows, self.splits)
+        self._flat = self.Y.reshape(-1)
         self.grad = self.packed[2:].reshape((d + 2, d) + counts)
         self.acc = np.empty((d + 1,) + counts)
         self.weights = trapezoid_weights(counts, self.h)
@@ -900,10 +912,13 @@ class _Operator:
         return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1)), grad[d], grad[d + 1]
 
     def check_finite(self, t):
-        """Raise on the first non-finite node, named by field and index.  One
-        sum decides: a NaN or an inf makes it non-finite, and a finite state
-        whose sum overflows (numpy warns) is scanned and passes."""
-        if math.isfinite(self.Y.sum()):
+        """Raise on the first non-finite node, named by field and index.  The
+        state's dot with itself decides: its terms are squares, never
+        negative, so it is NaN or inf when a node is NaN or +-inf, and
+        finite otherwise unless finite nodes from about 1.3e154 up overflow
+        their squares; such a state is scanned field by field and passes.
+        ``np.vdot`` calls BLAS without the overflow warning of ``@``."""
+        if math.isfinite(np.vdot(self._flat, self._flat)):
             return
         st = self.state(t)
         for name, arr in (("u", st.u), ("udot", st.v), ("phi", st.phi),
@@ -1120,7 +1135,9 @@ def run(scenario, n_samples=None, dissipative=False, reducers=None):
 
 
 def time_grid(scenario, n_samples=None, dt_max=None):
-    """(dt, nsteps, stride) of :func:`run`; its samples are ``stride * dt`` apart."""
+    """(dt, nsteps, stride) of :func:`run`; its samples are the times
+    ``k * dt`` for k = 0, stride, 2 stride, ..., nsteps, each formed as that
+    product, so they are ``stride * dt`` apart only up to rounding."""
     dt = scenario.resolve_dt(dt_max)
     if scenario.T <= 0.0:
         return dt, 0, 1

@@ -305,6 +305,30 @@ def test_lambda_ruled_out_by_sampling_names_the_sampling(workdir, tmp_path, caps
     assert not (tmp_path / "vd" / "summary.json").exists()
 
 
+def test_boundary_lambda_is_ruled_out_before_the_run(workdir, tmp_path, monkeypatch, capsys):
+    # 41 nodes at dt = 0.01: lambda = 25 times the nominal spacing, stride * dt,
+    # is 0.25, at the bound, but the recorded times, (k + 1) * dt, are up to
+    # 0.010000000000000009 apart, which compute_measure would reject after the
+    # run; the scan reads those times, so lambda = 25 is ruled out before any
+    # run (exit 2, no summary.json) and the sweep reads no
+    (workdir / "case.scn").write_text(
+        PULSE_FILE.format(nodes=41).replace("dt = auto", "dt = 0.01"))
+    runs = []
+    real_run = vt.solver.run
+    monkeypatch.setattr(vt.solver, "run",
+                        lambda *a, **k: runs.append(real_run(*a, **k)) or runs[-1])
+    assert main(["verify-decay", "--scenario", str(workdir / "case.scn"), "--lambda", "25",
+                 "--out", str(tmp_path / "vd")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "no admissible lambda [NoFeasibleLambda]: lambda = 25: sampled too coarsely: "
+        "lambda * spacing 0.2500000000000002 > 0.25")
+    assert not (tmp_path / "vd" / "summary.json").exists()
+    assert main(["sweep-lambda", "--material", str(workdir / "ref.mat"), "--lambda", "25",
+                 "--scenario", str(workdir / "case.scn")]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[5:] == ["no", "-"]
+    assert runs == []
+
+
 @pytest.mark.parametrize("T", ["0.3", "0.6"], ids=["window", "sampling"])
 def test_sweep_rows_match_certify(workdir, monkeypatch, capsys, T):
     # one rule: where a sweep row reads no, certify at that lambda alone

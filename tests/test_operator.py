@@ -11,6 +11,7 @@ must reproduce.
 import dataclasses
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -204,16 +205,21 @@ def test_difference_is_np_gradient(shape):
     # a new array and into out= views laid out as the operator lays them out:
     # a derivative axis of _Operator.grad, and a row block of _Operator.scratch;
     # on random fields and on end nodes that hold -0.0, NaN and +-inf; at
-    # spacings that differ by axis, and at h = 0.5, where the divide is skipped
+    # spacings that differ by axis; at powers of two, 2^-5 on every axis and
+    # 2^-7 next to 0.1/3, where a multiply by 1/(2h) replaces the divide; at
+    # 2^-1025, whose 1/(2h) overflows, so the divide stays; and at h = 0.5,
+    # where the divide is skipped
     random = np.random.default_rng(len(shape)).normal(size=shape)
     for f in (random, with_end_specials(random)):
         k, counts, d = f.shape[0], f.shape[1:], f.ndim - 1
-        for spacing in ([0.1 * (axis + 1) / 3.0 for axis in range(d)], [0.5] * d):
+        for spacing in ([0.1 * (axis + 1) / 3.0 for axis in range(d)], [2.0 ** -5] * d,
+                        [(2.0 ** -7, 0.1 / 3.0)[axis % 2] for axis in range(d)],
+                        [2.0 ** -1025] * d, [0.5] * d):
             grad = np.full((k, d) + counts, np.nan)
             kappa = np.full((d + 3,) + counts, np.nan)[None, 1:d + 1]
             wants = []
             for axis, h in enumerate(spacing):
-                with np.errstate(invalid="ignore"):
+                with np.errstate(invalid="ignore", over="ignore"):
                     wants.append(np.gradient(f, h, axis=axis + 1, edge_order=2))
                     assert same_bits(vt.solver._difference(f, axis, h), wants[-1])
                     assert same_bits(vt.solver._difference(f, axis, h, grad[:, axis]), wants[-1])
@@ -318,7 +324,9 @@ def test_skipped_rate_ends_are_never_read(monkeypatch, thermal, dissipative, tau
 
 
 def test_check_finite_reads_one_sum():
-    # a finite state whose sum overflows passes; one NaN or one inf at a
+    # a finite state whose self dot overflows (entries near 1e200, whose
+    # squares overflow, and near 1e308, whose sum does too) passes, scanned
+    # field by field, with no overflow warning; one NaN or one inf at a
     # chosen node raises NonFiniteField naming that field and node
     scen = vt.Scenario(grid=vt.Grid(extents=(1.0, 0.5), counts=(6, 4)),
                        material=vt.random_material(2, np.random.default_rng(5)),
@@ -327,10 +335,14 @@ def test_check_finite_reads_one_sum():
     op = _Operator(scen)
     op.load(SimState(0.0, *vt.solver.initial_arrays(scen)))
     d, finite = op.d, op.Y.copy()
-    op.Y[d + 2][0, 1] = op.Y[d + 1][4, 2] = 1e308
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(op.Y.sum())
-        op.check_finite(0.5)
+    for big in (1e200, -3e200, 1e308):
+        op.Y[...] = finite
+        op.Y[d + 2][0, 1] = op.Y[d + 1][4, 2] = big
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(op.Y.ravel() @ op.Y.ravel())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op.check_finite(0.5)
     for name, row, node, value in (("phidot", 2 * d + 2, (3, 1), np.nan),
                                    ("theta", d + 1, (5, 0), -np.inf)):
         op.Y[...] = finite
