@@ -13,8 +13,10 @@ it binds the derivative along one grid axis of every field stacked on the
 leading axis of an array, with the arithmetic of ``np.gradient(edge_order=2)``,
 into a callable that runs only ufuncs.  The operator binds each difference
 and divergence of a step once, with one gather buffer for all their end
-stencils; ``kinematics`` builds its plans per call.  On a 1D grid whose two
-faces hold theta by Dirichlet data, the stepping divergence of the
+stencils, and the step, its level and its temperature rate as closures over
+those plans and its arrays, so a step makes only its ufunc calls and
+Dirichlet writes; ``kinematics`` builds its plans per call.  On a 1D grid
+whose two faces hold theta by Dirichlet data, the stepping divergence of the
 temperature rate skips its two end stencils, whose values the step would
 overwrite with the data unread.  ``rates`` differences every node, by a
 divergence built per call, so ``pde_residual`` measures a trajectory
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -512,6 +515,7 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
     the two end-column stencils then overwrite.  There ``f`` and ``out``
     must flatten to (fields, nodes) as views."""
     scale = factor = None
+    subtract, multiply, add = np.subtract, np.multiply, np.add
     if 2.0 * h != 1.0:
         exact = math.frexp(2.0 * h)[0] == 0.5 and math.isfinite(0.5 / h)
         scale, factor = (np.multiply, 0.5 / h) if exact else (np.divide, 2.0 * h)
@@ -525,15 +529,15 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
         f0, f1, f2, f3, f4, f5 = (f[..., k] for k in (0, 1, 2, -3, -2, -1))
 
         def run():
-            np.subtract(above, below, out=mid)
+            subtract(above, below, out=mid)
             if scale:
                 scale(mid, factor, out=mid)
-            np.multiply(-1.5 / h, f0, out=first)
-            np.add(first, (2.0 / h) * f1, out=first)
-            np.add(first, (-0.5 / h) * f2, out=first)
-            np.multiply(0.5 / h, f3, out=last)
-            np.add(last, (-2.0 / h) * f4, out=last)
-            np.add(last, (1.5 / h) * f5, out=last)
+            multiply(-1.5 / h, f0, out=first)
+            add(first, (2.0 / h) * f1, out=first)
+            add(first, (-0.5 / h) * f2, out=first)
+            multiply(0.5 / h, f3, out=last)
+            add(last, (-2.0 / h) * f4, out=last)
+            add(last, (1.5 / h) * f5, out=last)
             return out
         return run
     # both ends at once: nodes[k] holds nodes k and n - 3 + k, the k-th term
@@ -543,7 +547,7 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
                          f[lead + (slice(None, -2),)])
     if not ends:
         def interior():
-            np.subtract(above, below, out=mid)
+            subtract(above, below, out=mid)
             if scale:
                 scale(mid, factor, out=mid)
             return out
@@ -556,17 +560,17 @@ def _difference_plan(f, axis, h, out, gather=None, ends=True):
     edge, terms = out[lead + (slice(0, n, n - 1),)], [g[lead + (k,)] for k in range(3)]
 
     def run():
-        np.subtract(above, below, out=mid)
+        subtract(above, below, out=mid)
         if scale:
             scale(mid, factor, out=mid)
         # the indices are in range: mode="clip" writes out= directly, where
         # the default mode="raise" gathers through a buffer
         f.take(nodes, axis=axis + 1, out=g, mode="clip")
-        np.multiply(g, weights, out=g)
+        multiply(g, weights, out=g)
         # the terms summed in np.gradient's order; a reduction would start
         # from +0.0 and lose the sign of a -0.0 sum
-        np.add(terms[0], terms[1], out=edge)
-        np.add(edge, terms[2], out=edge)
+        add(terms[0], terms[1], out=edge)
+        add(edge, terms[2], out=edge)
         return out
     return run
 
@@ -682,8 +686,9 @@ class _Operator:
         self.Y = None
 
     def _allocate(self):
-        """The stepping coefficients and buffers; ``kinematics`` alone needs
-        none of them."""
+        """The stepping coefficients and buffers, and the step, its level and
+        its temperature rate bound as closures over them; ``kinematics``
+        alone needs none of them."""
         mat, d, counts = self.mat, self.d, self.scenario.grid.counts
         # rows of axis j carry 1 / (2 h_j): the divergences then skip a divide
         mass = np.append(np.full(d, mat.rho), mat.rho * mat.chi)
@@ -691,61 +696,118 @@ class _Operator:
         scale = np.append(np.outer(axis_scale, 1.0 / mass), 1.0 / mass[-1])
         response = response_matrix(mat)
         # columns in the order of the packed rows: phi, theta, then d_s u_r, d_s phi
-        self.L = scale[:, None] * np.roll(response, 2, axis=1)
+        L = scale[:, None] * np.roll(response, 2, axis=1)
         thermal_sign = 1.0 if self.dissipative else -1.0
         tau_sign = -1.0 if self.dissipative else 1.0
         # temperature rate = div(K_rate kappa + W_rate (v, phidot)) - m phidot / aHeat
-        self.K_rate = axis_scale[:, None] * thermal_sign / (mat.theta0 * mat.aHeat) * mat.K
-        self.W_rate = axis_scale[:, None] * -np.vstack([mat.M, mat.aVec]).T / mat.aHeat
-        self.m_rate = mat.m / mat.aHeat
-        self.r_rate = thermal_sign * mat.rho / (mat.theta0 * mat.aHeat)
-        self.tau_acc = tau_sign * mat.tau / (mat.rho * mat.chi)
+        K_rate = axis_scale[:, None] * thermal_sign / (mat.theta0 * mat.aHeat) * mat.K
+        W_rate = axis_scale[:, None] * -np.vstack([mat.M, mat.aVec]).T / mat.aHeat
+        m_rate, chi = mat.m / mat.aHeat, mat.chi
+        self.r_rate = r_rate = thermal_sign * mat.rho / (mat.theta0 * mat.aHeat)
+        self.tau_acc = tau_acc = tau_sign * mat.tau / (mat.rho * mat.chi)
         self.power_scale = np.outer(2.0 * np.array(self.h), mass)
 
         # the rows a sample copies, in one buffer: the state Y; phi, theta and
         # the gradients, the first 2 + d (d + 1) the constitutive matmul's input
         self.splits = [2 * d + 3, 2 * d + 5 + d * (d + 2)]
         self.rows = np.empty((self.splits[1] + d * (d + 1) + 1,) + counts)
-        self.Y, self.packed, self.flux = np.split(self.rows, self.splits)
-        self._flat = self.Y.reshape(-1)
-        self.grad = self.packed[2:].reshape((d + 2, d) + counts)
-        self.acc = np.empty((d + 1,) + counts)
+        Y, packed, flux = np.split(self.rows, self.splits)
+        self.Y, self.flux, self._flat = Y, flux, Y.reshape(-1)
+        self.grad = packed[2:].reshape((d + 2, d) + counts)
+        self.acc = acc = np.empty((d + 1,) + counts)
         self.weights = trapezoid_weights(counts, self.h)
         # the scratch rows of one step, zeroed: end nodes of ``rate`` that
         # the step skips hold finite values
-        self.scratch = np.zeros((3 * d + 3,) + counts)
-        self.tmp, self.heat = self.scratch[:d + 1], self.scratch[d + 1:2 * d + 1]
-        self.kappa_half = self.scratch[None, 2 * d + 1:3 * d + 1]
-        self.theta_half, self.rate = self.scratch[3 * d + 1], self.scratch[3 * d + 2]
+        scratch = np.zeros((3 * d + 3,) + counts)
+        self.tmp, self.heat = tmp, heat = scratch[:d + 1], scratch[d + 1:2 * d + 1]
+        self.kappa_half = scratch[None, 2 * d + 1:3 * d + 1]
+        self.theta_half, self.rate = theta_half, rate = scratch[3 * d + 1], scratch[3 * d + 2]
 
         # every difference of a step, bound once, the end gathers sharing one
         # buffer sized for the gradients of (u, phi, theta); the divergences
-        # work in self.tmp, whose contents advance has used up when they run
-        F, h, half = self.Y[:d + 2], self.h, (0.5,) * d
+        # work in tmp, whose contents the step has used up when they run
+        F, half = Y[:d + 2], (0.5,) * d
         gather = np.empty(max(6 * F.size // n for n in counts[:max(1, d - 1)]))
-        self._grad_plans = [_difference_plan(F, j, h[j], self.grad[:, j], gather)
-                            for j in range(d)]
-        self._half_plans = [_difference_plan(self.theta_half[None], j, h[j],
-                                             self.kappa_half[:, j], gather) for j in range(d)]
-        self._acc_plan = _divergence_plan(self.flux[:-1].reshape((d, d + 1) + counts), half,
-                                          self.acc, self.tmp, gather)
+        gradients = self._gradient_plan(F, self.grad, gather)
+        half_gradients = self._gradient_plan(theta_half[None], self.kappa_half, gather)
+        acc_plan = _divergence_plan(flux[:-1].reshape((d, d + 1) + counts), half, acc, tmp,
+                                    gather)
         # 1D with theta Dirichlet on both faces: the step overwrites the ends
-        self._heat_plan = _divergence_plan(self.heat[:, None], half, self.rate[None],
-                                           self.tmp[:1], gather, ends=d > 1 or bool(self._heat))
+        self._heat_plan = _divergence_plan(heat[:, None], half, rate[None], tmp[:1], gather,
+                                           ends=d > 1 or bool(self._heat))
         # what the matmuls read and write, as (rows, nodes) views
-        self._packed_rows = self.packed[:self.L.shape[1]].reshape(self.L.shape[1], -1)
-        self._flux_rows = self.flux.reshape(len(self.L), -1)
-        self._kappa_rows = self.grad[-1].reshape(d, -1)
-        self._kappa_half_rows = self.kappa_half[0].reshape(d, -1)
-        self._heat_rows = self.heat.reshape(d, -1)
-        self._velocity_rows = self.Y[d + 2:].reshape(d + 1, -1)
-        self._tmp_rows = self.tmp[:d].reshape(d, -1)
+        packed_rows = packed[:L.shape[1]].reshape(L.shape[1], -1)
+        flux_rows = flux.reshape(len(L), -1)
+        self._kappa_rows = kappa_rows = self.grad[-1].reshape(d, -1)
+        kappa_half_rows, heat_rows = self.kappa_half[0].reshape(d, -1), heat.reshape(d, -1)
+        velocities, work = Y[d + 2:].reshape(d + 1, -1), tmp[:d].reshape(d, -1)
 
-        self._positions = self._writes({"displacement": self.Y[:d], "void": self.Y[d]})
-        self._velocities = self._writes({"displacement": self.Y[d + 2:2 * d + 2],
-                                         "void": self.Y[2 * d + 2]}, rate=True)
-        self._theta = self._writes({"thermal": self.Y[d + 1]})
-        self._theta_half = self._writes({"thermal": self.theta_half})
+        self._positions = write_positions = self._writes({"displacement": Y[:d], "void": Y[d]})
+        self._velocities = write_velocities = self._writes(
+            {"displacement": Y[d + 2:2 * d + 2], "void": Y[2 * d + 2]}, rate=True)
+        self._theta = write_theta = self._writes({"thermal": Y[d + 1]})
+        write_half = self._writes({"thermal": theta_half})
+
+        # the step, its level and its temperature rate over the views above;
+        # what the scenario fixes (tau, m, sources, flux faces) is decided here
+        add, multiply, matmul, source = np.add, np.multiply, np.matmul, self.scenario.source
+        theta, U, W, phidot, phi_theta = Y[d + 1], Y[:d + 1], Y[d + 2:], Y[2 * d + 2], Y[d:d + 2]
+        tmp0, tmp_p, acc_u, acc_p, G, copies = tmp[0], tmp[d], acc[:d], acc[d], flux[-1], packed[:2]
+        f, ell, r = ("f" in self.sources, "ell" in self.sources, "r" in self.sources)
+
+        def theta_rate(kappa, t, divergence=self._heat_plan):
+            matmul(K_rate, kappa, out=heat_rows)
+            add(heat_rows, matmul(W_rate, velocities, out=work), out=heat_rows)
+            divergence()
+            if m_rate:
+                np.subtract(rate, multiply(m_rate, phidot, out=tmp0), out=rate)
+            if r:
+                add(rate, r_rate * source("r", t), out=rate)
+            return rate
+
+        def fluxes(t):
+            gradients(t)
+            copies[...] = phi_theta
+            matmul(L, packed_rows, out=flux_rows)
+
+        def level(t):
+            fluxes(t)
+            acc_plan()
+            add(acc_p, G, out=acc_p)
+            if f:
+                add(acc_u, source("f", t), out=acc_u)
+            if ell:
+                add(acc_p, source("ell", t) / chi, out=acc_p)
+
+        def advance(t, dt):
+            half = 0.5 * dt
+            t_half, t1 = t + half, t + dt
+            theta_rate(kappa_rows, t)
+            multiply(rate, half, out=theta_half)
+            add(theta_half, theta, out=theta_half)
+            write_half(t_half)
+
+            multiply(acc, half, out=tmp)
+            if tau_acc:
+                add(tmp_p, (half * tau_acc) * phidot, out=tmp_p)
+            add(W, tmp, out=W)
+            multiply(W, dt, out=tmp)
+            add(U, tmp, out=U)
+            write_positions(t1)
+
+            half_gradients(t_half)
+            multiply(theta_rate(kappa_half_rows, t_half), dt, out=tmp0)
+            add(theta, tmp0, out=theta)
+            write_theta(t1)
+
+            level(t1)
+            multiply(acc, half, out=tmp)
+            add(W, tmp, out=W)
+            if tau_acc:
+                np.divide(phidot, 1.0 - half * tau_acc, out=phidot)
+            write_velocities(t1)
+
+        self._rate, self._fluxes, self._level, self._advance = theta_rate, fluxes, level, advance
 
     # -- boundary ----------------------------------------------------------
 
@@ -756,13 +818,14 @@ class _Operator:
         return _face_data(self.scenario, plan.face, group, t)
 
     def _writes(self, targets, rate=False):
-        """The Dirichlet writes into the arrays ``targets`` (by group), in
-        face order, so a later face wins at nodes shared with an earlier one:
-        pairs (face nodes, data), the data None for zero, else a function of
-        t giving the value (``rate=True``: the time derivative).  A signal
-        gives a scalar, written into the displacement's ``axis`` component
-        after its other components are zeroed; field data is called on the
-        face's cached coordinates and its return broadcast into the nodes."""
+        """``write(t)``, the Dirichlet writes at time t into the arrays
+        ``targets`` (by group), in face order, so a later face wins at nodes
+        shared with an earlier one: pairs (face nodes, data), the data None
+        for zero, else a function of t giving the value (``rate=True``: the
+        time derivative).  A signal gives a scalar, written into the
+        displacement's ``axis`` component after its other components are
+        zeroed; field data is called on the face's cached coordinates and
+        its return broadcast into the nodes."""
         writes = []
         for plan in self.faces:
             for g in (g for g in plan.dirichlet if g in targets):
@@ -778,13 +841,11 @@ class _Operator:
                         writes += [(nodes, None)] if self.d > 1 else []
                         nodes = nodes[bc.axis, ...]
                 writes.append((nodes, data))
-        return writes
 
-    @staticmethod
-    def _dirichlet(t, writes):
-        """Write Dirichlet data at time t into the face nodes of ``writes``."""
-        for nodes, data in writes:
-            nodes[...] = 0.0 if data is None else data(t)
+        def write(t):
+            for nodes, data in writes:
+                nodes[...] = 0.0 if data is None else data(t)
+        return write
 
     def _correct_mechanical(self, grad, F, t):
         """Overwrite the normal derivatives of u and phi on traction and
@@ -822,37 +883,32 @@ class _Operator:
 
     # -- right-hand side ---------------------------------------------------
 
-    def _gradients(self, plans, F, t, out):
-        """Derivatives out[r, s] = d_s F[r], corrected at time t, from the
-        per-axis ``plans`` that difference F into out; F is (u, phi, theta),
-        or theta alone, which has only heat-flux faces."""
-        for plan in plans:
-            plan()
-        if len(F) > 1:
-            self._correct_mechanical(out, F, t)
-        self._correct_heat(out[-1], t)
+    def _gradient_plan(self, F, out, gather=None):
+        """``gradients(t)``: the derivatives out[r, s] = d_s F[r], corrected
+        at time t, by per-axis difference plans (their end gathers in
+        ``gather``); F is (u, phi, theta), or theta alone, which has only
+        heat-flux faces."""
+        plans = [_difference_plan(F, j, self.h[j], out[:, j], gather) for j in range(self.d)]
+        mechanical, heat = len(F) > 1 and bool(self._mechanical), bool(self._heat)
+        # weakly: the operator holds its step's plan, and a cycle would keep
+        # its arrays alive until the cyclic collector ran
+        op = weakref.proxy(self)
 
-    def fluxes(self, t):
-        """Corrected gradients of (u, phi, theta) at time t and the normal
-        fluxes (S[:, j] / rho, h[j] / (rho chi)) / (2 h_j) per axis j and the
-        intrinsic force G / (rho chi) of the loaded state."""
-        d, Y = self.d, self.Y
-        self._gradients(self._grad_plans, Y[:d + 2], t, self.grad)
-        self.packed[:2] = Y[d:d + 2]
-        np.matmul(self.L, self._packed_rows, out=self._flux_rows)
+        def gradients(t):
+            for plan in plans:
+                plan()
+            if mechanical:
+                op._correct_mechanical(out, F, t)
+            if heat:
+                op._correct_heat(out[-1], t)
+        return gradients
 
     def level(self, t):
-        """Corrected gradients of (u, phi, theta), the fluxes and the
-        accelerations of (u, phi) at time t, all but the rate term
-        ``tau_acc`` phidot: ``advance`` takes that term implicitly."""
-        d = self.d
-        self.fluxes(t)
-        self._acc_plan()
-        self.acc[d] += self.flux[-1]
-        if "f" in self.sources:
-            self.acc[:d] += self.scenario.source("f", t)
-        if "ell" in self.sources:
-            self.acc[d] += self.scenario.source("ell", t) / self.mat.chi
+        """Corrected gradients of (u, phi, theta), the normal fluxes (S[:, j]
+        / rho, h[j] / (rho chi)) / (2 h_j) per axis j, the intrinsic force G
+        / (rho chi) and the accelerations of (u, phi) at time t, all but the
+        rate term ``tau_acc`` phidot: ``advance`` takes that term implicitly."""
+        self._level(t)
 
     def _theta_rate(self, kappa, t, divergence=None):
         """Temperature rate, into ``rate``, from the entropy balance at the
@@ -860,15 +916,7 @@ class _Operator:
         coupling M:grad v + aVec.grad phidot is the divergence of M^T v +
         aVec phidot, so it joins the heat flux in one divergence, the
         stepping one unless ``divergence`` is given."""
-        d, Y, out, heat = self.d, self.Y, self.rate, self._heat_rows
-        np.matmul(self.K_rate, kappa, out=heat)
-        heat += np.matmul(self.W_rate, self._velocity_rows, out=self._tmp_rows)
-        (divergence or self._heat_plan)()
-        if self.m_rate:
-            out -= np.multiply(self.m_rate, Y[2 * d + 2], out=self.tmp[0])
-        if "r" in self.sources:
-            out += self.r_rate * self.scenario.source("r", t)
-        return out
+        return self._rate(kappa, t, divergence or self._heat_plan)
 
     # -- states ------------------------------------------------------------
 
@@ -882,8 +930,8 @@ class _Operator:
 
     def impose(self, t):
         """Write every Dirichlet value and rate at time t into the state."""
-        self._dirichlet(t, self._positions + self._theta)
-        self._dirichlet(t, self._velocities)
+        for write in (self._positions, self._theta, self._velocities):
+            write(t)
 
     def state(self, t):
         """A snapshot that owns its memory."""
@@ -907,8 +955,7 @@ class _Operator:
         d = self.d
         F = np.concatenate([state.u, state.phi[None], state.theta[None]])
         grad = np.empty((d + 2, d) + F.shape[1:])
-        self._gradients([_difference_plan(F, j, self.h[j], grad[:, j]) for j in range(d)],
-                        F, state.t, grad)
+        self._gradient_plan(F, grad)(state.t)
         return 0.5 * (grad[:d] + grad[:d].swapaxes(0, 1)), grad[d], grad[d + 1]
 
     def check_finite(self, t):
@@ -935,34 +982,7 @@ class _Operator:
         the half-step velocities.  The rate term ``tau_acc`` phidot enters
         the first kick at the loaded phidot and the second implicitly, at the
         phidot it produces."""
-        d, Y, tmp = self.d, self.Y, self.tmp
-        t_half, t1 = t + 0.5 * dt, t + dt
-        theta, W = Y[d + 1], Y[d + 2:]
-
-        self._theta_rate(self._kappa_rows, t)
-        np.multiply(self.rate, 0.5 * dt, out=self.theta_half)
-        self.theta_half += theta
-        self._dirichlet(t_half, self._theta_half)
-
-        np.multiply(self.acc, 0.5 * dt, out=tmp)
-        if self.tau_acc:
-            tmp[d] += (0.5 * dt * self.tau_acc) * W[d]
-        W += tmp
-        np.multiply(W, dt, out=tmp)
-        Y[:d + 1] += tmp
-        self._dirichlet(t1, self._positions)
-
-        self._gradients(self._half_plans, self.theta_half[None], t_half, self.kappa_half)
-        np.multiply(self._theta_rate(self._kappa_half_rows, t_half), dt, out=tmp[0])
-        theta += tmp[0]
-        self._dirichlet(t1, self._theta)
-
-        self.level(t1)
-        np.multiply(self.acc, 0.5 * dt, out=tmp)
-        W += tmp
-        if self.tau_acc:
-            W[d] /= 1.0 - 0.5 * dt * self.tau_acc
-        self._dirichlet(t1, self._velocities)
+        self._advance(t, dt)
 
 
 class SampleBlock:
@@ -973,8 +993,8 @@ class SampleBlock:
 
     def __init__(self, op, rows, times):
         self.op, self.d, self.times = op, op.d, times
-        self.Y, packed, self.flux = np.split(rows, op.splits)
-        self.grad = packed[2:]
+        a, b = op.splits   # basic slices: np.split costs a call per block
+        self.Y, self.grad, self.flux = rows[:a], rows[a + 2:b], rows[b:]
 
     def _stack(self, rows):
         """(rows, samples, ...) as (samples, rows, nodes)."""
@@ -1058,7 +1078,7 @@ def replay(trajectory, reducers):
     sample = _sampler(op, reducers)
     for st in trajectory.states:
         op.load(st)
-        op.fluxes(st.t)
+        op._fluxes(st.t)
         sample(st.t)
     sample()
 

@@ -379,6 +379,25 @@ def test_verify_decay_coarse_grid_warns(workdir, tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["resolution_factor"] > 1.0
     assert any("resolution-limited" in w for w in summary["warnings"])
+    # its inequality tolerance, 5e-3 x 6.25, can still be violated
+    assert not any("vacuous" in w for w in summary["warnings"])
+
+
+def test_vacuous_inequality_check_warns(workdir, tmp_path, capsys):
+    # the 5 x 4 plate (h1 = 0.25) enlarges the slacks 6400x: the inequality
+    # tolerance is 32, and a margin can fall at most 3 scales below zero,
+    # so the check cannot fail; the verdict keeps its policy and says so
+    (workdir / "case.scn").write_text(PLATE_FILE.replace("T = 0.3", "T = 0.6"))
+    out = tmp_path / "vd"
+    assert main(["verify-decay", "--scenario", str(workdir / "case.scn"),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["resolution_factor"] == 6400.0
+    assert summary["diff_inequality"]["tolerance"] == 32.0
+    assert [w for w in summary["warnings"] if "vacuous" in w] == [
+        "vacuous inequality check: its tolerance 32 is at least 3, so no (r, t) sample can "
+        "violate it"]
+    assert "warning: vacuous inequality check" in capsys.readouterr().out
 
 
 def test_verify_decay_bad_file(workdir, tmp_path, capsys):

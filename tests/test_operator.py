@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -321,6 +322,76 @@ def test_skipped_rate_ends_are_never_read(monkeypatch, thermal, dissipative, tau
     assert len(got) == len(clean) and len(ops) > 20
     assert all(same_bits(a, b) for a, b in zip(got, clean))
     assert np.isnan(ops[-1].rate[[0, -1]]).all() == (thermal == ("dirichlet", "dirichlet"))
+
+
+@pytest.mark.parametrize("tau", (0.0, 0.5))
+@pytest.mark.parametrize("dissipative", (False, True))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_bound_step_survives_rates_and_kinematics(dim, dissipative, tau):
+    # the step is bound once, as closures over the operator's arrays: an
+    # operator that steps, evaluates rates() and kinematics() at another
+    # state, is reloaded with its stepped state and steps on keeps every bit
+    # of a twin that made the same reload without those two calls, and of a
+    # fresh operator loaded there (traction, equilibrated-stress and heat-flux
+    # faces beside Dirichlet ones, sources, m != 0); and each step moves theta
+    # off its Dirichlet faces by dt times the half-step rate it left, so the
+    # step advances the state that load() wrote
+    rng = np.random.default_rng(110 + dim)
+    mat = dataclasses.replace(vt.random_material(dim, rng), tau=tau)
+    assert mat.m != 0.0
+    grid = vt.Grid(extents=(1.0, 0.8, 1.2)[:dim], counts=(9, 7, 6)[:dim])
+    counts, dt, d = grid.counts, 1e-3, dim
+    for kinds in (("flux",) * 3, ("dirichlet", "flux", "dirichlet"),
+                  ("flux", "dirichlet", "flux"), ("dirichlet",) * 3):
+        scen = vt.Scenario(grid=grid, material=mat,
+                           boundary=BoundaryPartition(faces=random_faces(dim, grid, kinds, rng)),
+                           dt=dt, T=1.0, support_x0=1.0, sources=random_sources(dim, rng))
+        free = np.ones(counts, dtype=bool)
+        for face, groups in scen.boundary.faces.items():
+            if groups["thermal"].kind == "dirichlet":
+                free[face_slice(*face, dim)] = False
+        start, other = random_states(rng, dim, counts, (0.0, 0.4))
+        op, twin = _Operator(scen, dissipative), _Operator(scen, dissipative)
+        for each in (op, twin):
+            each.load(start)
+            each.level(0.0)
+        for k in range(4):
+            if k == 2:
+                stepped = op.state(k * dt)
+                op.rates(other)
+                op.kinematics(other)
+                fresh = _Operator(scen, dissipative)
+                for each in (op, twin, fresh):
+                    each.load(stepped)
+                    each.level(k * dt)
+            theta = op.Y[d + 1].copy()
+            for each in (op, twin) if k < 2 else (op, twin, fresh):
+                each.advance(k * dt, dt)
+            assert np.isfinite(op.Y).all()
+            assert same_bits(op.Y[d + 1][free], (theta + op.rate * dt)[free]), (kinds, k)
+            for each in (twin,) if k < 2 else (twin, fresh):
+                assert same_bits(op.rows, each.rows) and same_bits(op.acc, each.acc), (kinds, k)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_stepped_operator_is_freed_by_its_last_reference(dim):
+    # the bound step holds no strong reference back to its operator: one
+    # kept each operator and its arrays alive until the cyclic collector
+    # ran, and raised the peak memory of runs of many steps and samples
+    rng = np.random.default_rng(120 + dim)
+    grid = vt.Grid(extents=(1.0, 0.8, 1.2)[:dim], counts=(9, 7, 6)[:dim])
+    scen = vt.Scenario(grid=grid, material=vt.random_material(dim, rng),
+                       boundary=BoundaryPartition(faces=random_faces(dim, grid, ("flux",) * 3,
+                                                                     rng)),
+                       dt=1e-3, T=1.0, support_x0=1.0, sources=random_sources(dim, rng))
+    op = _Operator(scen)
+    op.load(random_states(rng, dim, grid.counts, (0.0,))[0])
+    op.level(0.0)
+    op.advance(0.0, 1e-3)
+    op.kinematics(op.state(1e-3))
+    alive = weakref.ref(op)
+    del op
+    assert alive() is None
 
 
 def test_check_finite_reads_one_sum():
